@@ -11,12 +11,9 @@ from .estimator import (
     ConstantEstimate,
     construct_reference,
     identity_residual_eq4,
+    identity_suites,
     ln_a,
-    ln_a_binet,
-    ln_a_classical,
-    ln_a_direct_lgamma,
     ln_a_limit_sequence,
-    ln_a_malmsten,
 )
 from .integrands import (
     IntegrandSpec,

@@ -14,14 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import IO, Iterable, List, Sequence, Union
 
-from .estimator import (
-    LN_A_REFERENCE,
-    ln_a_binet,
-    ln_a_classical,
-    ln_a_direct_lgamma,
-    ln_a_limit_sequence,
-    ln_a_malmsten,
-)
+from .estimator import LN_A_REFERENCE, ConstantEstimate, ln_a
 from .quadrature import DEFAULT_MAX_EVALS, TruncationPolicy
 
 __all__ = [
@@ -34,8 +27,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "method,truncation_mode,truncation_T,node_budget,evaluations_used,abs_error,converged"
-
-_TRUNCATION_METHODS = {"binet": ln_a_binet, "malmsten": ln_a_malmsten}
 
 
 @dataclass(frozen=True)
@@ -60,28 +51,17 @@ def sweep_truncation(
     The discretization tolerance is pinned at tol, so abs_error isolates the
     truncation term.  Non-converged runs are recorded flagged, not dropped.
     """
-    if method not in _TRUNCATION_METHODS:
+    if method not in ("binet", "malmsten"):
         raise ValueError(f"truncation sweep supports binet|malmsten, got {method!r}")
     if list(T_list) != sorted(T_list) or not T_list:
         raise ValueError("T_list must be non-empty and sorted ascending")
     if T_list[0] < 5.0 or T_list[-1] > 500.0:
         raise ValueError("T values must lie in [5, 500]")
-    fn = _TRUNCATION_METHODS[method]
-    records = []
-    for T in T_list:
-        est = fn(tol, TruncationPolicy.truncate_at(float(T)), max_evals, strict=False)
-        records.append(
-            ConvergenceRecord(
-                method=method,
-                truncation_mode="truncate",
-                truncation_T=float(T),
-                node_budget=max_evals,
-                evaluations_used=est.evaluations,
-                abs_error=abs(est.ln_A - LN_A_REFERENCE),
-                converged=est.converged,
-            )
-        )
-    return records
+    policies = [TruncationPolicy.truncate_at(float(T)) for T in T_list]
+    return [
+        _record(ln_a(method, tol, policy, max_evals, strict=False), max_evals)
+        for policy in policies
+    ]
 
 
 def sweep_nodes(
@@ -93,42 +73,31 @@ def sweep_nodes(
 ) -> List[ConvergenceRecord]:
     """One record per evaluation budget, auto truncation policy by default.
 
-    With truncate_only=True the binet/malmsten routes are forced to cut the
+    With truncate_only=True the semi-infinite routes are forced to cut the
     tail at truncate_T instead of compactifying, exposing the cost of the
-    Binet route's algebraic tail.
+    Binet route's algebraic tail; direct_lgamma has no tail and rejects it.
     """
     if list(budgets) != sorted(budgets) or not budgets:
         raise ValueError("budgets must be non-empty and sorted ascending")
     if budgets[0] < 32:
         raise ValueError("budgets must each be >= 32")
-    records = []
-    for budget in budgets:
-        budget = int(budget)
-        policy = TruncationPolicy.truncate_at(truncate_T) if truncate_only else None
-        if method == "classical":
-            est = ln_a_classical(tol, policy, budget, strict=False)
-        elif method == "binet":
-            est = ln_a_binet(tol, policy, budget, strict=False)
-        elif method == "malmsten":
-            est = ln_a_malmsten(tol, policy, budget, strict=False)
-        elif method == "direct_lgamma":
-            est = ln_a_direct_lgamma(tol, budget)
-        elif method == "limit_sequence":
-            est = ln_a_limit_sequence(budget)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        records.append(
-            ConvergenceRecord(
-                method=method,
-                truncation_mode=est.truncation_mode,
-                truncation_T=est.truncation_T,
-                node_budget=budget,
-                evaluations_used=est.evaluations,
-                abs_error=abs(est.ln_A - LN_A_REFERENCE),
-                converged=est.converged,
-            )
-        )
-    return records
+    policy = TruncationPolicy.truncate_at(truncate_T) if truncate_only else None
+    return [
+        _record(ln_a(method, tol, policy, budget, strict=False), budget)
+        for budget in map(int, budgets)
+    ]
+
+
+def _record(est: ConstantEstimate, node_budget: int) -> ConvergenceRecord:
+    return ConvergenceRecord(
+        method=est.method,
+        truncation_mode=est.truncation_mode,
+        truncation_T=est.truncation_T,
+        node_budget=node_budget,
+        evaluations_used=est.evaluations,
+        abs_error=abs(est.ln_A - LN_A_REFERENCE),
+        converged=est.converged,
+    )
 
 
 def _format_row(r: ConvergenceRecord) -> str:

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import List, Optional
 
-from . import bench, estimator, integrands, specfun
-from .estimator import ConstantEstimate
+from . import bench, estimator
+from .estimator import TOL_MAX, TOL_MIN, ConstantEstimate
 from .quadrature import PolicyInfeasibleError, QuadratureError
 
 EXIT_OK = 0
@@ -37,19 +36,11 @@ DEFAULT_TOL = 1e-10
 DEFAULT_T_LIST = [25.0, 50.0, 100.0, 200.0]
 DEFAULT_BUDGETS = [64, 128, 256, 512, 1024]
 
-TOL_MIN, TOL_MAX = 1e-13, 1e-3
+# --method accepts each estimator method with underscores or dashes.
+METHOD_CHOICES = sorted(
+    {*estimator.METHODS, *(m.replace("_", "-") for m in estimator.METHODS)}
+)
 
-_METHOD_ALIASES = {
-    "classical": "classical",
-    "binet": "binet",
-    "malmsten": "malmsten",
-    "direct-lgamma": "direct_lgamma",
-    "direct_lgamma": "direct_lgamma",
-    "limit-sequence": "limit_sequence",
-    "limit_sequence": "limit_sequence",
-}
-
-COMPARE_METHODS = ("classical", "binet", "malmsten", "direct_lgamma")
 COMPARE_CSV_HEADER = "method,ln_A,disc_err,trunc_err,evaluations,converged"
 
 
@@ -70,7 +61,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--output", default=None, help="write the report here")
 
     sp = sub.add_parser("eval", help="estimate ln A by one method")
-    sp.add_argument("--method", required=True, choices=sorted(_METHOD_ALIASES))
+    sp.add_argument("--method", required=True, choices=METHOD_CHOICES)
     sp.add_argument("--budget", type=int, default=None, help="evaluation cap")
     common(sp, ("text", "json"))
 
@@ -91,9 +82,13 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _validate_tol(parser: _Parser, tol: float) -> None:
-    if not (TOL_MIN <= tol <= TOL_MAX) or math.isnan(tol):
-        parser.error(f"--tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
+def _validate(parser: _Parser, args) -> None:
+    """Reject --tol outside the estimator's range and --budget below 1."""
+    if not TOL_MIN <= args.tol <= TOL_MAX:
+        parser.error(f"--tol must lie in [{TOL_MIN}, {TOL_MAX}], got {args.tol}")
+    budget = getattr(args, "budget", None)
+    if budget is not None and budget < 1:
+        parser.error(f"--budget must be at least 1, got {budget}")
 
 
 def _estimate_dict(est: ConstantEstimate) -> dict:
@@ -120,22 +115,15 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _run_estimate(method: str, tol: float, budget: Optional[int]) -> ConstantEstimate:
-    kwargs = {}
     if method == "limit_sequence":
-        return estimator.ln_a_limit_sequence(budget if budget else 1000)
-    # estimator routes accept tol in [1e-12, 1e-4]
-    tol = min(max(tol, 1e-12), 1e-4)
-    if budget is not None:
-        kwargs["max_evals"] = budget
-    if method in ("classical", "binet", "malmsten"):
-        kwargs["strict"] = False
-    return estimator.ln_a(method, tol, **kwargs)
+        return estimator.ln_a_limit_sequence(1000 if budget is None else budget)
+    if budget is None:
+        return estimator.ln_a(method, tol)
+    return estimator.ln_a(method, tol, max_evals=budget)
 
 
 def _cmd_eval(args, parser) -> int:
-    _validate_tol(parser, args.tol)
-    method = _METHOD_ALIASES[args.method]
-    est = _run_estimate(method, args.tol, args.budget)
+    est = _run_estimate(args.method.replace("-", "_"), args.tol, args.budget)
     payload = _estimate_dict(est)
     if not est.converged:
         payload["warning"] = "did not converge within the evaluation budget"
@@ -148,8 +136,7 @@ def _cmd_eval(args, parser) -> int:
 
 
 def _cmd_compare(args, parser) -> int:
-    _validate_tol(parser, args.tol)
-    estimates = [_run_estimate(m, args.tol, args.budget) for m in COMPARE_METHODS]
+    estimates = [_run_estimate(m, args.tol, args.budget) for m in estimator.ROUTES]
     values = [e.ln_A for e in estimates]
     spread = max(values) - min(values)
     ok = spread <= 4.0 * args.tol and all(e.converged for e in estimates)
@@ -181,57 +168,8 @@ def _cmd_compare(args, parser) -> int:
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
-def _check_suites(tol: float):
-    """Max residual per identity suite, with thresholds scaled to tol."""
-    scale = tol / DEFAULT_TOL
-    inner = min(max(tol / 10.0, 1e-12), 1e-4)
-
-    binet_grid = (0.25, 0.5, 1.0, 2.0, 5.0)
-    r_binet = max(
-        abs(
-            specfun.log_gamma_plus_one(x)
-            - (
-                x * math.log(x)
-                - x
-                + 0.5 * math.log(2.0 * math.pi * x)
-                + specfun.binet_theta(x, inner).value
-            )
-        )
-        for x in binet_grid
-    )
-
-    malmsten_grid = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
-    r_malmsten = max(
-        abs(specfun.malmsten_log_gamma(z, inner).value - specfun.log_gamma_plus_one(z))
-        for z in malmsten_grid
-    )
-
-    r_eq4 = abs(estimator.identity_residual_eq4(inner))
-
-    ts = [10.0 ** (-3.0 + 4.7 * i / 199.0) for i in range(200)]
-    r_forms = 0.0
-    for t in ts:
-        b12 = integrands.binet_integrand(t, 12)
-        b13 = integrands.binet_integrand(t, 13)
-        m18 = integrands.malmsten_integrand(t, 18)
-        m19 = integrands.malmsten_integrand(t, 19)
-        r_forms = max(
-            r_forms,
-            abs(b12 - b13) / max(1.0, abs(b13)),
-            abs(m18 - m19) / max(1.0, abs(m19)),
-        )
-
-    return [
-        {"suite": "binet_identity", "max_residual": r_binet, "threshold": 1e-9 * scale},
-        {"suite": "malmsten_vs_lgamma", "max_residual": r_malmsten, "threshold": 1e-9 * scale},
-        {"suite": "eq4_identity", "max_residual": r_eq4, "threshold": 1e-9 * scale},
-        {"suite": "form_equivalence", "max_residual": r_forms, "threshold": 1e-12 * scale},
-    ]
-
-
 def _cmd_check(args, parser) -> int:
-    _validate_tol(parser, args.tol)
-    suites = _check_suites(args.tol)
+    suites = estimator.identity_suites(args.tol)
     ok = all(s["max_residual"] <= s["threshold"] for s in suites)
     if args.format == "json":
         payload = {"suites": suites, "all_passed": ok}
@@ -258,7 +196,6 @@ def _parse_list(parser, text, cast, what):
 
 
 def _cmd_convergence(args, parser) -> int:
-    _validate_tol(parser, args.tol)
     T_list = (
         _parse_list(parser, args.T_list, float, "T") if args.T_list else DEFAULT_T_LIST
     )
@@ -267,11 +204,10 @@ def _cmd_convergence(args, parser) -> int:
         if args.budgets
         else DEFAULT_BUDGETS
     )
-    inner = min(max(args.tol / 10.0, 1e-12), 1e-4)
-    records = []
-    records += bench.sweep_truncation("binet", T_list, 1e-12)
-    records += bench.sweep_truncation("malmsten", T_list, min(inner, 1e-12))
-    for method in COMPARE_METHODS:
+    inner = estimator.inner_tol(args.tol)
+    records = bench.sweep_truncation("binet", T_list)
+    records += bench.sweep_truncation("malmsten", T_list)
+    for method in estimator.ROUTES:
         records += bench.sweep_nodes(method, budgets, inner)
     _emit(bench.records_to_string(records), args.output)
     return EXIT_OK
@@ -290,6 +226,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "convergence": _cmd_convergence,
     }
     try:
+        _validate(parser, args)
         return handlers[args.command](args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -22,10 +22,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import specfun
-from .integrands import get_integrand, lngamma_direct_integrand
+from .integrands import (
+    binet_integrand,
+    get_integrand,
+    lngamma_direct_integrand,
+    malmsten_integrand,
+)
 from .quadrature import (
     DEFAULT_MAX_EVALS,
-    QuadratureResult,
     TruncationPolicy,
     integrate_finite,
     integrate_semi_infinite,
@@ -35,16 +39,17 @@ __all__ = [
     "ConstantEstimate",
     "LN_A_REFERENCE",
     "METHODS",
+    "ROUTES",
+    "TOL_MIN",
+    "TOL_MAX",
     "BINET_FIRST_INTEGRAL_CONSTANT",
     "BINET_SECOND_INTEGRAL_CONSTANT",
     "MALMSTEN_PREFIX",
-    "ln_a_classical",
-    "ln_a_binet",
-    "ln_a_malmsten",
-    "ln_a_direct_lgamma",
-    "ln_a_limit_sequence",
     "ln_a",
+    "ln_a_limit_sequence",
+    "inner_tol",
     "identity_residual_eq4",
+    "identity_suites",
     "construct_reference",
 ]
 
@@ -65,7 +70,25 @@ EQ4_CONSTANT = -0.5 - 7.0 / 24.0 * LN2 + 0.25 * LNPI
 # Frozen reference value of ln A (dual-path construction; see module docstring).
 LN_A_REFERENCE = 0.2487544770337843
 
-METHODS = ("classical", "binet", "malmsten", "direct_lgamma", "limit_sequence")
+# Every integral route is ln A = offset + scale * int f, with f integrated
+# to tol * tol_factor; tol_factor = 1/|scale| keeps the scaled error budget
+# within tol.  Row: (integrand id, scale, offset, tol factor).
+ROUTES = {
+    "classical": ("classical", -2.0, 1.0 / 12.0, 0.5),
+    "binet": ("binet_form13", 2.0 / 3.0, BINET_PREFIX, 1.5),
+    "malmsten": ("malmsten_form19", 2.0 / 3.0, MALMSTEN_PREFIX, 1.5),
+    "direct_lgamma": (
+        "lngamma_direct",
+        2.0 / 3.0,
+        (2.0 / 3.0) * (0.5 + 7.0 / 24.0 * LN2 - 0.25 * LNPI),
+        1.5,
+    ),
+}
+
+METHODS = (*ROUTES, "limit_sequence")
+
+# Accepted tolerance range of every route, the identity suites and the CLI.
+TOL_MIN, TOL_MAX = 1e-13, 1e-3
 
 
 @dataclass(frozen=True)
@@ -81,14 +104,43 @@ class ConstantEstimate:
 
 
 def _check_tol(tol: float) -> None:
-    if not 1e-12 <= tol <= 1e-4:
-        raise ValueError(f"tol {tol} outside [1e-12, 1e-4]")
+    if not TOL_MIN <= tol <= TOL_MAX:
+        raise ValueError(f"tol {tol} outside [{TOL_MIN}, {TOL_MAX}]")
 
 
-def _from_quadrature(
-    method: str, res: QuadratureResult, scale: float, offset: float
+def inner_tol(tol: float) -> float:
+    """The tolerance of the quadratures inside checks and sweeps at tol.
+
+    tol / 10, but never below 1e-12.
+    """
+    return max(tol / 10.0, 1e-12)
+
+
+def ln_a(
+    method: str,
+    tol: float = 1e-10,
+    policy: Optional[TruncationPolicy] = None,
+    max_evals: int = DEFAULT_MAX_EVALS,
+    strict: bool = True,
 ) -> ConstantEstimate:
-    """offset + scale * integral, with the error budget scaled alongside."""
+    """ln A by one integral route of ROUTES, with its error budget.
+
+    policy and strict apply to the semi-infinite routes; the finite-interval
+    route rejects a policy.  The limit sequence is ln_a_limit_sequence.
+    """
+    if method not in ROUTES:
+        raise ValueError(f"unknown route {method!r}; known: {', '.join(ROUTES)}")
+    _check_tol(tol)
+    integrand_id, scale, offset, tol_factor = ROUTES[method]
+    spec = get_integrand(integrand_id)
+    if math.isinf(spec.domain_upper):
+        res = integrate_semi_infinite(spec, tol * tol_factor, policy, max_evals, strict)
+    elif policy is not None:
+        raise ValueError(f"{method} integrates a finite interval; it takes no policy")
+    else:
+        res = integrate_finite(
+            spec.eval, 0.0, spec.domain_upper, tol * tol_factor, None, max_evals
+        )
     s = abs(scale)
     return ConstantEstimate(
         method=method,
@@ -100,56 +152,6 @@ def _from_quadrature(
         truncation_T=res.truncation_T,
         truncation_mode=res.truncation_mode,
     )
-
-
-def ln_a_classical(
-    tol: float = 1e-10,
-    policy: Optional[TruncationPolicy] = None,
-    max_evals: int = DEFAULT_MAX_EVALS,
-    strict: bool = True,
-) -> ConstantEstimate:
-    _check_tol(tol)
-    res = integrate_semi_infinite(
-        get_integrand("classical"), tol / 2.0, policy, max_evals, strict
-    )
-    return _from_quadrature("classical", res, -2.0, 1.0 / 12.0)
-
-
-def ln_a_binet(
-    tol: float = 1e-10,
-    policy: Optional[TruncationPolicy] = None,
-    max_evals: int = DEFAULT_MAX_EVALS,
-    strict: bool = True,
-) -> ConstantEstimate:
-    _check_tol(tol)
-    res = integrate_semi_infinite(
-        get_integrand("binet_form13"), tol * 1.5, policy, max_evals, strict
-    )
-    return _from_quadrature("binet", res, 2.0 / 3.0, BINET_PREFIX)
-
-
-def ln_a_malmsten(
-    tol: float = 1e-10,
-    policy: Optional[TruncationPolicy] = None,
-    max_evals: int = DEFAULT_MAX_EVALS,
-    strict: bool = True,
-) -> ConstantEstimate:
-    _check_tol(tol)
-    res = integrate_semi_infinite(
-        get_integrand("malmsten_form19"), tol * 1.5, policy, max_evals, strict
-    )
-    return _from_quadrature("malmsten", res, 2.0 / 3.0, MALMSTEN_PREFIX)
-
-
-def ln_a_direct_lgamma(
-    tol: float = 1e-10, max_evals: int = DEFAULT_MAX_EVALS
-) -> ConstantEstimate:
-    _check_tol(tol)
-    res = integrate_finite(
-        lngamma_direct_integrand, 0.0, 0.5, tol * 1.5, None, max_evals
-    )
-    offset = (2.0 / 3.0) * (0.5 + 7.0 / 24.0 * LN2 - 0.25 * LNPI)
-    return _from_quadrature("direct_lgamma", res, 2.0 / 3.0, offset)
 
 
 def ln_a_limit_sequence(n_max: int = 1000, richardson: bool = True) -> ConstantEstimate:
@@ -182,21 +184,6 @@ def ln_a_limit_sequence(n_max: int = 1000, richardson: bool = True) -> ConstantE
     )
 
 
-def ln_a(method: str, tol: float = 1e-10, **kwargs) -> ConstantEstimate:
-    """Dispatch by method name."""
-    if method == "classical":
-        return ln_a_classical(tol, **kwargs)
-    if method == "binet":
-        return ln_a_binet(tol, **kwargs)
-    if method == "malmsten":
-        return ln_a_malmsten(tol, **kwargs)
-    if method == "direct_lgamma":
-        return ln_a_direct_lgamma(tol, **kwargs)
-    if method == "limit_sequence":
-        return ln_a_limit_sequence(**kwargs)
-    raise ValueError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
-
-
 def identity_residual_eq4(tol: float = 1e-10) -> float:
     """LHS-minus-RHS residual of the shared definite-integral identity.
 
@@ -206,8 +193,61 @@ def identity_residual_eq4(tol: float = 1e-10) -> float:
     """
     _check_tol(tol)
     lhs = integrate_finite(lngamma_direct_integrand, 0.0, 0.5, tol).value
-    rhs = EQ4_CONSTANT + 1.5 * ln_a_malmsten(tol).ln_A
+    rhs = EQ4_CONSTANT + 1.5 * ln_a("malmsten", tol).ln_A
     return lhs - rhs
+
+
+def identity_suites(tol: float = 1e-10) -> list[dict]:
+    """Max residual per identity suite, with thresholds scaled to tol.
+
+    Every quadrature inside a suite runs at inner_tol(tol).  The thresholds
+    are set for tol = 1e-10 and scale linearly with it.
+    """
+    _check_tol(tol)
+    scale = tol / 1e-10
+    inner = inner_tol(tol)
+
+    binet_grid = (0.25, 0.5, 1.0, 2.0, 5.0)
+    r_binet = max(
+        abs(
+            specfun.log_gamma_plus_one(x)
+            - (
+                x * math.log(x)
+                - x
+                + 0.5 * math.log(2.0 * math.pi * x)
+                + specfun.binet_theta(x, inner).value
+            )
+        )
+        for x in binet_grid
+    )
+
+    malmsten_grid = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+    r_malmsten = max(
+        abs(specfun.malmsten_log_gamma(z, inner).value - specfun.log_gamma_plus_one(z))
+        for z in malmsten_grid
+    )
+
+    r_eq4 = abs(identity_residual_eq4(inner))
+
+    ts = [10.0 ** (-3.0 + 4.7 * i / 199.0) for i in range(200)]
+    r_forms = 0.0
+    for t in ts:
+        b12 = binet_integrand(t, 12)
+        b13 = binet_integrand(t, 13)
+        m18 = malmsten_integrand(t, 18)
+        m19 = malmsten_integrand(t, 19)
+        r_forms = max(
+            r_forms,
+            abs(b12 - b13) / max(1.0, abs(b13)),
+            abs(m18 - m19) / max(1.0, abs(m19)),
+        )
+
+    return [
+        {"suite": "binet_identity", "max_residual": r_binet, "threshold": 1e-9 * scale},
+        {"suite": "malmsten_vs_lgamma", "max_residual": r_malmsten, "threshold": 1e-9 * scale},
+        {"suite": "eq4_identity", "max_residual": r_eq4, "threshold": 1e-9 * scale},
+        {"suite": "form_equivalence", "max_residual": r_forms, "threshold": 1e-12 * scale},
+    ]
 
 
 def construct_reference() -> tuple[float, float]:

@@ -50,7 +50,7 @@ class QuadratureError(Exception):
 
 
 class EvaluationFailedError(QuadratureError):
-    """The integrand returned NaN at some node."""
+    """The integrand returned a non-finite value (NaN or inf) at some node."""
 
 
 class PolicyInfeasibleError(QuadratureError):
@@ -100,12 +100,9 @@ def _panel(f: Callable[[float], float], a: float, b: float):
     mid = 0.5 * (a + b)
     y10 = [f(mid + half * x) for x in _X10]
     y21 = [f(mid + half * x) for x in _X21]
-    for y in y10:
-        if math.isnan(y):
-            raise EvaluationFailedError(f"integrand returned NaN on [{a}, {b}]")
-    for y in y21:
-        if math.isnan(y):
-            raise EvaluationFailedError(f"integrand returned NaN on [{a}, {b}]")
+    for y in (*y10, *y21):
+        if not math.isfinite(y):
+            raise EvaluationFailedError(f"integrand returned {y} on [{a}, {b}]")
     g10 = half * math.fsum(w * y for w, y in zip(_W10, y10))
     g21 = half * math.fsum(w * y for w, y in zip(_W21, y21))
     return g21, abs(g21 - g10)

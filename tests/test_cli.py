@@ -1,12 +1,25 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import glaisher
 from glaisher.bench import CSV_HEADER, parse_csv
 from glaisher.cli import main
 from glaisher.estimator import LN_A_REFERENCE
+
+
+# A child interpreter imports the same glaisher as this test process.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(glaisher.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+        if p
+    ),
+}
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +88,17 @@ class TestCompare:
             "--format", "json",
         )
         assert code == 2
+
+    def test_lowest_tol_is_met(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compare", "--tol", "1e-13", "--format", "json",
+        )
+        assert code == 0
+        estimates = json.loads(out)["estimates"]
+        assert len(estimates) == 4
+        for e in estimates:
+            assert e["converged"] is True
+            assert e["discretization_error"] + e["truncation_error"] <= 1e-13
 
     def test_csv_header(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--tol", "1e-6", "--format", "csv")
@@ -166,6 +190,20 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys, "compare", "--tol", "0.5")
         assert code == 64
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--method", "binet", "--budget", "-5"],
+            ["eval", "--method", "limit-sequence", "--budget", "0"],
+            ["compare", "--budget", "0"],
+        ],
+    )
+    def test_budget_below_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert "--budget" in err
+
     def test_bad_t_list(self, capsys):
         code, _, _ = run_cli(capsys, "convergence", "--T-list", "a,b")
         assert code == 64
@@ -176,7 +214,7 @@ class TestBinaryInvocation:
         proc = subprocess.run(
             [sys.executable, "-m", "glaisher.cli", "eval", "--method",
              "limit-sequence", "--format", "json"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert abs(json.loads(proc.stdout)["ln_A"] - LN_A_REFERENCE) <= 1e-8
@@ -184,6 +222,6 @@ class TestBinaryInvocation:
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "glaisher.cli", "eval"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == 64

@@ -8,14 +8,12 @@ from glaisher.estimator import (
     EQ4_CONSTANT,
     LN_A_REFERENCE,
     MALMSTEN_PREFIX,
+    METHODS,
+    ROUTES,
     construct_reference,
     identity_residual_eq4,
     ln_a,
-    ln_a_binet,
-    ln_a_classical,
-    ln_a_direct_lgamma,
     ln_a_limit_sequence,
-    ln_a_malmsten,
 )
 from glaisher.integrands import get_integrand, lngamma_direct_integrand
 from glaisher.quadrature import (
@@ -44,7 +42,7 @@ class TestClosedFormConstants:
 
 class TestRoutes:
     def test_classical(self):
-        est = ln_a_classical(1e-10)
+        est = ln_a("classical", 1e-10)
         assert est.converged
         assert abs(est.ln_A - LN_A_REFERENCE) <= 1e-10
         assert est.discretization_error + est.truncation_error <= 1e-10
@@ -54,13 +52,13 @@ class TestRoutes:
         assert res.value == pytest.approx(-0.0827105719, abs=1e-9)
 
     def test_classical_monotone_cost(self):
-        loose = ln_a_classical(1e-4)
-        tight = ln_a_classical(1e-10)
+        loose = ln_a("classical", 1e-4)
+        tight = ln_a("classical", 1e-10)
         assert abs(loose.ln_A - LN_A_REFERENCE) <= 1e-4
         assert loose.evaluations < tight.evaluations
 
     def test_binet(self):
-        est = ln_a_binet(1e-9)
+        est = ln_a("binet", 1e-9)
         assert est.converged
         assert est.truncation_mode == "compactify"
         assert abs(est.ln_A - LN_A_REFERENCE) <= 1e-9
@@ -71,10 +69,10 @@ class TestRoutes:
 
     def test_binet_truncate_only_is_infeasible(self):
         with pytest.raises(PolicyInfeasibleError):
-            ln_a_binet(1e-9, TruncationPolicy.truncate_at(100.0))
+            ln_a("binet", 1e-9, TruncationPolicy.truncate_at(100.0))
 
     def test_malmsten(self):
-        est = ln_a_malmsten(1e-11)
+        est = ln_a("malmsten", 1e-11)
         assert est.converged
         assert abs(est.ln_A - LN_A_REFERENCE) <= 1e-11
 
@@ -83,7 +81,7 @@ class TestRoutes:
         assert res.value == pytest.approx(-0.0428537406, abs=1e-9)
 
     def test_direct_lgamma(self):
-        est = ln_a_direct_lgamma(1e-11)
+        est = ln_a("direct_lgamma", 1e-11)
         assert est.converged
         assert abs(est.ln_A - LN_A_REFERENCE) <= 1e-11
 
@@ -92,8 +90,8 @@ class TestRoutes:
         assert res.value == pytest.approx(-0.0428537406, abs=1e-9)
 
     def test_direct_vs_malmsten_consistency(self):
-        a = ln_a_direct_lgamma(1e-10)
-        b = ln_a_malmsten(1e-10)
+        a = ln_a("direct_lgamma", 1e-10)
+        b = ln_a("malmsten", 1e-10)
         budget = (
             a.discretization_error
             + a.truncation_error
@@ -107,11 +105,18 @@ class TestRoutes:
         with pytest.raises(ValueError):
             ln_a("nonsense")
 
+    def test_route_table(self):
+        assert METHODS == (*ROUTES, "limit_sequence")
+        with pytest.raises(ValueError):
+            ln_a("limit_sequence")
+        with pytest.raises(ValueError):
+            ln_a("direct_lgamma", 1e-9, TruncationPolicy.compactify(5.0))
+
     def test_tol_domain(self):
         with pytest.raises(ValueError):
-            ln_a_classical(1e-2)
+            ln_a("classical", 1e-2)
         with pytest.raises(ValueError):
-            ln_a_malmsten(1e-13)
+            ln_a("malmsten", 1e-14)
 
 
 class TestLimitSequence:
@@ -140,10 +145,10 @@ class TestLimitSequence:
 class TestCrossValidation:
     def test_four_way_agreement(self):
         values = [
-            ln_a_classical(1e-9).ln_A,
-            ln_a_binet(1e-9).ln_A,
-            ln_a_malmsten(1e-9).ln_A,
-            ln_a_direct_lgamma(1e-9).ln_A,
+            ln_a("classical", 1e-9).ln_A,
+            ln_a("binet", 1e-9).ln_A,
+            ln_a("malmsten", 1e-9).ln_A,
+            ln_a("direct_lgamma", 1e-9).ln_A,
         ]
         assert max(values) - min(values) <= 4e-9
         for v in values:
@@ -158,9 +163,10 @@ class TestCrossValidation:
     def test_error_budget_decomposition(self):
         # pushing the truncation point further out moves ln_A by no more
         # than the previously reported truncation error
-        for fn in (ln_a_classical, ln_a_malmsten):
-            base = fn(1e-9)
-            pushed = fn(1e-9, TruncationPolicy.truncate_at(base.truncation_T * 1.5))
+        for method in ("classical", "malmsten"):
+            base = ln_a(method, 1e-9)
+            policy = TruncationPolicy.truncate_at(base.truncation_T * 1.5)
+            pushed = ln_a(method, 1e-9, policy)
             slack = base.discretization_error + pushed.discretization_error
             assert abs(pushed.ln_A - base.ln_A) <= base.truncation_error + slack
 
@@ -175,7 +181,7 @@ class TestEq4Identity:
     def test_sensitivity_to_corrupted_constant(self):
         # rebuilding the RHS with 7/24 -> 7/25 must blow the residual up
         lhs = integrate_finite(lngamma_direct_integrand, 0.0, 0.5, 1e-10).value
-        ln_a_val = ln_a_malmsten(1e-10).ln_A
+        ln_a_val = ln_a("malmsten", 1e-10).ln_A
         corrupted = -0.5 - 7.0 / 25.0 * math.log(2.0) + 0.25 * math.log(math.pi)
         residual = lhs - (corrupted + 1.5 * ln_a_val)
         assert abs(residual) >= 1e-3

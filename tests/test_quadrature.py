@@ -104,6 +104,12 @@ def test_nan_propagates_as_error():
         integrate_finite(lambda x: math.nan, 0.0, 1.0, 1e-8)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_infinite_value_is_an_error(value):
+    with pytest.raises(EvaluationFailedError):
+        integrate_finite(lambda x: value, 0.0, 1.0, 1e-8)
+
+
 def test_policy_infeasible_for_algebraic_truncation():
     spec = get_integrand("binet_form13")
     with pytest.raises(PolicyInfeasibleError):
