@@ -17,7 +17,6 @@ from .estimator import (
 )
 from .integrands import (
     IntegrandSpec,
-    TailClass,
     binet_integrand,
     classical_integrand,
     get_integrand,

@@ -19,7 +19,7 @@ import sys
 from typing import List, Optional
 
 from . import bench, estimator
-from .estimator import TOL_MAX, TOL_MIN, ConstantEstimate
+from .estimator import N_MAX, TOL_MAX, TOL_MIN, ConstantEstimate
 from .quadrature import PolicyInfeasibleError, QuadratureError
 
 EXIT_OK = 0
@@ -83,12 +83,15 @@ def _build_parser() -> _Parser:
 
 
 def _validate(parser: _Parser, args) -> None:
-    """Reject --tol outside the estimator's range and --budget below 1."""
+    """Reject --tol and --budget outside the estimator's ranges."""
     if not TOL_MIN <= args.tol <= TOL_MAX:
         parser.error(f"--tol must lie in [{TOL_MIN}, {TOL_MAX}], got {args.tol}")
     budget = getattr(args, "budget", None)
     if budget is not None and budget < 1:
         parser.error(f"--budget must be at least 1, got {budget}")
+    is_sequence = getattr(args, "method", None) in ("limit_sequence", "limit-sequence")
+    if budget is not None and is_sequence and budget > N_MAX:
+        parser.error(f"--budget of limit-sequence must be at most {N_MAX}, got {budget}")
 
 
 def _estimate_dict(est: ConstantEstimate) -> dict:

@@ -42,6 +42,7 @@ __all__ = [
     "ROUTES",
     "TOL_MIN",
     "TOL_MAX",
+    "N_MAX",
     "BINET_FIRST_INTEGRAL_CONSTANT",
     "BINET_SECOND_INTEGRAL_CONSTANT",
     "MALMSTEN_PREFIX",
@@ -89,6 +90,9 @@ METHODS = (*ROUTES, "limit_sequence")
 
 # Accepted tolerance range of every route, the identity suites and the CLI.
 TOL_MIN, TOL_MAX = 1e-13, 1e-3
+
+# Largest n of the limit sequence, for the library and the CLI's --budget.
+N_MAX = 100_000
 
 
 @dataclass(frozen=True)
@@ -161,8 +165,8 @@ def ln_a_limit_sequence(n_max: int = 1000, richardson: bool = True) -> ConstantE
     (n_max/2, n_max); the step size |extrapolated - raw| is reported as the
     (certainly conservative) error estimate.
     """
-    if not 1 <= n_max <= 100_000:
-        raise ValueError(f"n_max {n_max} outside [1, 1e5]")
+    if not 1 <= n_max <= N_MAX:
+        raise ValueError(f"n_max {n_max} outside [1, {N_MAX}]")
     raw = specfun.glaisher_seq_log_term(n_max)
     if richardson and n_max >= 2:
         half = specfun.glaisher_seq_log_term(n_max // 2)

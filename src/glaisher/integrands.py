@@ -1,9 +1,9 @@
 """The integrands behind each representation of ln A, as self-describing objects.
 
 Every integrand carries a pointwise evaluator with a frozen Taylor branch
-below a switch threshold (the printed forms are 0/0 at t = 0), a tail decay
-classification, and a rigorous tail-bound function that the truncation
-policy consumes.
+below a switch threshold (the printed forms are 0/0 at t = 0), whether its
+tail decays algebraically (such tails are compactified, not truncated), and
+a rigorous tail-bound function that the truncation policy consumes.
 
 Evaluator notes:
   * classical:  x ln x / (e^{2 pi x} - 1), log-singular at 0, exponential tail.
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 __all__ = [
-    "TailClass",
     "IntegrandSpec",
     "INTEGRAND_IDS",
     "classical_integrand",
@@ -97,23 +96,11 @@ def _horner(coeffs, t):
 
 
 @dataclass(frozen=True)
-class TailClass:
-    kind: str  # "algebraic" | "exponential"
-    order: float = 0.0  # decay order p for algebraic tails
-    rate: float = 0.0  # decay rate r for exponential tails
-
-    def __post_init__(self):
-        if self.kind not in ("algebraic", "exponential"):
-            raise ValueError(f"unknown tail kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class IntegrandSpec:
     id: str
     eval: Callable[[float], float]
-    limit_at_zero: float  # NaN-free finite value; meaningless if log-singular
     log_singular_at_zero: bool
-    tail_class: TailClass
+    algebraic_tail: bool  # the automatic policy compactifies such a tail
     tail_bound: Callable[[float], float]
     domain_upper: float = math.inf  # 0.5 for the finite lngamma integrand
 
@@ -177,9 +164,7 @@ def lngamma_direct_integrand(x: float) -> float:
     """ln Gamma(x+1) on [0, 1/2]; smooth on the closed interval."""
     if not 0.0 <= x <= 0.5:
         raise ValueError(f"lngamma integrand requires x in [0, 1/2], got {x}")
-    from .specfun import log_gamma_plus_one
-
-    return log_gamma_plus_one(x)
+    return math.lgamma(x + 1.0)
 
 
 # --- rigorous tail bounds ---------------------------------------------------
@@ -216,35 +201,31 @@ def _make_specs():
     specs["classical"] = IntegrandSpec(
         id="classical",
         eval=classical_integrand,
-        limit_at_zero=math.nan,
         log_singular_at_zero=True,
-        tail_class=TailClass("exponential", rate=_TWO_PI),
+        algebraic_tail=False,
         tail_bound=_classical_tail_bound,
     )
     for form in (12, 13):
         specs[f"binet_form{form}"] = IntegrandSpec(
             id=f"binet_form{form}",
             eval=lambda t, form=form: binet_integrand(t, form),
-            limit_at_zero=1.0 / 24.0,
             log_singular_at_zero=False,
-            tail_class=TailClass("algebraic", order=2.0),
+            algebraic_tail=True,
             tail_bound=_binet_tail_bound,
         )
     for form in (18, 19):
         specs[f"malmsten_form{form}"] = IntegrandSpec(
             id=f"malmsten_form{form}",
             eval=lambda t, form=form: malmsten_integrand(t, form),
-            limit_at_zero=-1.0 / 24.0,
             log_singular_at_zero=False,
-            tail_class=TailClass("exponential", rate=1.0),
+            algebraic_tail=False,
             tail_bound=_malmsten_tail_bound,
         )
     specs["lngamma_direct"] = IntegrandSpec(
         id="lngamma_direct",
         eval=lngamma_direct_integrand,
-        limit_at_zero=0.0,
         log_singular_at_zero=False,
-        tail_class=TailClass("exponential", rate=1.0),
+        algebraic_tail=False,
         tail_bound=_finite_domain_tail_bound,
         domain_upper=0.5,
     )

@@ -6,7 +6,7 @@ worst first, until the summed estimate meets the tolerance or the evaluation
 budget runs out.  Both rules use interior nodes only, so integrands never
 get evaluated at interval endpoints (removable singularities at 0 are safe).
 
-Semi-infinite integrals are driven by the integrand's declared tail class:
+Semi-infinite integrals are driven by the integrand's declared tail:
 exponential tails are truncated at a point T where the integrand's rigorous
 tail bound drops below a tenth of the tolerance; algebraic tails are
 compactified on [T, inf) with the map t = 1/u, which turns the tail into a
@@ -40,6 +40,9 @@ DEFAULT_MAX_EVALS = 10_000
 # Tail-bound target is tol/10 so 90% of the budget goes to discretization.
 TAIL_SAFETY = 10.0
 
+# Accepted tolerance range of both integrators.
+_TOL_MIN, _TOL_MAX = 1e-14, 1e-2
+
 # Nodes/weights on [-1, 1]; 31 evaluations per panel.
 _X10, _W10 = np.polynomial.legendre.leggauss(10)
 _X21, _W21 = np.polynomial.legendre.leggauss(21)
@@ -70,20 +73,19 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """How the semi-infinite domain is cut or compactified."""
+    """How the semi-infinite domain is cut or compactified at T.
 
-    mode: str  # "truncate" | "compactify" | "auto"
+    Passing no policy (None) lets the integrand's tail choose.
+    """
+
+    mode: str  # "truncate" | "compactify"
     T: Optional[float] = None
 
     def __post_init__(self):
-        if self.mode not in ("truncate", "compactify", "auto"):
+        if self.mode not in ("truncate", "compactify"):
             raise ValueError(f"unknown truncation mode {self.mode!r}")
-        if self.mode != "auto" and not (self.T is not None and self.T > 0):
+        if not (self.T is not None and self.T > 0):
             raise ValueError(f"mode {self.mode!r} requires an explicit T > 0")
-
-    @staticmethod
-    def auto() -> "TruncationPolicy":
-        return TruncationPolicy("auto")
 
     @staticmethod
     def truncate_at(T: float) -> "TruncationPolicy":
@@ -106,6 +108,11 @@ def _panel(f: Callable[[float], float], a: float, b: float):
     g10 = half * math.fsum(w * y for w, y in zip(_W10, y10))
     g21 = half * math.fsum(w * y for w, y in zip(_W21, y21))
     return g21, abs(g21 - g10)
+
+
+def _check_tol(tol: float) -> None:
+    if not _TOL_MIN <= tol <= _TOL_MAX:
+        raise ValueError(f"tol {tol} outside [1e-14, 1e-2]")
 
 
 def _adaptive(f, a, b, tol, max_evals):
@@ -161,8 +168,7 @@ def integrate_finite(
     """
     if not a < b:
         raise ValueError(f"require a < b, got [{a}, {b}]")
-    if not (1e-14 <= tol <= 1e-2):
-        raise ValueError(f"tol {tol} outside [1e-14, 1e-2]")
+    _check_tol(tol)
     if endpoint not in (None, "log_singular_at_a"):
         raise ValueError(f"unknown endpoint flag {endpoint!r}")
     if endpoint == "log_singular_at_a":
@@ -201,28 +207,26 @@ def integrate_semi_infinite(
     """Integrate spec over (0, inf) to absolute tolerance tol.
 
     The tolerance is budgeted 90% to discretization, 10% to truncation.
-    In strict mode, forcing truncate on an algebraic tail whose bound cannot
-    reach tol raises PolicyInfeasibleError (the slow-convergence pathology);
-    with strict=False the result is returned flagged converged=False.
+    With policy=None an algebraic tail is compactified at T = 10 and any
+    other tail is truncated where its bound meets tol/10.  In strict mode,
+    forcing truncate on an algebraic tail whose bound cannot reach tol raises
+    PolicyInfeasibleError (the slow-convergence pathology); with strict=False
+    the result is returned flagged converged=False.
     """
-    if policy is None:
-        policy = TruncationPolicy.auto()
-    if not (1e-14 <= tol <= 1e-2):
-        raise ValueError(f"tol {tol} outside [1e-14, 1e-2]")
+    _check_tol(tol)
 
-    if policy.mode == "auto":
-        if spec.tail_class.kind == "algebraic":
-            mode, T = "compactify", 10.0
-        else:
-            mode, T = "truncate", _auto_truncation_point(spec, tol / TAIL_SAFETY)
-    else:
+    if policy is not None:
         mode, T = policy.mode, float(policy.T)
+    elif spec.algebraic_tail:
+        mode, T = "compactify", 10.0
+    else:
+        mode, T = "truncate", _auto_truncation_point(spec, tol / TAIL_SAFETY)
 
     endpoint = "log_singular_at_a" if spec.log_singular_at_zero else None
 
     if mode == "truncate":
         trunc = spec.tail_bound(T)
-        if strict and spec.tail_class.kind == "algebraic" and trunc > tol:
+        if strict and spec.algebraic_tail and trunc > tol:
             raise PolicyInfeasibleError(
                 f"{spec.id}: algebraic tail bound {trunc:.3e} at T={T} exceeds "
                 f"tol {tol:.3e}; use compactification"

@@ -1,8 +1,7 @@
 """Special functions underlying every representation of ln A.
 
-* log_gamma_plus_one: ln Gamma(x+1) via a fixed-coefficient Lanczos
-  approximation (g = 7, 9 terms), good to better than 1e-13 relative on
-  [0, 10] and serving as the reference evaluator for every identity check.
+* log_gamma_plus_one: ln Gamma(x+1) from the standard library's
+  math.lgamma, the reference evaluator for every identity check.
 * binet_theta: the Stirling remainder theta(x) from its integral
   representation, theta(x) = int_0^inf (1/(e^t-1) - 1/t + 1/2) e^{-xt}/t dt.
 * malmsten_log_gamma: ln Gamma(z+1) from the Malmsten integral
@@ -23,7 +22,7 @@ import math
 
 import numpy as np
 
-from .integrands import IntegrandSpec, TailClass
+from .integrands import IntegrandSpec
 from .quadrature import QuadratureResult, integrate_semi_infinite
 
 __all__ = [
@@ -34,44 +33,12 @@ __all__ = [
     "glaisher_seq_log_term",
 ]
 
-_LN_2PI = math.log(2.0 * math.pi)
-_HALF_LN_2PI = 0.5 * _LN_2PI
-
-# Lanczos g = 7, 9-term coefficient set (classic double-precision choice).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _lanczos_ln_gamma(z: float) -> float:
-    """ln Gamma(z) for z > 0."""
-    if z < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.log(math.pi / math.sin(math.pi * z)) - _lanczos_ln_gamma(1.0 - z)
-    zz = z - 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (zz + i)
-    base = zz + _LANCZOS_G + 0.5
-    return _HALF_LN_2PI + (zz + 0.5) * math.log(base) - base + math.log(acc)
-
 
 def log_gamma_plus_one(x: float) -> float:
     """ln Gamma(x+1) for x > -1; exactly 0 at x = 0 and x = 1."""
     if not x > -1.0:
         raise ValueError(f"log_gamma_plus_one requires x > -1, got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return _lanczos_ln_gamma(x + 1.0)
+    return math.lgamma(x + 1.0)
 
 
 # Taylor coefficients in t^2 of (1/(e^t-1) - 1/t + 1/2)/t, i.e. the even
@@ -109,8 +76,6 @@ def binet_theta(x: float, tol: float = 1e-10) -> QuadratureResult:
     """
     if x <= 0.0:
         raise ValueError(f"binet_theta requires x > 0, got {x}")
-    if not 0.0 < tol <= 1e-2:
-        raise ValueError(f"tol {tol} outside (0, 1e-2]")
 
     def f(t):
         return _theta_kernel(t) * math.exp(-x * t)
@@ -122,9 +87,8 @@ def binet_theta(x: float, tol: float = 1e-10) -> QuadratureResult:
     spec = IntegrandSpec(
         id="binet_theta_kernel",
         eval=f,
-        limit_at_zero=1.0 / 12.0,
         log_singular_at_zero=False,
-        tail_class=TailClass("exponential", rate=x),
+        algebraic_tail=False,
         tail_bound=bound,
     )
     return integrate_semi_infinite(spec, tol)
@@ -145,8 +109,6 @@ def malmsten_log_gamma(z: float, tol: float = 1e-10) -> QuadratureResult:
     """ln Gamma(z+1) by quadrature of the Malmsten integral, z >= 0."""
     if z < 0.0:
         raise ValueError(f"malmsten_log_gamma requires z >= 0, got {z}")
-    if not 0.0 < tol <= 1e-2:
-        raise ValueError(f"tol {tol} outside (0, 1e-2]")
     # The bracket cancels to O(t) at 0; series below a z-scaled threshold.
     switch = 0.005 / max(1.0, z)
 
@@ -163,9 +125,8 @@ def malmsten_log_gamma(z: float, tol: float = 1e-10) -> QuadratureResult:
     spec = IntegrandSpec(
         id="malmsten_log_gamma_kernel",
         eval=f,
-        limit_at_zero=-z * (1.0 - z) / 2.0,
         log_singular_at_zero=False,
-        tail_class=TailClass("exponential", rate=1.0),
+        algebraic_tail=False,
         tail_bound=bound,
     )
     return integrate_semi_infinite(spec, tol)

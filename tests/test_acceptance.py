@@ -23,7 +23,7 @@ from glaisher import (
 )
 from glaisher.bench import sweep_truncation
 from glaisher.cli import main
-from glaisher.integrands import IntegrandSpec, TailClass
+from glaisher.integrands import IntegrandSpec
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -127,9 +127,9 @@ def test_criterion_8_quadrature_unit_suite():
     r1 = integrate_finite(lambda x: x * x, 0.0, 1.0, 1e-12)
     r2 = integrate_finite(math.log, 0.0, 1.0, 1e-10, "log_singular_at_a")
     toy = IntegrandSpec(
-        id="exp_toy", eval=lambda t: math.exp(-t), limit_at_zero=1.0,
+        id="exp_toy", eval=lambda t: math.exp(-t),
         log_singular_at_zero=False,
-        tail_class=TailClass("exponential", rate=1.0),
+        algebraic_tail=False,
         tail_bound=lambda T: math.exp(-T),
     )
     r3 = integrate_semi_infinite(toy, 1e-12)

@@ -9,7 +9,7 @@ import pytest
 import glaisher
 from glaisher.bench import CSV_HEADER, parse_csv
 from glaisher.cli import main
-from glaisher.estimator import LN_A_REFERENCE
+from glaisher.estimator import LN_A_REFERENCE, N_MAX
 
 
 # A child interpreter imports the same glaisher as this test process.
@@ -200,6 +200,15 @@ class TestUsageErrors:
     )
     def test_budget_below_one(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert "--budget" in err
+
+    @pytest.mark.parametrize("method", ["limit-sequence", "limit_sequence"])
+    def test_limit_sequence_budget_above_n_max(self, capsys, method):
+        code, out, err = run_cli(
+            capsys, "eval", "--method", method, "--budget", str(N_MAX + 1)
+        )
         assert code == 64
         assert out == ""
         assert "--budget" in err

@@ -9,6 +9,7 @@ from glaisher.estimator import (
     LN_A_REFERENCE,
     MALMSTEN_PREFIX,
     METHODS,
+    N_MAX,
     ROUTES,
     construct_reference,
     identity_residual_eq4,
@@ -140,6 +141,8 @@ class TestLimitSequence:
     def test_domain(self):
         with pytest.raises(ValueError):
             ln_a_limit_sequence(0)
+        with pytest.raises(ValueError):
+            ln_a_limit_sequence(N_MAX + 1)
 
 
 class TestCrossValidation:

@@ -49,7 +49,6 @@ class TestClassical:
 class TestBinetForms:
     def test_limit_at_zero(self):
         assert binet_integrand(1e-4, 12) == pytest.approx(1.0 / 24.0, abs=2e-6)
-        assert get_integrand("binet_form13").limit_at_zero == 1.0 / 24.0
 
     def test_at_one(self):
         # (1 - e^{-1/2})(coth(1/2) - 2)/2, coth(1/2) = 2.1639534...
@@ -87,7 +86,6 @@ class TestBinetForms:
 class TestMalmstenForms:
     def test_limit_at_zero(self):
         assert malmsten_integrand(1e-4, 19) == pytest.approx(-1.0 / 24.0, abs=1e-5)
-        assert get_integrand("malmsten_form19").limit_at_zero == -1.0 / 24.0
 
     def test_at_one(self):
         assert malmsten_integrand(1.0, 19) == pytest.approx(

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from glaisher.integrands import IntegrandSpec, TailClass, get_integrand
+from glaisher.integrands import IntegrandSpec, get_integrand
 from glaisher.quadrature import (
     EvaluationFailedError,
     PolicyInfeasibleError,
@@ -16,9 +16,8 @@ def _exp_spec():
     return IntegrandSpec(
         id="exp_toy",
         eval=lambda t: math.exp(-t),
-        limit_at_zero=1.0,
         log_singular_at_zero=False,
-        tail_class=TailClass("exponential", rate=1.0),
+        algebraic_tail=False,
         tail_bound=lambda T: math.exp(-T),
     )
 
@@ -138,3 +137,5 @@ def test_bad_arguments():
         TruncationPolicy("truncate")
     with pytest.raises(ValueError):
         TruncationPolicy("nonsense", 1.0)
+    with pytest.raises(ValueError):
+        TruncationPolicy("auto", 10.0)

@@ -25,10 +25,12 @@ class TestLogGamma:
         assert log_gamma_plus_one(0.5) == pytest.approx(expected, abs=1e-13)
 
     def test_against_stdlib(self):
+        mpmath = pytest.importorskip("mpmath")
         for i in range(1, 200):
             x = i * 0.05
             mine = log_gamma_plus_one(x)
-            ref = math.lgamma(x + 1.0)
+            with mpmath.workdps(30):
+                ref = float(mpmath.loggamma(x + 1.0))
             assert abs(mine - ref) <= 1e-13 * max(1.0, abs(ref))
 
     def test_recurrence(self):
