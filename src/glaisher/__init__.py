@@ -26,7 +26,6 @@ from .integrands import (
 )
 from .quadrature import (
     EvaluationFailedError,
-    PolicyInfeasibleError,
     QuadratureError,
     QuadratureResult,
     TruncationPolicy,

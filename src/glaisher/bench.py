@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from typing import IO, Iterable, List, Sequence, Union
 
 from .estimator import LN_A_REFERENCE, ConstantEstimate, ln_a
-from .quadrature import DEFAULT_MAX_EVALS, TruncationPolicy
+from .quadrature import DEFAULT_MAX_EVALS, PANEL_EVALS, TruncationPolicy
 
 __all__ = [
     "ConvergenceRecord",
     "CSV_HEADER",
+    "check_T_list",
+    "check_budgets",
     "sweep_truncation",
     "sweep_nodes",
     "emit_csv",
@@ -53,15 +55,9 @@ def sweep_truncation(
     """
     if method not in ("binet", "malmsten"):
         raise ValueError(f"truncation sweep supports binet|malmsten, got {method!r}")
-    if list(T_list) != sorted(T_list) or not T_list:
-        raise ValueError("T_list must be non-empty and sorted ascending")
-    if T_list[0] < 5.0 or T_list[-1] > 500.0:
-        raise ValueError("T values must lie in [5, 500]")
-    policies = [TruncationPolicy.truncate_at(float(T)) for T in T_list]
-    return [
-        _record(ln_a(method, tol, policy, max_evals, strict=False), max_evals)
-        for policy in policies
-    ]
+    check_T_list(T_list)
+    policies = [TruncationPolicy("truncate", float(T)) for T in T_list]
+    return [_record(ln_a(method, tol, policy, max_evals), max_evals) for policy in policies]
 
 
 def sweep_nodes(
@@ -77,15 +73,25 @@ def sweep_nodes(
     tail at truncate_T instead of compactifying, exposing the cost of the
     Binet route's algebraic tail; direct_lgamma has no tail and rejects it.
     """
+    check_budgets(budgets)
+    policy = TruncationPolicy("truncate", truncate_T) if truncate_only else None
+    return [_record(ln_a(method, tol, policy, budget), budget) for budget in map(int, budgets)]
+
+
+def check_T_list(T_list: Sequence[float]) -> None:
+    """Raise ValueError unless T_list is non-empty, ascending and in [5, 500]."""
+    if list(T_list) != sorted(T_list) or not T_list:
+        raise ValueError("T_list must be non-empty and sorted ascending")
+    if T_list[0] < 5.0 or T_list[-1] > 500.0:
+        raise ValueError("T values must lie in [5, 500]")
+
+
+def check_budgets(budgets: Sequence[int]) -> None:
+    """Raise ValueError unless budgets is non-empty, ascending and each >= one panel."""
     if list(budgets) != sorted(budgets) or not budgets:
         raise ValueError("budgets must be non-empty and sorted ascending")
-    if budgets[0] < 32:
-        raise ValueError("budgets must each be >= 32")
-    policy = TruncationPolicy.truncate_at(truncate_T) if truncate_only else None
-    return [
-        _record(ln_a(method, tol, policy, budget, strict=False), budget)
-        for budget in map(int, budgets)
-    ]
+    if budgets[0] < PANEL_EVALS:
+        raise ValueError(f"budgets must each be >= {PANEL_EVALS}")
 
 
 def _record(est: ConstantEstimate, node_budget: int) -> ConvergenceRecord:

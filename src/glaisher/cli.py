@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from . import bench, estimator
 from .estimator import N_MAX, TOL_MAX, TOL_MIN, ConstantEstimate
-from .quadrature import PolicyInfeasibleError, QuadratureError
+from .quadrature import PANEL_EVALS, QuadratureError
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -82,16 +82,37 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _parse_list(parser, text, cast, what, default):
+    if not text:
+        return default
+    try:
+        values = [cast(part) for part in text.split(",") if part]
+    except ValueError:
+        parser.error(f"cannot parse {what} list {text!r}")
+    if not values:
+        parser.error(f"empty {what} list")
+    return values
+
+
 def _validate(parser: _Parser, args) -> None:
-    """Reject --tol and --budget outside the estimator's ranges."""
+    """Reject arguments outside the estimator's and the sweeps' ranges; parse lists."""
     if not TOL_MIN <= args.tol <= TOL_MAX:
         parser.error(f"--tol must lie in [{TOL_MIN}, {TOL_MAX}], got {args.tol}")
     budget = getattr(args, "budget", None)
-    if budget is not None and budget < 1:
-        parser.error(f"--budget must be at least 1, got {budget}")
     is_sequence = getattr(args, "method", None) in ("limit_sequence", "limit-sequence")
+    floor = 1 if is_sequence else PANEL_EVALS  # one panel on an integral route
+    if budget is not None and budget < floor:
+        parser.error(f"--budget must be at least {floor}, got {budget}")
     if budget is not None and is_sequence and budget > N_MAX:
         parser.error(f"--budget of limit-sequence must be at most {N_MAX}, got {budget}")
+    if args.command == "convergence":
+        args.T_list = _parse_list(parser, args.T_list, float, "T", DEFAULT_T_LIST)
+        args.budgets = _parse_list(parser, args.budgets, int, "budget", DEFAULT_BUDGETS)
+        try:
+            bench.check_T_list(args.T_list)
+            bench.check_budgets(args.budgets)
+        except ValueError as exc:
+            parser.error(str(exc))
 
 
 def _estimate_dict(est: ConstantEstimate) -> dict:
@@ -188,30 +209,12 @@ def _cmd_check(args, parser) -> int:
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
-def _parse_list(parser, text, cast, what):
-    try:
-        values = [cast(part) for part in text.split(",") if part]
-    except ValueError:
-        parser.error(f"cannot parse {what} list {text!r}")
-    if not values:
-        parser.error(f"empty {what} list")
-    return values
-
-
 def _cmd_convergence(args, parser) -> int:
-    T_list = (
-        _parse_list(parser, args.T_list, float, "T") if args.T_list else DEFAULT_T_LIST
-    )
-    budgets = (
-        _parse_list(parser, args.budgets, int, "budget")
-        if args.budgets
-        else DEFAULT_BUDGETS
-    )
     inner = estimator.inner_tol(args.tol)
-    records = bench.sweep_truncation("binet", T_list)
-    records += bench.sweep_truncation("malmsten", T_list)
+    records = bench.sweep_truncation("binet", args.T_list, inner)
+    records += bench.sweep_truncation("malmsten", args.T_list, inner)
     for method in estimator.ROUTES:
-        records += bench.sweep_nodes(method, budgets, inner)
+        records += bench.sweep_nodes(method, args.budgets, inner)
     _emit(bench.records_to_string(records), args.output)
     return EXIT_OK
 
@@ -233,7 +236,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return handlers[args.command](args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (PolicyInfeasibleError, QuadratureError, ValueError) as exc:
+    except (QuadratureError, ValueError) as exc:
         print(f"glaisher: evaluation failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

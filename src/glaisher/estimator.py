@@ -115,9 +115,9 @@ def _check_tol(tol: float) -> None:
 def inner_tol(tol: float) -> float:
     """The tolerance of the quadratures inside checks and sweeps at tol.
 
-    tol / 10, but never below 1e-12.
+    tol / 10, but never below TOL_MIN.
     """
-    return max(tol / 10.0, 1e-12)
+    return max(tol / 10.0, TOL_MIN)
 
 
 def ln_a(
@@ -125,12 +125,12 @@ def ln_a(
     tol: float = 1e-10,
     policy: Optional[TruncationPolicy] = None,
     max_evals: int = DEFAULT_MAX_EVALS,
-    strict: bool = True,
 ) -> ConstantEstimate:
     """ln A by one integral route of ROUTES, with its error budget.
 
-    policy and strict apply to the semi-infinite routes; the finite-interval
-    route rejects a policy.  The limit sequence is ln_a_limit_sequence.
+    policy applies to the semi-infinite routes; the finite-interval route
+    rejects one.  max_evals is a hard cap of at least one panel (31
+    evaluations).  The limit sequence is ln_a_limit_sequence.
     """
     if method not in ROUTES:
         raise ValueError(f"unknown route {method!r}; known: {', '.join(ROUTES)}")
@@ -138,7 +138,7 @@ def ln_a(
     integrand_id, scale, offset, tol_factor = ROUTES[method]
     spec = get_integrand(integrand_id)
     if math.isinf(spec.domain_upper):
-        res = integrate_semi_infinite(spec, tol * tol_factor, policy, max_evals, strict)
+        res = integrate_semi_infinite(spec, tol * tol_factor, policy, max_evals)
     elif policy is not None:
         raise ValueError(f"{method} integrates a finite interval; it takes no policy")
     else:
@@ -269,7 +269,7 @@ def construct_reference() -> tuple[float, float]:
     seq_path = (16.0 * r2 - r1) / 15.0
 
     res = integrate_semi_infinite(
-        get_integrand("classical"), 1e-13, TruncationPolicy.compactify(5.0)
+        get_integrand("classical"), 1e-13, TruncationPolicy("compactify", 5.0)
     )
     quad_path = 1.0 / 12.0 - 2.0 * res.value
     return seq_path, quad_path

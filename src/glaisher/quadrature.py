@@ -3,14 +3,17 @@
 Each panel is evaluated with a 10-point and a 21-point Gauss-Legendre rule;
 |G21 - G10| is the panel error estimate.  Panels are refined by bisection,
 worst first, until the summed estimate meets the tolerance or the evaluation
-budget runs out.  Both rules use interior nodes only, so integrands never
-get evaluated at interval endpoints (removable singularities at 0 are safe).
+budget, a hard cap of at least one panel, runs out.  Both rules use interior
+nodes only, so integrands never get evaluated at interval endpoints
+(removable singularities at 0 are safe).
 
-Semi-infinite integrals are driven by the integrand's declared tail:
-exponential tails are truncated at a point T where the integrand's rigorous
-tail bound drops below a tenth of the tolerance; algebraic tails are
-compactified on [T, inf) with the map t = 1/u, which turns the tail into a
-smooth finite-interval integral.
+A semi-infinite integral becomes one finite integral, as chosen by the
+integrand's declared tail.  Exponential tails are truncated at a point T
+where the rigorous tail bound drops below a tenth of the tolerance.
+Algebraic tails are compactified as in QUADPACK's QAGI: t = T s/(1-s) maps
+s in [0, 1) onto [0, inf), so int_0^inf f dt = int_0^1 f(t(s)) T/(1-s)^2 ds
+with T the scale (t(1/2) = T); a tail like c/t^2 becomes the finite limit
+c/T at s = 1, a node never evaluated.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ __all__ = [
     "TruncationPolicy",
     "QuadratureError",
     "EvaluationFailedError",
-    "PolicyInfeasibleError",
     "integrate_finite",
     "integrate_semi_infinite",
     "DEFAULT_MAX_EVALS",
+    "PANEL_EVALS",
 ]
 
 DEFAULT_MAX_EVALS = 10_000
@@ -43,7 +46,10 @@ TAIL_SAFETY = 10.0
 # Accepted tolerance range of both integrators.
 _TOL_MIN, _TOL_MAX = 1e-14, 1e-2
 
-# Nodes/weights on [-1, 1]; 31 evaluations per panel.
+# Integrand evaluations of one panel: the G10 and the G21 rule share no node.
+PANEL_EVALS = 31
+
+# Nodes/weights on [-1, 1].
 _X10, _W10 = np.polynomial.legendre.leggauss(10)
 _X21, _W21 = np.polynomial.legendre.leggauss(21)
 
@@ -54,10 +60,6 @@ class QuadratureError(Exception):
 
 class EvaluationFailedError(QuadratureError):
     """The integrand returned a non-finite value (NaN or inf) at some node."""
-
-
-class PolicyInfeasibleError(QuadratureError):
-    """Truncation was forced where the tail bound cannot meet the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -87,17 +89,9 @@ class TruncationPolicy:
         if not (self.T is not None and self.T > 0):
             raise ValueError(f"mode {self.mode!r} requires an explicit T > 0")
 
-    @staticmethod
-    def truncate_at(T: float) -> "TruncationPolicy":
-        return TruncationPolicy("truncate", T)
-
-    @staticmethod
-    def compactify(T: float) -> "TruncationPolicy":
-        return TruncationPolicy("compactify", T)
-
 
 def _panel(f: Callable[[float], float], a: float, b: float):
-    """Return (G21 value, |G21 - G10| estimate) for one panel, 31 evals."""
+    """Return (G21 value, |G21 - G10| estimate) for one panel."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     y10 = [f(mid + half * x) for x in _X10]
@@ -116,19 +110,21 @@ def _check_tol(tol: float) -> None:
 
 
 def _adaptive(f, a, b, tol, max_evals):
-    """Bisection-adaptive integration of f on [a, b]."""
+    """Bisection-adaptive integration of f on [a, b], at most max_evals calls."""
+    if max_evals < PANEL_EVALS:
+        raise ValueError(f"max_evals {max_evals} is below one panel ({PANEL_EVALS})")
     value, err = _panel(f, a, b)
-    evals = 31
+    evals = PANEL_EVALS
     # heap entries: (-error, insertion order, a, b, value, error)
     seq = 0
     heap = [(-err, seq, a, b, value, err)]
     total_err = err
-    while total_err > tol and evals + 62 <= max_evals:
+    while total_err > tol and evals + 2 * PANEL_EVALS <= max_evals:
         neg, _, pa, pb, pv, pe = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
         v1, e1 = _panel(f, pa, pm)
         v2, e2 = _panel(f, pm, pb)
-        evals += 62
+        evals += 2 * PANEL_EVALS
         total_err += e1 + e2 - pe
         seq += 1
         heapq.heappush(heap, (-e1, seq, pa, pm, v1, e1))
@@ -202,16 +198,15 @@ def integrate_semi_infinite(
     tol: float,
     policy: Optional[TruncationPolicy] = None,
     max_evals: int = DEFAULT_MAX_EVALS,
-    strict: bool = True,
 ) -> QuadratureResult:
-    """Integrate spec over (0, inf) to absolute tolerance tol.
+    """Integrate spec over (0, inf) to absolute tolerance tol, in one finite integral.
 
-    The tolerance is budgeted 90% to discretization, 10% to truncation.
     With policy=None an algebraic tail is compactified at T = 10 and any
-    other tail is truncated where its bound meets tol/10.  In strict mode,
-    forcing truncate on an algebraic tail whose bound cannot reach tol raises
-    PolicyInfeasibleError (the slow-convergence pathology); with strict=False
-    the result is returned flagged converged=False.
+    other tail is truncated where its bound meets tol/10.  Truncation spends
+    what the tail bound leaves of tol on discretization (at least tol/10,
+    and never below the engine's smallest tol); a forced truncation whose
+    bound exceeds tol (the slow-convergence pathology of an algebraic tail)
+    is returned with that bound as truncation_error and converged=False.
     """
     _check_tol(tol)
 
@@ -226,39 +221,23 @@ def integrate_semi_infinite(
 
     if mode == "truncate":
         trunc = spec.tail_bound(T)
-        if strict and spec.algebraic_tail and trunc > tol:
-            raise PolicyInfeasibleError(
-                f"{spec.id}: algebraic tail bound {trunc:.3e} at T={T} exceeds "
-                f"tol {tol:.3e}; use compactification"
-            )
-        disc_tol = max(tol - trunc, 0.1 * tol)
+        disc_tol = max(tol - trunc, 0.1 * tol, _TOL_MIN)
         res = integrate_finite(spec.eval, 0.0, T, disc_tol, endpoint, max_evals)
-        err = res.error_estimate + trunc
-        return QuadratureResult(
-            value=res.value,
-            error_estimate=err,
-            evaluations=res.evaluations,
-            converged=res.converged and err <= tol,
-            truncation_error=trunc,
-            truncation_T=T,
-            truncation_mode="truncate",
-        )
+    else:
+        trunc = 0.0
 
-    # compactify: int_0^T f + int_0^{1/T} f(1/u)/u^2 du; no tail is cut.
-    head = integrate_finite(spec.eval, 0.0, T, 0.5 * tol, endpoint, max_evals)
+        def g(s):
+            r = 1.0 / (1.0 - s)
+            return spec.eval(T * s * r) * T * r * r
 
-    def transformed(u):
-        return spec.eval(1.0 / u) / (u * u)
-
-    budget_left = max(max_evals - head.evaluations, 31)
-    tail = integrate_finite(transformed, 0.0, 1.0 / T, 0.5 * tol, None, budget_left)
-    err = head.error_estimate + tail.error_estimate
+        res = integrate_finite(g, 0.0, 1.0, tol, endpoint, max_evals)
+    err = res.error_estimate + trunc
     return QuadratureResult(
-        value=head.value + tail.value,
+        value=res.value,
         error_estimate=err,
-        evaluations=head.evaluations + tail.evaluations,
-        converged=head.converged and tail.converged and err <= tol,
-        truncation_error=0.0,
+        evaluations=res.evaluations,
+        converged=res.converged and err <= tol,
+        truncation_error=trunc,
         truncation_T=T,
-        truncation_mode="compactify",
+        truncation_mode=mode,
     )

@@ -66,6 +66,14 @@ class TestEval:
         assert "warning" in payload
         assert "ln_A" in payload  # value still printed
 
+    @pytest.mark.parametrize("tol, budget", [("1e-12", 93), ("1e-10", 40)])
+    def test_budget_is_a_hard_cap(self, capsys, tol, budget):
+        code, out, _ = run_cli(
+            capsys, "eval", "--method", "binet", "--tol", tol,
+            "--budget", str(budget), "--format", "json",
+        )
+        assert json.loads(out)["evaluations"] <= budget
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--method", "direct-lgamma")
         assert code == 0
@@ -142,6 +150,13 @@ class TestConvergence:
         assert malm_far
         assert all(r.abs_error <= 1e-12 for r in malm_far)
 
+    def test_sweeps_follow_lowest_tol(self, capsys):
+        code, out, _ = run_cli(capsys, "convergence", "--tol", "1e-13")
+        assert code == 0
+        converged = [r for r in parse_csv(out) if r.converged]
+        assert converged
+        assert all(r.abs_error <= 1e-13 for r in converged)
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "conv.csv"
         code, _, _ = run_cli(
@@ -212,6 +227,33 @@ class TestUsageErrors:
         assert code == 64
         assert out == ""
         assert "--budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--method", "classical", "--budget", "5"],
+            ["eval", "--method", "binet", "--budget", "30"],
+            ["compare", "--budget", "5"],
+        ],
+    )
+    def test_budget_below_one_panel(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert "--budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--T-list", "600"],
+            ["--T-list", "50,25"],
+            ["--budgets", "10"],
+        ],
+    )
+    def test_convergence_arguments_out_of_contract(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "convergence", *argv)
+        assert code == 64
+        assert out == ""
 
     def test_bad_t_list(self, capsys):
         code, _, _ = run_cli(capsys, "convergence", "--T-list", "a,b")

@@ -18,7 +18,6 @@ from glaisher.estimator import (
 )
 from glaisher.integrands import get_integrand, lngamma_direct_integrand
 from glaisher.quadrature import (
-    PolicyInfeasibleError,
     TruncationPolicy,
     integrate_finite,
     integrate_semi_infinite,
@@ -69,8 +68,16 @@ class TestRoutes:
         assert res.value == pytest.approx(0.1951071854, abs=1e-9)
 
     def test_binet_truncate_only_is_infeasible(self):
-        with pytest.raises(PolicyInfeasibleError):
-            ln_a("binet", 1e-9, TruncationPolicy.truncate_at(100.0))
+        est = ln_a("binet", 1e-9, TruncationPolicy("truncate", 100.0))
+        assert not est.converged
+        assert est.truncation_error == pytest.approx((2.0 / 3.0) / (2.0 * 100.0))
+
+    def test_lowest_tol_forced_truncation(self):
+        # tol - trunc falls below the engine's tol range; the discretization
+        # tol stays inside it and the result is flagged, not raised
+        est = ln_a("classical", 1e-13, TruncationPolicy("truncate", 5.0))
+        assert not est.converged
+        assert abs(est.ln_A - LN_A_REFERENCE) <= est.discretization_error + est.truncation_error
 
     def test_malmsten(self):
         est = ln_a("malmsten", 1e-11)
@@ -111,7 +118,7 @@ class TestRoutes:
         with pytest.raises(ValueError):
             ln_a("limit_sequence")
         with pytest.raises(ValueError):
-            ln_a("direct_lgamma", 1e-9, TruncationPolicy.compactify(5.0))
+            ln_a("direct_lgamma", 1e-9, TruncationPolicy("compactify", 5.0))
 
     def test_tol_domain(self):
         with pytest.raises(ValueError):
@@ -168,7 +175,7 @@ class TestCrossValidation:
         # than the previously reported truncation error
         for method in ("classical", "malmsten"):
             base = ln_a(method, 1e-9)
-            policy = TruncationPolicy.truncate_at(base.truncation_T * 1.5)
+            policy = TruncationPolicy("truncate", base.truncation_T * 1.5)
             pushed = ln_a(method, 1e-9, policy)
             slack = base.discretization_error + pushed.discretization_error
             assert abs(pushed.ln_A - base.ln_A) <= base.truncation_error + slack

@@ -2,10 +2,11 @@ import math
 
 import pytest
 
+from glaisher import quadrature
 from glaisher.integrands import IntegrandSpec, get_integrand
 from glaisher.quadrature import (
+    PANEL_EVALS,
     EvaluationFailedError,
-    PolicyInfeasibleError,
     TruncationPolicy,
     integrate_finite,
     integrate_semi_infinite,
@@ -75,8 +76,8 @@ def test_monotone_cost():
 
 def test_compactification_agreement():
     spec = get_integrand("binet_form13")
-    a = integrate_semi_infinite(spec, 1e-11, TruncationPolicy.compactify(10.0))
-    b = integrate_semi_infinite(spec, 1e-11, TruncationPolicy.compactify(50.0))
+    a = integrate_semi_infinite(spec, 1e-11, TruncationPolicy("compactify", 10.0))
+    b = integrate_semi_infinite(spec, 1e-11, TruncationPolicy("compactify", 50.0))
     assert abs(a.value - b.value) <= 1e-10
 
 
@@ -93,9 +94,37 @@ def test_semi_infinite_examples():
 
 def test_budget_exhaustion_flags_not_raises():
     spec = get_integrand("classical")
-    res = integrate_semi_infinite(spec, 1e-12, max_evals=93, strict=False)
+    res = integrate_semi_infinite(spec, 1e-12, max_evals=93)
     assert not res.converged
     assert res.evaluations > 0
+
+
+def test_budget_below_one_panel_is_rejected():
+    with pytest.raises(ValueError):
+        integrate_finite(lambda x: x, 0.0, 1.0, 1e-8, max_evals=PANEL_EVALS - 1)
+
+
+@pytest.mark.parametrize(
+    "spec_id, policy",
+    [
+        ("binet_form13", None),
+        ("classical", None),
+        ("classical", TruncationPolicy("compactify", 5.0)),
+        ("malmsten_form19", TruncationPolicy("truncate", 30.0)),
+    ],
+)
+def test_one_finite_integral(monkeypatch, spec_id, policy):
+    calls = []
+    real = quadrature.integrate_finite
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_finite", counting)
+    res = integrate_semi_infinite(get_integrand(spec_id), 1e-10, policy)
+    upper = 1.0 if res.truncation_mode == "compactify" else res.truncation_T
+    assert calls == [(0.0, upper)]
 
 
 def test_nan_propagates_as_error():
@@ -111,12 +140,8 @@ def test_infinite_value_is_an_error(value):
 
 def test_policy_infeasible_for_algebraic_truncation():
     spec = get_integrand("binet_form13")
-    with pytest.raises(PolicyInfeasibleError):
-        integrate_semi_infinite(spec, 1e-9, TruncationPolicy.truncate_at(50.0))
-    # non-strict mode records the pathology instead of raising
-    res = integrate_semi_infinite(
-        spec, 1e-9, TruncationPolicy.truncate_at(50.0), strict=False
-    )
+    # the pathology is recorded, with the tail bound, instead of raising
+    res = integrate_semi_infinite(spec, 1e-9, TruncationPolicy("truncate", 50.0))
     assert not res.converged
     assert res.truncation_error == pytest.approx(1.0 / 100.0)
 
