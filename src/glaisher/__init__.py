@@ -22,11 +22,9 @@ from .integrands import (
     get_integrand,
     lngamma_direct_integrand,
     malmsten_integrand,
-    tail_bound,
 )
 from .quadrature import (
     EvaluationFailedError,
-    QuadratureError,
     QuadratureResult,
     TruncationPolicy,
     integrate_finite,

@@ -9,10 +9,8 @@ CSV with shortest round-trip decimal formatting.
 
 from __future__ import annotations
 
-import io
-import os
 from dataclasses import dataclass
-from typing import IO, Iterable, List, Sequence, Union
+from typing import Iterable, List, Sequence
 
 from .estimator import LN_A_REFERENCE, ConstantEstimate, ln_a
 from .quadrature import DEFAULT_MAX_EVALS, PANEL_EVALS, TruncationPolicy
@@ -24,7 +22,7 @@ __all__ = [
     "check_budgets",
     "sweep_truncation",
     "sweep_nodes",
-    "emit_csv",
+    "records_to_string",
     "parse_csv",
 ]
 
@@ -43,10 +41,7 @@ class ConvergenceRecord:
 
 
 def sweep_truncation(
-    method: str,
-    T_list: Sequence[float],
-    tol: float = 1e-12,
-    max_evals: int = DEFAULT_MAX_EVALS,
+    method: str, T_list: Sequence[float], tol: float = 1e-12
 ) -> List[ConvergenceRecord]:
     """One record per truncation point T, truncate mode forced.
 
@@ -57,32 +52,25 @@ def sweep_truncation(
         raise ValueError(f"truncation sweep supports binet|malmsten, got {method!r}")
     check_T_list(T_list)
     policies = [TruncationPolicy("truncate", float(T)) for T in T_list]
-    return [_record(ln_a(method, tol, policy, max_evals), max_evals) for policy in policies]
+    return [_record(ln_a(method, tol, policy), DEFAULT_MAX_EVALS) for policy in policies]
 
 
 def sweep_nodes(
-    method: str,
-    budgets: Sequence[int],
-    tol: float = 1e-12,
-    truncate_only: bool = False,
-    truncate_T: float = 200.0,
+    method: str, budgets: Sequence[int], tol: float = 1e-12
 ) -> List[ConvergenceRecord]:
-    """One record per evaluation budget, auto truncation policy by default.
-
-    With truncate_only=True the semi-infinite routes are forced to cut the
-    tail at truncate_T instead of compactifying, exposing the cost of the
-    Binet route's algebraic tail; direct_lgamma has no tail and rejects it.
-    """
+    """One record per evaluation budget, automatic truncation policy."""
     check_budgets(budgets)
-    policy = TruncationPolicy("truncate", truncate_T) if truncate_only else None
-    return [_record(ln_a(method, tol, policy, budget), budget) for budget in map(int, budgets)]
+    return [_record(ln_a(method, tol, max_evals=budget), budget) for budget in map(int, budgets)]
 
 
 def check_T_list(T_list: Sequence[float]) -> None:
-    """Raise ValueError unless T_list is non-empty, ascending and in [5, 500]."""
+    """Raise ValueError unless T_list is non-empty, ascending and each T in [5, 500].
+
+    NaN fails every comparison, so the range check rejects it.
+    """
     if list(T_list) != sorted(T_list) or not T_list:
         raise ValueError("T_list must be non-empty and sorted ascending")
-    if T_list[0] < 5.0 or T_list[-1] > 500.0:
+    if not all(5.0 <= T <= 500.0 for T in T_list):
         raise ValueError("T values must lie in [5, 500]")
 
 
@@ -120,34 +108,16 @@ def _format_row(r: ConvergenceRecord) -> str:
     )
 
 
-def emit_csv(
-    records: Iterable[ConvergenceRecord], destination: Union[str, os.PathLike, IO[str]]
-) -> None:
-    """Write records as CSV, rows in input order, round-trip float formatting."""
+def records_to_string(records: Iterable[ConvergenceRecord]) -> str:
+    """Records as CSV text, rows in input order, round-trip float formatting."""
     records = list(records)
     if not records:
         raise ValueError("refusing to emit CSV for an empty record list")
-    lines = [CSV_HEADER] + [_format_row(r) for r in records]
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
-    try:
-        with open(destination, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write convergence CSV to {destination}: {exc}") from exc
+    return "\n".join([CSV_HEADER] + [_format_row(r) for r in records]) + "\n"
 
 
-def parse_csv(source: Union[str, IO[str]]) -> List[ConvergenceRecord]:
-    """Inverse of emit_csv; accepts a path or a text stream."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str) and "\n" in source:
-        text = source
-    else:
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
+def parse_csv(text: str) -> List[ConvergenceRecord]:
+    """Inverse of records_to_string."""
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("missing or unexpected CSV header")
@@ -166,9 +136,3 @@ def parse_csv(source: Union[str, IO[str]]) -> List[ConvergenceRecord]:
             )
         )
     return records
-
-
-def records_to_string(records: Iterable[ConvergenceRecord]) -> str:
-    buf = io.StringIO()
-    emit_csv(records, buf)
-    return buf.getvalue()

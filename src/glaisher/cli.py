@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from . import bench, estimator
 from .estimator import N_MAX, TOL_MAX, TOL_MIN, ConstantEstimate
-from .quadrature import PANEL_EVALS, QuadratureError
+from .quadrature import PANEL_EVALS, EvaluationFailedError
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -236,7 +236,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return handlers[args.command](args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (QuadratureError, ValueError) as exc:
+    except (EvaluationFailedError, ValueError) as exc:
         print(f"glaisher: evaluation failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -43,8 +43,6 @@ __all__ = [
     "TOL_MIN",
     "TOL_MAX",
     "N_MAX",
-    "BINET_FIRST_INTEGRAL_CONSTANT",
-    "BINET_SECOND_INTEGRAL_CONSTANT",
     "MALMSTEN_PREFIX",
     "ln_a",
     "ln_a_limit_sequence",
@@ -57,10 +55,6 @@ __all__ = [
 LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
 
-# int_0^{1/2} (x ln x - x) dx = -(1/8)(ln 2 + 3/2)
-BINET_FIRST_INTEGRAL_CONSTANT = -(LN2 + 1.5) / 8.0
-# int_0^{1/2} ln(2 pi x) dx = (1/2)(ln pi - 1)
-BINET_SECOND_INTEGRAL_CONSTANT = 0.5 * (LNPI - 1.0)
 # closed-form prefix of the Binet route
 BINET_PREFIX = LN2 / 9.0 + 1.0 / 24.0
 # closed-form prefix of the Malmsten route

@@ -24,6 +24,9 @@ Direct evaluation of the 0/0 forms loses all significant digits below
 t ~ 1e-4 even with expm1/tanh rewrites, so each evaluator switches to its
 series below t = 0.2, where the rewritten direct forms are still good to
 ~1e-14 absolute (seam-tested).
+
+The registry holds the four route integrands, with Binet form 13 and
+Malmsten form 19; forms 12 and 18 are reached through the form argument.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "binet_integrand",
     "malmsten_integrand",
     "lngamma_direct_integrand",
-    "tail_bound",
     "get_integrand",
     "SERIES_SWITCH_T",
 ]
@@ -97,7 +99,6 @@ def _horner(coeffs, t):
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    id: str
     eval: Callable[[float], float]
     log_singular_at_zero: bool
     algebraic_tail: bool  # the automatic policy compactifies such a tail
@@ -117,6 +118,20 @@ def classical_integrand(x: float) -> float:
     return x * math.log(x) / math.expm1(u)
 
 
+def _binet_kernel(t: float) -> float:
+    """1/(e^t-1) - 1/t + 1/2 for t > 0, which lies in (0, 1/2).
+
+    Shared by Binet's form 12 and specfun's theta kernel; both switch to a
+    series well before the cancellation near t = 0 matters.
+    """
+    if t > 30.0:
+        # 1/(e^t - 1) = e^{-t}/(1 - e^{-t}); avoids expm1 overflow
+        et = math.exp(-t)
+        return et / (1.0 - et) - 1.0 / t + 0.5
+    em = math.expm1(t)
+    return (t - em) / (t * em) + 0.5
+
+
 def binet_integrand(t: float, form: int = 13) -> float:
     """Either printed form of the Binet-route integrand; limit 1/24 at 0."""
     if t <= 0.0:
@@ -126,14 +141,7 @@ def binet_integrand(t: float, form: int = 13) -> float:
     if t < SERIES_SWITCH_T:
         return _horner(_BINET_SERIES, t)
     if form == 12:
-        if t > 30.0:
-            # 1/(e^t - 1) = e^{-t}/(1 - e^{-t}); avoids expm1 overflow
-            et = math.exp(-t)
-            kernel = et / (1.0 - et) - 1.0 / t + 0.5
-        else:
-            em = math.expm1(t)
-            kernel = (t - em) / (t * em) + 0.5  # 1/(e^t-1) - 1/t + 1/2
-        return kernel * (-math.expm1(-t / 2.0)) / (t * t)
+        return _binet_kernel(t) * (-math.expm1(-t / 2.0)) / (t * t)
     th = math.tanh(t / 2.0)
     bracket = (t - 2.0 * th) / th  # t coth(t/2) - 2
     return (-math.expm1(-t / 2.0)) * bracket / (2.0 * t * t * t)
@@ -196,43 +204,33 @@ def _finite_domain_tail_bound(T: float) -> float:
     return 0.0
 
 
-def _make_specs():
-    specs = {}
-    specs["classical"] = IntegrandSpec(
-        id="classical",
+_SPECS = {
+    "classical": IntegrandSpec(
         eval=classical_integrand,
         log_singular_at_zero=True,
         algebraic_tail=False,
         tail_bound=_classical_tail_bound,
-    )
-    for form in (12, 13):
-        specs[f"binet_form{form}"] = IntegrandSpec(
-            id=f"binet_form{form}",
-            eval=lambda t, form=form: binet_integrand(t, form),
-            log_singular_at_zero=False,
-            algebraic_tail=True,
-            tail_bound=_binet_tail_bound,
-        )
-    for form in (18, 19):
-        specs[f"malmsten_form{form}"] = IntegrandSpec(
-            id=f"malmsten_form{form}",
-            eval=lambda t, form=form: malmsten_integrand(t, form),
-            log_singular_at_zero=False,
-            algebraic_tail=False,
-            tail_bound=_malmsten_tail_bound,
-        )
-    specs["lngamma_direct"] = IntegrandSpec(
-        id="lngamma_direct",
+    ),
+    "binet_form13": IntegrandSpec(
+        eval=binet_integrand,
+        log_singular_at_zero=False,
+        algebraic_tail=True,
+        tail_bound=_binet_tail_bound,
+    ),
+    "malmsten_form19": IntegrandSpec(
+        eval=malmsten_integrand,
+        log_singular_at_zero=False,
+        algebraic_tail=False,
+        tail_bound=_malmsten_tail_bound,
+    ),
+    "lngamma_direct": IntegrandSpec(
         eval=lngamma_direct_integrand,
         log_singular_at_zero=False,
         algebraic_tail=False,
         tail_bound=_finite_domain_tail_bound,
         domain_upper=0.5,
-    )
-    return specs
-
-
-_SPECS = _make_specs()
+    ),
+}
 INTEGRAND_IDS = tuple(sorted(_SPECS))
 
 
@@ -243,10 +241,3 @@ def get_integrand(integrand_id: str) -> IntegrandSpec:
         raise KeyError(
             f"unknown integrand {integrand_id!r}; known: {', '.join(INTEGRAND_IDS)}"
         ) from None
-
-
-def tail_bound(integrand_id: str, T: float) -> float:
-    """Rigorous upper bound on |int_T^inf| for the named integrand."""
-    if T <= 0.0:
-        raise ValueError(f"tail bound requires T > 0, got {T}")
-    return get_integrand(integrand_id).tail_bound(T)

@@ -30,7 +30,6 @@ from .integrands import IntegrandSpec
 __all__ = [
     "QuadratureResult",
     "TruncationPolicy",
-    "QuadratureError",
     "EvaluationFailedError",
     "integrate_finite",
     "integrate_semi_infinite",
@@ -54,11 +53,7 @@ _X10, _W10 = np.polynomial.legendre.leggauss(10)
 _X21, _W21 = np.polynomial.legendre.leggauss(21)
 
 
-class QuadratureError(Exception):
-    """Base class for integration failures."""
-
-
-class EvaluationFailedError(QuadratureError):
+class EvaluationFailedError(Exception):
     """The integrand returned a non-finite value (NaN or inf) at some node."""
 
 
@@ -86,8 +81,8 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.mode not in ("truncate", "compactify"):
             raise ValueError(f"unknown truncation mode {self.mode!r}")
-        if not (self.T is not None and self.T > 0):
-            raise ValueError(f"mode {self.mode!r} requires an explicit T > 0")
+        if not (self.T is not None and 0 < self.T < math.inf):
+            raise ValueError(f"mode {self.mode!r} requires an explicit finite T > 0")
 
 
 def _panel(f: Callable[[float], float], a: float, b: float):
@@ -162,8 +157,8 @@ def integrate_finite(
     which converts a log-singular left endpoint into a smooth, exponentially
     decaying integrand on a finite s-interval.
     """
-    if not a < b:
-        raise ValueError(f"require a < b, got [{a}, {b}]")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"require finite a < b, got [{a}, {b}]")
     _check_tol(tol)
     if endpoint not in (None, "log_singular_at_a"):
         raise ValueError(f"unknown endpoint flag {endpoint!r}")

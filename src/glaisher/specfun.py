@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .integrands import IntegrandSpec
+from .integrands import IntegrandSpec, _binet_kernel, _horner
 from .quadrature import QuadratureResult, integrate_semi_infinite
 
 __all__ = [
@@ -56,16 +56,8 @@ _THETA_KERNEL_SWITCH = 0.25
 def _theta_kernel(t: float) -> float:
     """(1/(e^t-1) - 1/t + 1/2)/t, stable down to t = 0."""
     if t < _THETA_KERNEL_SWITCH:
-        t2 = t * t
-        acc = 0.0
-        for c in reversed(_THETA_KERNEL_SERIES):
-            acc = acc * t2 + c
-        return acc
-    if t > 30.0:
-        et = math.exp(-t)  # 1/(e^t - 1) = e^{-t}/(1 - e^{-t})
-        return (et / (1.0 - et) - 1.0 / t + 0.5) / t
-    em = math.expm1(t)
-    return ((t - em) / (t * em) + 0.5) / t
+        return _horner(_THETA_KERNEL_SERIES, t * t)
+    return _binet_kernel(t) / t
 
 
 def binet_theta(x: float, tol: float = 1e-10) -> QuadratureResult:
@@ -85,7 +77,6 @@ def binet_theta(x: float, tol: float = 1e-10) -> QuadratureResult:
         return math.exp(-x * T) / (2.0 * x * T)
 
     spec = IntegrandSpec(
-        id="binet_theta_kernel",
         eval=f,
         log_singular_at_zero=False,
         algebraic_tail=False,
@@ -123,7 +114,6 @@ def malmsten_log_gamma(z: float, tol: float = 1e-10) -> QuadratureResult:
         return (z + 2.1) * math.exp(-T) / T
 
     spec = IntegrandSpec(
-        id="malmsten_log_gamma_kernel",
         eval=f,
         log_singular_at_zero=False,
         algebraic_tail=False,

@@ -127,7 +127,7 @@ def test_criterion_8_quadrature_unit_suite():
     r1 = integrate_finite(lambda x: x * x, 0.0, 1.0, 1e-12)
     r2 = integrate_finite(math.log, 0.0, 1.0, 1e-10, "log_singular_at_a")
     toy = IntegrandSpec(
-        id="exp_toy", eval=lambda t: math.exp(-t),
+        eval=lambda t: math.exp(-t),
         log_singular_at_zero=False,
         algebraic_tail=False,
         tail_bound=lambda T: math.exp(-T),

@@ -1,18 +1,17 @@
-import io
 import math
-import os
 
 import pytest
 
 from glaisher.bench import (
     CSV_HEADER,
     ConvergenceRecord,
-    emit_csv,
     parse_csv,
     records_to_string,
     sweep_nodes,
     sweep_truncation,
 )
+from glaisher.estimator import LN_A_REFERENCE, ln_a
+from glaisher.quadrature import TruncationPolicy
 
 T_GRID = [25.0, 50.0, 100.0, 200.0]
 
@@ -85,12 +84,14 @@ class TestNodeSweep:
         good = [r for r in malm if r.abs_error <= 1e-9]
         assert good, "malmsten never reached 1e-9"
         evals_m = min(r.evaluations_used for r in good)
-        binet = sweep_nodes(
-            "binet", [1024, 4096, 10000], tol=1e-12, truncate_only=True
-        )
-        assert all(r.abs_error > 1e-9 for r in binet)
+        binet = [
+            ln_a("binet", 1e-12, TruncationPolicy("truncate", 200.0), b)
+            for b in (1024, 4096, 10000)
+        ]
+        errors = [abs(e.ln_A - LN_A_REFERENCE) for e in binet]
+        assert all(err > 1e-9 for err in errors)
         assert all(
-            evals_m < r.evaluations_used or r.abs_error > 1e-9 for r in binet
+            evals_m < e.evaluations or err > 1e-9 for e, err in zip(binet, errors)
         )
 
     def test_bad_arguments(self):
@@ -133,23 +134,6 @@ class TestCsv:
         parsed = parse_csv(records_to_string(records))
         assert parsed == records
 
-    def test_round_trip_via_file(self, tmp_path):
-        path = tmp_path / "records.csv"
-        records = [self._record()]
-        emit_csv(records, path)
-        assert parse_csv(str(path)) == records
-
-    def test_empty_list_rejected(self, tmp_path):
-        path = tmp_path / "nothing.csv"
+    def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            emit_csv([], path)
-        assert not os.path.exists(path)
-
-    def test_io_error_surfaces_path(self):
-        with pytest.raises(OSError, match="no/such"):
-            emit_csv([self._record()], "/no/such/dir/out.csv")
-
-    def test_stream_destination(self):
-        buf = io.StringIO()
-        emit_csv([self._record()], buf)
-        assert buf.getvalue().startswith(CSV_HEADER)
+            records_to_string([])

@@ -248,6 +248,8 @@ class TestUsageErrors:
             ["--T-list", "600"],
             ["--T-list", "50,25"],
             ["--budgets", "10"],
+            ["--T-list", "nan"],
+            ["--T-list", "25,nan,100"],
         ],
     )
     def test_convergence_arguments_out_of_contract(self, capsys, argv):

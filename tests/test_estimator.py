@@ -3,8 +3,6 @@ import math
 import pytest
 
 from glaisher.estimator import (
-    BINET_FIRST_INTEGRAL_CONSTANT,
-    BINET_SECOND_INTEGRAL_CONSTANT,
     EQ4_CONSTANT,
     LN_A_REFERENCE,
     MALMSTEN_PREFIX,
@@ -25,16 +23,6 @@ from glaisher.quadrature import (
 
 
 class TestClosedFormConstants:
-    def test_first_binet_integral(self):
-        # int_0^{1/2} (x ln x - x) dx = -(1/8)(ln 2 + 3/2)
-        assert BINET_FIRST_INTEGRAL_CONSTANT == -(math.log(2.0) + 1.5) / 8.0
-        assert BINET_FIRST_INTEGRAL_CONSTANT == pytest.approx(
-            -0.27414339756999316, abs=1e-15
-        )
-
-    def test_second_binet_integral(self):
-        assert BINET_SECOND_INTEGRAL_CONSTANT == 0.5 * (math.log(math.pi) - 1.0)
-
     def test_malmsten_prefix(self):
         # 1/3 + (7/36) ln 2 - (1/6) ln pi
         assert MALMSTEN_PREFIX == pytest.approx(0.2773236374673116, abs=1e-15)

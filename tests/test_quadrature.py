@@ -15,7 +15,6 @@ from glaisher.quadrature import (
 
 def _exp_spec():
     return IntegrandSpec(
-        id="exp_toy",
         eval=lambda t: math.exp(-t),
         log_singular_at_zero=False,
         algebraic_tail=False,
@@ -158,6 +157,12 @@ def test_bad_arguments():
         integrate_finite(lambda x: x, 1.0, 0.0, 1e-10)
     with pytest.raises(ValueError):
         integrate_finite(lambda x: x, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        integrate_finite(lambda x: x, 0.0, math.inf, 1e-10)
+    with pytest.raises(ValueError):
+        TruncationPolicy("truncate", math.inf)
+    with pytest.raises(ValueError):
+        TruncationPolicy("compactify", math.inf)
     with pytest.raises(ValueError):
         TruncationPolicy("truncate")
     with pytest.raises(ValueError):
