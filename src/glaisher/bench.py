@@ -9,6 +9,7 @@ CSV with shortest round-trip decimal formatting.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
@@ -60,7 +61,7 @@ def sweep_nodes(
 ) -> List[ConvergenceRecord]:
     """One record per evaluation budget, automatic truncation policy."""
     check_budgets(budgets)
-    return [_record(ln_a(method, tol, max_evals=budget), budget) for budget in map(int, budgets)]
+    return [_record(ln_a(method, tol, max_evals=budget), budget) for budget in budgets]
 
 
 def check_T_list(T_list: Sequence[float]) -> None:
@@ -75,10 +76,18 @@ def check_T_list(T_list: Sequence[float]) -> None:
 
 
 def check_budgets(budgets: Sequence[int]) -> None:
-    """Raise ValueError unless budgets is non-empty, ascending and each >= one panel."""
+    """Raise ValueError unless budgets is non-empty, ascending and integers >= one panel.
+
+    operator.index decides what an integer is: int and numpy integers pass,
+    floats (NaN included) do not.
+    """
     if list(budgets) != sorted(budgets) or not budgets:
         raise ValueError("budgets must be non-empty and sorted ascending")
-    if budgets[0] < PANEL_EVALS:
+    try:
+        ints = [operator.index(b) for b in budgets]
+    except TypeError:
+        raise ValueError(f"budgets must be integers, got {list(budgets)!r}") from None
+    if ints[0] < PANEL_EVALS:
         raise ValueError(f"budgets must each be >= {PANEL_EVALS}")
 
 

@@ -61,18 +61,22 @@ def _build_parser() -> _Parser:
         sp.add_argument("--output", default=None, help="write the report here")
 
     sp = sub.add_parser("eval", help="estimate ln A by one method")
+    sp.set_defaults(run=_cmd_eval)
     sp.add_argument("--method", required=True, choices=METHOD_CHOICES)
     sp.add_argument("--budget", type=int, default=None, help="evaluation cap")
     common(sp, ("text", "json"))
 
     sp = sub.add_parser("compare", help="cross-check every integral route")
+    sp.set_defaults(run=_cmd_compare)
     sp.add_argument("--budget", type=int, default=None, help="per-method cap")
     common(sp, ("text", "json", "csv"))
 
     sp = sub.add_parser("check", help="run the identity test suites")
+    sp.set_defaults(run=_cmd_check)
     common(sp, ("text", "json"))
 
     sp = sub.add_parser("convergence", help="emit convergence sweep CSV")
+    sp.set_defaults(run=_cmd_convergence)
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sp.add_argument("--T-list", dest="T_list", default=None,
                     help="comma-separated truncation points")
@@ -146,7 +150,7 @@ def _run_estimate(method: str, tol: float, budget: Optional[int]) -> ConstantEst
     return estimator.ln_a(method, tol, max_evals=budget)
 
 
-def _cmd_eval(args, parser) -> int:
+def _cmd_eval(args) -> int:
     est = _run_estimate(args.method.replace("-", "_"), args.tol, args.budget)
     payload = _estimate_dict(est)
     if not est.converged:
@@ -159,7 +163,7 @@ def _cmd_eval(args, parser) -> int:
     return EXIT_OK if est.converged else EXIT_NOT_CONVERGED
 
 
-def _cmd_compare(args, parser) -> int:
+def _cmd_compare(args) -> int:
     estimates = [_run_estimate(m, args.tol, args.budget) for m in estimator.ROUTES]
     values = [e.ln_A for e in estimates]
     spread = max(values) - min(values)
@@ -192,7 +196,7 @@ def _cmd_compare(args, parser) -> int:
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
-def _cmd_check(args, parser) -> int:
+def _cmd_check(args) -> int:
     suites = estimator.identity_suites(args.tol)
     ok = all(s["max_residual"] <= s["threshold"] for s in suites)
     if args.format == "json":
@@ -209,7 +213,7 @@ def _cmd_check(args, parser) -> int:
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
-def _cmd_convergence(args, parser) -> int:
+def _cmd_convergence(args) -> int:
     inner = estimator.inner_tol(args.tol)
     records = bench.sweep_truncation("binet", args.T_list, inner)
     records += bench.sweep_truncation("malmsten", args.T_list, inner)
@@ -223,17 +227,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    handlers = {
-        "eval": _cmd_eval,
-        "compare": _cmd_compare,
-        "check": _cmd_check,
-        "convergence": _cmd_convergence,
-    }
-    try:
         _validate(parser, args)
-        return handlers[args.command](args, parser)
+        return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (EvaluationFailedError, ValueError) as exc:

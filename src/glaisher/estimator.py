@@ -66,18 +66,13 @@ EQ4_CONSTANT = -0.5 - 7.0 / 24.0 * LN2 + 0.25 * LNPI
 LN_A_REFERENCE = 0.2487544770337843
 
 # Every integral route is ln A = offset + scale * int f, with f integrated
-# to tol * tol_factor; tol_factor = 1/|scale| keeps the scaled error budget
-# within tol.  Row: (integrand id, scale, offset, tol factor).
+# to tol / |scale| so the scaled error budget stays within tol.
+# Row: (integrand id, scale, offset).
 ROUTES = {
-    "classical": ("classical", -2.0, 1.0 / 12.0, 0.5),
-    "binet": ("binet_form13", 2.0 / 3.0, BINET_PREFIX, 1.5),
-    "malmsten": ("malmsten_form19", 2.0 / 3.0, MALMSTEN_PREFIX, 1.5),
-    "direct_lgamma": (
-        "lngamma_direct",
-        2.0 / 3.0,
-        (2.0 / 3.0) * (0.5 + 7.0 / 24.0 * LN2 - 0.25 * LNPI),
-        1.5,
-    ),
+    "classical": ("classical", -2.0, 1.0 / 12.0),
+    "binet": ("binet_form13", 2.0 / 3.0, BINET_PREFIX),
+    "malmsten": ("malmsten_form19", 2.0 / 3.0, MALMSTEN_PREFIX),
+    "direct_lgamma": ("lngamma_direct", 2.0 / 3.0, -(2.0 / 3.0) * EQ4_CONSTANT),
 }
 
 METHODS = (*ROUTES, "limit_sequence")
@@ -123,23 +118,23 @@ def ln_a(
     """ln A by one integral route of ROUTES, with its error budget.
 
     policy applies to the semi-infinite routes; the finite-interval route
-    rejects one.  max_evals is a hard cap of at least one panel (31
-    evaluations).  The limit sequence is ln_a_limit_sequence.
+    rejects one.  max_evals is a hard cap, an integer of at least one panel
+    (31 evaluations).  The limit sequence is ln_a_limit_sequence.
     """
     if method not in ROUTES:
         raise ValueError(f"unknown route {method!r}; known: {', '.join(ROUTES)}")
     _check_tol(tol)
-    integrand_id, scale, offset, tol_factor = ROUTES[method]
+    integrand_id, scale, offset = ROUTES[method]
     spec = get_integrand(integrand_id)
+    s = abs(scale)
     if math.isinf(spec.domain_upper):
-        res = integrate_semi_infinite(spec, tol * tol_factor, policy, max_evals)
+        res = integrate_semi_infinite(spec, tol / s, policy, max_evals)
     elif policy is not None:
         raise ValueError(f"{method} integrates a finite interval; it takes no policy")
     else:
         res = integrate_finite(
-            spec.eval, 0.0, spec.domain_upper, tol * tol_factor, None, max_evals
+            spec.eval, 0.0, spec.domain_upper, tol / s, None, max_evals
         )
-    s = abs(scale)
     return ConstantEstimate(
         method=method,
         ln_A=offset + scale * res.value,

@@ -1,9 +1,9 @@
 """The integrands behind each representation of ln A, as self-describing objects.
 
 Every integrand carries a pointwise evaluator with a frozen Taylor branch
-below a switch threshold (the printed forms are 0/0 at t = 0), whether its
-tail decays algebraically (such tails are compactified, not truncated), and
-a rigorous tail-bound function that the truncation policy consumes.
+below a switch threshold (the printed forms are 0/0 at t = 0) and a rigorous
+tail-bound function; the automatic truncation policy reads from that bound
+alone whether the tail is cut or compactified.
 
 Evaluator notes:
   * classical:  x ln x / (e^{2 pi x} - 1), log-singular at 0, exponential tail.
@@ -100,9 +100,8 @@ def _horner(coeffs, t):
 @dataclass(frozen=True)
 class IntegrandSpec:
     eval: Callable[[float], float]
-    log_singular_at_zero: bool
-    algebraic_tail: bool  # the automatic policy compactifies such a tail
     tail_bound: Callable[[float], float]
+    log_singular_at_zero: bool = False
     domain_upper: float = math.inf  # 0.5 for the finite lngamma integrand
 
 
@@ -207,26 +206,15 @@ def _finite_domain_tail_bound(T: float) -> float:
 _SPECS = {
     "classical": IntegrandSpec(
         eval=classical_integrand,
-        log_singular_at_zero=True,
-        algebraic_tail=False,
         tail_bound=_classical_tail_bound,
+        log_singular_at_zero=True,
     ),
-    "binet_form13": IntegrandSpec(
-        eval=binet_integrand,
-        log_singular_at_zero=False,
-        algebraic_tail=True,
-        tail_bound=_binet_tail_bound,
-    ),
+    "binet_form13": IntegrandSpec(eval=binet_integrand, tail_bound=_binet_tail_bound),
     "malmsten_form19": IntegrandSpec(
-        eval=malmsten_integrand,
-        log_singular_at_zero=False,
-        algebraic_tail=False,
-        tail_bound=_malmsten_tail_bound,
+        eval=malmsten_integrand, tail_bound=_malmsten_tail_bound
     ),
     "lngamma_direct": IntegrandSpec(
         eval=lngamma_direct_integrand,
-        log_singular_at_zero=False,
-        algebraic_tail=False,
         tail_bound=_finite_domain_tail_bound,
         domain_upper=0.5,
     ),

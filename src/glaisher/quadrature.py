@@ -8,18 +8,20 @@ nodes only, so integrands never get evaluated at interval endpoints
 (removable singularities at 0 are safe).
 
 A semi-infinite integral becomes one finite integral, as chosen by the
-integrand's declared tail.  Exponential tails are truncated at a point T
-where the rigorous tail bound drops below a tenth of the tolerance.
-Algebraic tails are compactified as in QUADPACK's QAGI: t = T s/(1-s) maps
-s in [0, 1) onto [0, inf), so int_0^inf f dt = int_0^1 f(t(s)) T/(1-s)^2 ds
-with T the scale (t(1/2) = T); a tail like c/t^2 becomes the finite limit
-c/T at s = 1, a node never evaluated.
+integrand's rigorous tail bound.  A tail whose bound drops below a tenth of
+the tolerance at some T of a fixed ladder up to ~850 (an exponential tail)
+is truncated at the first such T.  Any other tail (an algebraic one) is
+compactified as in QUADPACK's QAGI: t = T s/(1-s) maps s in [0, 1) onto
+[0, inf), so int_0^inf f dt = int_0^1 f(t(s)) T/(1-s)^2 ds with T the scale
+(t(1/2) = T); a tail like c/t^2 becomes the finite limit c/T at s = 1, a
+node never evaluated.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -45,12 +47,12 @@ TAIL_SAFETY = 10.0
 # Accepted tolerance range of both integrators.
 _TOL_MIN, _TOL_MAX = 1e-14, 1e-2
 
-# Integrand evaluations of one panel: the G10 and the G21 rule share no node.
-PANEL_EVALS = 31
-
 # Nodes/weights on [-1, 1].
 _X10, _W10 = np.polynomial.legendre.leggauss(10)
 _X21, _W21 = np.polynomial.legendre.leggauss(21)
+
+# Integrand evaluations of one panel: the G10 and the G21 rule share no node.
+PANEL_EVALS = len(_X10) + len(_X21)
 
 
 class EvaluationFailedError(Exception):
@@ -106,6 +108,10 @@ def _check_tol(tol: float) -> None:
 
 def _adaptive(f, a, b, tol, max_evals):
     """Bisection-adaptive integration of f on [a, b], at most max_evals calls."""
+    try:
+        max_evals = operator.index(max_evals)
+    except TypeError:
+        raise ValueError(f"max_evals must be an integer, got {max_evals!r}") from None
     if max_evals < PANEL_EVALS:
         raise ValueError(f"max_evals {max_evals} is below one panel ({PANEL_EVALS})")
     value, err = _panel(f, a, b)
@@ -181,7 +187,10 @@ def integrate_finite(
 
 
 def _auto_truncation_point(spec: IntegrandSpec, target: float) -> float:
-    """Smallest T on a deterministic ladder with tail_bound(T) <= target."""
+    """Smallest T on a deterministic ladder with tail_bound(T) <= target.
+
+    The ladder stops at its first T >= 800, whatever that T's bound.
+    """
     T = 5.0
     while spec.tail_bound(T) > target and T < 800.0:
         T *= 1.25
@@ -196,21 +205,24 @@ def integrate_semi_infinite(
 ) -> QuadratureResult:
     """Integrate spec over (0, inf) to absolute tolerance tol, in one finite integral.
 
-    With policy=None an algebraic tail is compactified at T = 10 and any
-    other tail is truncated where its bound meets tol/10.  Truncation spends
-    what the tail bound leaves of tol on discretization (at least tol/10,
-    and never below the engine's smallest tol); a forced truncation whose
-    bound exceeds tol (the slow-convergence pathology of an algebraic tail)
-    is returned with that bound as truncation_error and converged=False.
+    With policy=None the tail is truncated at the first ladder T where its
+    bound meets tol/10, and compactified at T = 10 if the ladder ends first.
+    Truncation spends what the tail bound leaves of tol on discretization
+    (at least tol/10, and never below the engine's smallest tol); a forced
+    truncation whose bound exceeds tol (the slow-convergence pathology of an
+    algebraic tail) is returned with that bound as truncation_error and
+    converged=False.
     """
     _check_tol(tol)
 
     if policy is not None:
         mode, T = policy.mode, float(policy.T)
-    elif spec.algebraic_tail:
-        mode, T = "compactify", 10.0
     else:
-        mode, T = "truncate", _auto_truncation_point(spec, tol / TAIL_SAFETY)
+        T = _auto_truncation_point(spec, tol / TAIL_SAFETY)
+        if spec.tail_bound(T) <= tol / TAIL_SAFETY:
+            mode = "truncate"
+        else:
+            mode, T = "compactify", 10.0
 
     endpoint = "log_singular_at_a" if spec.log_singular_at_zero else None
 

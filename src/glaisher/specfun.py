@@ -76,13 +76,7 @@ def binet_theta(x: float, tol: float = 1e-10) -> QuadratureResult:
         # kernel in (0, 1/2), so tail <= int_T^inf e^{-xt}/(2t) <= e^{-xT}/(2xT)
         return math.exp(-x * T) / (2.0 * x * T)
 
-    spec = IntegrandSpec(
-        eval=f,
-        log_singular_at_zero=False,
-        algebraic_tail=False,
-        tail_bound=bound,
-    )
-    return integrate_semi_infinite(spec, tol)
+    return integrate_semi_infinite(IntegrandSpec(eval=f, tail_bound=bound), tol)
 
 
 # Taylor coefficients in t of [z - (1-e^{-zt})/(1-e^{-t})]/t, each a
@@ -113,13 +107,7 @@ def malmsten_log_gamma(z: float, tol: float = 1e-10) -> QuadratureResult:
         # |bracket| <= z + 1/(1-e^{-1}) + 1/2 < z + 2.1 for t >= 1
         return (z + 2.1) * math.exp(-T) / T
 
-    spec = IntegrandSpec(
-        eval=f,
-        log_singular_at_zero=False,
-        algebraic_tail=False,
-        tail_bound=bound,
-    )
-    return integrate_semi_infinite(spec, tol)
+    return integrate_semi_infinite(IntegrandSpec(eval=f, tail_bound=bound), tol)
 
 
 def barnes_g_log(n: int) -> float:

@@ -128,8 +128,6 @@ def test_criterion_8_quadrature_unit_suite():
     r2 = integrate_finite(math.log, 0.0, 1.0, 1e-10, "log_singular_at_a")
     toy = IntegrandSpec(
         eval=lambda t: math.exp(-t),
-        log_singular_at_zero=False,
-        algebraic_tail=False,
         tail_bound=lambda T: math.exp(-T),
     )
     r3 = integrate_semi_infinite(toy, 1e-12)

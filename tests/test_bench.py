@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from glaisher.bench import (
@@ -100,6 +101,11 @@ class TestNodeSweep:
         with pytest.raises(ValueError):
             sweep_nodes("malmsten", [])
 
+    def test_budgets_must_be_integers(self):
+        with pytest.raises(ValueError):
+            sweep_nodes("binet", [31.9, 64.5])
+        assert sweep_nodes("binet", [np.int64(31)])[0].node_budget == 31
+
 
 class TestCsv:
     def _record(self):
@@ -137,3 +143,8 @@ class TestCsv:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             records_to_string([])
+
+    def test_bad_header_rejected(self):
+        text = records_to_string([self._record()]).replace("method,", "route,", 1)
+        with pytest.raises(ValueError):
+            parse_csv(text)

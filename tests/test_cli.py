@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import glaisher
+from glaisher import integrands
 from glaisher.bench import CSV_HEADER, parse_csv
 from glaisher.cli import main
 from glaisher.estimator import LN_A_REFERENCE, N_MAX
@@ -79,6 +82,15 @@ class TestEval:
         assert code == 0
         assert "ln_A" in out
 
+    def test_evaluation_failure_exit_70(self, capsys, monkeypatch):
+        spec = integrands.get_integrand("classical")
+        nan_spec = dataclasses.replace(spec, eval=lambda x: math.nan)
+        monkeypatch.setitem(integrands._SPECS, "classical", nan_spec)
+        code, out, err = run_cli(capsys, "eval", "--method", "classical")
+        assert code == 70
+        assert out == ""
+        assert "evaluation failed" in err
+
 
 class TestCompare:
     def test_spread_ok(self, capsys):
@@ -112,6 +124,16 @@ class TestCompare:
         code, out, _ = run_cli(capsys, "compare", "--tol", "1e-6", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "method,ln_A,disc_err,trunc_err,evaluations,converged"
+
+    def test_text_format(self, capsys):
+        code, out, _ = run_cli(capsys, "compare", "--tol", "1e-6", "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert [ln.split()[0] for ln in lines[:4]] == [
+            "classical", "binet", "malmsten", "direct_lgamma",
+        ]
+        assert lines[4].startswith("max pairwise spread = ")
+        assert len(lines) == 5
 
 
 class TestCheck:
@@ -250,6 +272,7 @@ class TestUsageErrors:
             ["--budgets", "10"],
             ["--T-list", "nan"],
             ["--T-list", "25,nan,100"],
+            ["--budgets", ","],
         ],
     )
     def test_convergence_arguments_out_of_contract(self, capsys, argv):

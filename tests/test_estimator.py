@@ -114,6 +114,11 @@ class TestRoutes:
         with pytest.raises(ValueError):
             ln_a("malmsten", 1e-14)
 
+    @pytest.mark.parametrize("max_evals", [math.nan, 40.5])
+    def test_budget_must_be_an_integer(self, max_evals):
+        with pytest.raises(ValueError):
+            ln_a("binet", 1e-10, max_evals=max_evals)
+
 
 class TestLimitSequence:
     def test_raw_first_term(self):

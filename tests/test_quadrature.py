@@ -16,8 +16,6 @@ from glaisher.quadrature import (
 def _exp_spec():
     return IntegrandSpec(
         eval=lambda t: math.exp(-t),
-        log_singular_at_zero=False,
-        algebraic_tail=False,
         tail_bound=lambda T: math.exp(-T),
     )
 
@@ -71,6 +69,23 @@ def test_monotone_cost():
         evals.append(integrate_semi_infinite(f, tol).evaluations)
         tol /= 2.0
     assert all(b >= a for a, b in zip(evals, evals[1:]))
+
+
+def test_automatic_rule_reads_the_tail_bound():
+    # A bound of 1/T misses tol/10 on the whole ladder: compactified at T = 10.
+    algebraic = IntegrandSpec(
+        eval=lambda t: 1.0 / (1.0 + t) ** 2,
+        tail_bound=lambda T: 1.0 / T,
+    )
+    res = integrate_semi_infinite(algebraic, 1e-8)
+    assert (res.truncation_mode, res.truncation_T) == ("compactify", 10.0)
+    assert res.truncation_error == 0.0
+    assert res.converged and abs(res.value - 1.0) <= 1e-8
+    # A bound of e^{-T} first meets 1e-9 on the ladder 5 * 1.25^k at k = 7.
+    assert math.exp(-5.0 * 1.25**6) > 1e-9 >= math.exp(-5.0 * 1.25**7)
+    res = integrate_semi_infinite(_exp_spec(), 1e-8)
+    assert (res.truncation_mode, res.truncation_T) == ("truncate", 5.0 * 1.25**7)
+    assert res.truncation_error == math.exp(-5.0 * 1.25**7)
 
 
 def test_compactification_agreement():
@@ -143,6 +158,11 @@ def test_policy_infeasible_for_algebraic_truncation():
     res = integrate_semi_infinite(spec, 1e-9, TruncationPolicy("truncate", 50.0))
     assert not res.converged
     assert res.truncation_error == pytest.approx(1.0 / 100.0)
+
+
+def test_unknown_endpoint_flag():
+    with pytest.raises(ValueError):
+        integrate_finite(lambda x: x, 0.0, 1.0, 1e-10, endpoint="bogus")
 
 
 def test_result_invariants():

@@ -1,0 +1,116 @@
+"""Run a fixed grid of glaisher commands in process and print what each produced.
+
+Usage:
+    python tools/cli_grid.py [CHECKOUT] > grid.jsonl
+
+CHECKOUT is the root of a glaisher checkout (default: the one holding this
+script); its src/ is imported.  Each command runs through cli.main(argv) and
+prints one JSON line: argv, exit code, stdout, stderr and, for --output
+commands, the written file.  A refactor that should change no output is
+checked by running the grid on both checkouts and diffing the two files:
+
+    python tools/cli_grid.py /path/to/parent > parent.jsonl
+    python tools/cli_grid.py > change.jsonl
+    diff parent.jsonl change.jsonl && echo identical
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+# 11 decades of the accepted range plus three points between decades.
+TOLS = ["1e-13", "3e-13", *(f"1e-{k}" for k in range(12, 2, -1)), "3e-7", "5e-4"]
+METHODS = ["classical", "binet", "malmsten", "direct_lgamma", "direct-lgamma",
+           "limit_sequence", "limit-sequence"]
+BUDGETS = [None, "31", "93", "2000"]
+OUT = "{out}"  # replaced by a file in a temporary directory
+
+ERRORS = [
+    [],
+    ["--help"],
+    ["eval", "--help"],
+    ["frobnicate"],
+    ["eval"],
+    ["eval", "--method", "zeta"],
+    ["eval", "--method", "binet", "--format", "xml"],
+    ["compare", "--format", "yaml"],
+    ["eval", "--method", "binet", "--tol", "1e-20"],
+    ["eval", "--method", "binet", "--tol", "abc"],
+    ["eval", "--method", "binet", "--tol", "nan"],
+    ["compare", "--tol", "0.5"],
+    ["check", "--tol", "inf"],
+    ["eval", "--method", "binet", "--budget", "-5"],
+    ["eval", "--method", "binet", "--budget", "30"],
+    ["eval", "--method", "classical", "--budget", "2.5"],
+    ["eval", "--method", "limit-sequence", "--budget", "0"],
+    ["eval", "--method", "limit_sequence", "--budget", "100001"],
+    ["compare", "--budget", "5"],
+    ["convergence", "--T-list", "600"],
+    ["convergence", "--T-list", "50,25"],
+    ["convergence", "--T-list", "nan"],
+    ["convergence", "--T-list", "25,nan,100"],
+    ["convergence", "--T-list", "a,b"],
+    ["convergence", "--T-list", ","],
+    ["convergence", "--budgets", "10"],
+    ["convergence", "--budgets", ","],
+    ["convergence", "--budgets", "128,64"],
+    ["convergence", "--budgets", "64.5"],
+    ["eval", "--method", "binet", "--output", "/no/such/dir/out.txt"],
+    ["convergence", "--T-list", "25", "--budgets", "64",
+     "--output", "/no/such/dir/conv.csv"],
+    ["eval", "--method", "malmsten", "--format", "json", "--output", OUT],
+    ["compare", "--format", "csv", "--output", OUT],
+    ["convergence", "--T-list", "25,50", "--budgets", "64,128", "--output", OUT],
+]
+
+
+def commands():
+    for tol in TOLS:
+        for method in METHODS:
+            for fmt in ("json", "text"):
+                for budget in BUDGETS:
+                    argv = ["eval", "--method", method, "--tol", tol, "--format", fmt]
+                    yield argv + (["--budget", budget] if budget else [])
+        for extra in (["--format", "json"], ["--format", "csv"], ["--format", "text"],
+                      ["--format", "json", "--budget", "100"]):
+            yield ["compare", "--tol", tol, *extra]
+        for fmt in ("json", "text"):
+            yield ["check", "--tol", tol, "--format", fmt]
+        yield ["convergence", "--tol", tol]
+    yield from ERRORS
+
+
+def run(main, argv, tmp):
+    out_path = os.path.join(tmp, "out")
+    real = [out_path if a == OUT else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(real)
+    record = {"argv": argv, "exit": code, "stdout": stdout.getvalue(),
+              "stderr": stderr.getvalue()}
+    if OUT in argv:
+        record["file"] = Path(out_path).read_text(encoding="utf-8")
+        os.remove(out_path)
+    return record
+
+
+def main() -> int:
+    root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1])
+    sys.path.insert(0, str(root / "src"))
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
+    from glaisher.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in commands():
+            print(json.dumps(run(cli_main, argv, tmp), sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
