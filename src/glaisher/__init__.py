@@ -27,8 +27,8 @@ from .quadrature import (
     EvaluationFailedError,
     QuadratureResult,
     TruncationPolicy,
+    integrate,
     integrate_finite,
-    integrate_semi_infinite,
 )
 from .specfun import (
     barnes_g_log,

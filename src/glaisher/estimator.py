@@ -18,22 +18,13 @@ tol 1e-13); construct_reference() reruns that procedure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 from . import specfun
-from .integrands import (
-    binet_integrand,
-    get_integrand,
-    lngamma_direct_integrand,
-    malmsten_integrand,
-)
-from .quadrature import (
-    DEFAULT_MAX_EVALS,
-    TruncationPolicy,
-    integrate_finite,
-    integrate_semi_infinite,
-)
+from .integrands import binet_integrand, get_integrand, malmsten_integrand
+from .quadrature import DEFAULT_MAX_EVALS, TruncationPolicy, integrate
 
 __all__ = [
     "ConstantEstimate",
@@ -125,16 +116,8 @@ def ln_a(
         raise ValueError(f"unknown route {method!r}; known: {', '.join(ROUTES)}")
     _check_tol(tol)
     integrand_id, scale, offset = ROUTES[method]
-    spec = get_integrand(integrand_id)
     s = abs(scale)
-    if math.isinf(spec.domain_upper):
-        res = integrate_semi_infinite(spec, tol / s, policy, max_evals)
-    elif policy is not None:
-        raise ValueError(f"{method} integrates a finite interval; it takes no policy")
-    else:
-        res = integrate_finite(
-            spec.eval, 0.0, spec.domain_upper, tol / s, None, max_evals
-        )
+    res = integrate(get_integrand(integrand_id), tol / s, policy, max_evals)
     return ConstantEstimate(
         method=method,
         ln_A=offset + scale * res.value,
@@ -154,6 +137,10 @@ def ln_a_limit_sequence(n_max: int = 1000, richardson: bool = True) -> ConstantE
     (n_max/2, n_max); the step size |extrapolated - raw| is reported as the
     (certainly conservative) error estimate.
     """
+    try:
+        n_max = operator.index(n_max)
+    except TypeError:
+        raise ValueError(f"n_max must be an integer, got {n_max!r}") from None
     if not 1 <= n_max <= N_MAX:
         raise ValueError(f"n_max {n_max} outside [1, {N_MAX}]")
     raw = specfun.glaisher_seq_log_term(n_max)
@@ -185,7 +172,7 @@ def identity_residual_eq4(tol: float = 1e-10) -> float:
     with ln A taken from the Malmsten route at the same tolerance.
     """
     _check_tol(tol)
-    lhs = integrate_finite(lngamma_direct_integrand, 0.0, 0.5, tol).value
+    lhs = integrate(get_integrand("lngamma_direct"), tol).value
     rhs = EQ4_CONSTANT + 1.5 * ln_a("malmsten", tol).ln_A
     return lhs - rhs
 
@@ -250,14 +237,11 @@ def construct_reference() -> tuple[float, float]:
     extrapolation in 1/n^2 of the limit sequence at n = 200, 400, 800, and
     1/12 - 2x the compactified classical integral at tol 1e-13.
     """
-    t200 = specfun.glaisher_seq_log_term(200)
-    t400 = specfun.glaisher_seq_log_term(400)
-    t800 = specfun.glaisher_seq_log_term(800)
-    r1 = (4.0 * t400 - t200) / 3.0
-    r2 = (4.0 * t800 - t400) / 3.0
+    r1 = ln_a_limit_sequence(400).ln_A
+    r2 = ln_a_limit_sequence(800).ln_A
     seq_path = (16.0 * r2 - r1) / 15.0
 
-    res = integrate_semi_infinite(
+    res = integrate(
         get_integrand("classical"), 1e-13, TruncationPolicy("compactify", 5.0)
     )
     quad_path = 1.0 / 12.0 - 2.0 * res.value

@@ -1,8 +1,11 @@
 """The integrands behind each representation of ln A, as self-describing objects.
 
-Every integrand carries a pointwise evaluator with a frozen Taylor branch
-below a switch threshold (the printed forms are 0/0 at t = 0) and a rigorous
-tail-bound function; the automatic truncation policy reads from that bound
+An IntegrandSpec says what quadrature.integrate needs to know of an
+integrand and nothing more: its pointwise evaluator (with a frozen Taylor
+branch below a switch threshold, since the printed forms are 0/0 at t = 0),
+the upper end of its domain (0, domain_upper), whether it is log-singular at
+0, and, on (0, inf) only, a rigorous tail bound T -> int_T^inf |f| that does
+not increase with T.  The automatic truncation policy reads from that bound
 alone whether the tail is cut or compactified.
 
 Evaluator notes:
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 __all__ = [
     "IntegrandSpec",
@@ -100,9 +103,13 @@ def _horner(coeffs, t):
 @dataclass(frozen=True)
 class IntegrandSpec:
     eval: Callable[[float], float]
-    tail_bound: Callable[[float], float]
+    tail_bound: Optional[Callable[[float], float]] = None  # required on (0, inf)
     log_singular_at_zero: bool = False
     domain_upper: float = math.inf  # 0.5 for the finite lngamma integrand
+
+    def __post_init__(self):
+        if self.tail_bound is None and math.isinf(self.domain_upper):
+            raise ValueError("an integrand on (0, inf) needs a tail_bound")
 
 
 def classical_integrand(x: float) -> float:
@@ -199,10 +206,6 @@ def _malmsten_tail_bound(T: float) -> float:
     return _MALMSTEN_TAIL_SCALE * (3.0 * T + 16.0) / (T * T) * math.exp(-T)
 
 
-def _finite_domain_tail_bound(T: float) -> float:
-    return 0.0
-
-
 _SPECS = {
     "classical": IntegrandSpec(
         eval=classical_integrand,
@@ -213,11 +216,7 @@ _SPECS = {
     "malmsten_form19": IntegrandSpec(
         eval=malmsten_integrand, tail_bound=_malmsten_tail_bound
     ),
-    "lngamma_direct": IntegrandSpec(
-        eval=lngamma_direct_integrand,
-        tail_bound=_finite_domain_tail_bound,
-        domain_upper=0.5,
-    ),
+    "lngamma_direct": IntegrandSpec(eval=lngamma_direct_integrand, domain_upper=0.5),
 }
 INTEGRAND_IDS = tuple(sorted(_SPECS))
 

@@ -5,16 +5,25 @@ Each panel is evaluated with a 10-point and a 21-point Gauss-Legendre rule;
 worst first, until the summed estimate meets the tolerance or the evaluation
 budget, a hard cap of at least one panel, runs out.  Both rules use interior
 nodes only, so integrands never get evaluated at interval endpoints
-(removable singularities at 0 are safe).
+(removable singularities at 0 are safe).  integrate_finite(f, a, b, tol)
+is that engine on [a, b].
 
-A semi-infinite integral becomes one finite integral, as chosen by the
-integrand's rigorous tail bound.  A tail whose bound drops below a tenth of
-the tolerance at some T of a fixed ladder up to ~850 (an exponential tail)
-is truncated at the first such T.  Any other tail (an algebraic one) is
-compactified as in QUADPACK's QAGI: t = T s/(1-s) maps s in [0, 1) onto
-[0, inf), so int_0^inf f dt = int_0^1 f(t(s)) T/(1-s)^2 ds with T the scale
-(t(1/2) = T); a tail like c/t^2 becomes the finite limit c/T at s = 1, a
-node never evaluated.
+integrate(spec, tol, policy) is the one entry that reads an IntegrandSpec,
+and it makes exactly one integrate_finite call:
+
+  1. A finite domain [0, domain_upper] is integrated as it is.
+  2. On (0, inf) the tail is truncated at T, with tail_bound(T) as the
+     truncation error, or compactified as in QUADPACK's QAGI: t = T s/(1-s)
+     maps s in [0, 1) onto [0, inf), so int_0^inf f dt = int_0^1 f(t(s))
+     T/(1-s)^2 ds with T the scale (t(1/2) = T); a tail like c/t^2 becomes
+     the finite limit c/T at s = 1, a node never evaluated.  Without a
+     policy, a bound that drops below a tenth of the tolerance at some T of
+     a fixed ladder up to ~850 (an exponential tail) is truncated at the
+     first such T, and any other tail (an algebraic one) is compactified
+     at T = 10.  The automatic rule relies on bounds that do not increase
+     with T: it reads the top of the ladder first.
+  3. A log singularity at 0 is mapped away by x = b e^{-s} on the interval
+     that steps 1-2 produced.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ __all__ = [
     "TruncationPolicy",
     "EvaluationFailedError",
     "integrate_finite",
-    "integrate_semi_infinite",
+    "integrate",
     "DEFAULT_MAX_EVALS",
     "PANEL_EVALS",
 ]
@@ -103,11 +112,20 @@ def _panel(f: Callable[[float], float], a: float, b: float):
 
 def _check_tol(tol: float) -> None:
     if not _TOL_MIN <= tol <= _TOL_MAX:
-        raise ValueError(f"tol {tol} outside [1e-14, 1e-2]")
+        raise ValueError(f"tol {tol} outside [{_TOL_MIN}, {_TOL_MAX}]")
 
 
-def _adaptive(f, a, b, tol, max_evals):
-    """Bisection-adaptive integration of f on [a, b], at most max_evals calls."""
+def integrate_finite(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    tol: float,
+    max_evals: int = DEFAULT_MAX_EVALS,
+) -> QuadratureResult:
+    """Integrate f over [a, b] to absolute tolerance tol, at most max_evals calls."""
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"require finite a < b, got [{a}, {b}]")
+    _check_tol(tol)
     try:
         max_evals = operator.index(max_evals)
     except TypeError:
@@ -143,107 +161,84 @@ def _adaptive(f, a, b, tol, max_evals):
     )
 
 
-# Substitution parameter for log-singular endpoints: x = a + (b-a) e^{-s}
-# on s in [0, S].  The dropped sliver has width (b-a) e^{-S} ~ 3e-20 (b-a)
-# and contributes O(delta |ln delta|) for log-singular f.
+# Truncation points of the automatic rule: T = 5 * 1.25^k up to the first
+# T >= 800.
+_LADDER = [5.0]
+while _LADDER[-1] < 800.0:
+    _LADDER.append(_LADDER[-1] * 1.25)
+
+# Substitution parameter for a log singularity at 0: x = b e^{-s} on
+# s in [0, S].  The dropped sliver has width b e^{-S} ~ 3e-20 b and
+# contributes O(delta |ln delta|) for log-singular f.
 _LOG_SING_S = 45.0
 
 
-def integrate_finite(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float,
-    endpoint: Optional[str] = None,
-    max_evals: int = DEFAULT_MAX_EVALS,
-) -> QuadratureResult:
-    """Integrate f over [a, b] to absolute tolerance tol.
+def _compactified(f, T):
+    """f(t) dt on [0, inf) as a function of s in [0, 1), t = T s/(1-s)."""
 
-    endpoint="log_singular_at_a" selects the substitution x = a + (b-a)e^{-s},
-    which converts a log-singular left endpoint into a smooth, exponentially
-    decaying integrand on a finite s-interval.
-    """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"require finite a < b, got [{a}, {b}]")
-    _check_tol(tol)
-    if endpoint not in (None, "log_singular_at_a"):
-        raise ValueError(f"unknown endpoint flag {endpoint!r}")
-    if endpoint == "log_singular_at_a":
-        w = b - a
+    def g(s):
+        r = 1.0 / (1.0 - s)
+        return f(T * s * r) * T * r * r
 
-        def g(s):
-            x = w * math.exp(-s)
-            return f(a + x) * x
-
-        res = _adaptive(g, 0.0, _LOG_SING_S, tol, max_evals)
-        sliver = w * math.exp(-_LOG_SING_S) * (_LOG_SING_S + 2.0)
-        return QuadratureResult(
-            value=res.value,
-            error_estimate=res.error_estimate + sliver,
-            evaluations=res.evaluations,
-            converged=res.error_estimate + sliver <= tol,
-        )
-    return _adaptive(f, a, b, tol, max_evals)
+    return g
 
 
-def _auto_truncation_point(spec: IntegrandSpec, target: float) -> float:
-    """Smallest T on a deterministic ladder with tail_bound(T) <= target.
+def _log_mapped(f, b):
+    """f(x) dx on (0, b] as a function of s in [0, inf), x = b e^{-s}."""
 
-    The ladder stops at its first T >= 800, whatever that T's bound.
-    """
-    T = 5.0
-    while spec.tail_bound(T) > target and T < 800.0:
-        T *= 1.25
-    return T
+    def g(s):
+        x = b * math.exp(-s)
+        return f(x) * x
+
+    return g
 
 
-def integrate_semi_infinite(
+def integrate(
     spec: IntegrandSpec,
     tol: float,
     policy: Optional[TruncationPolicy] = None,
     max_evals: int = DEFAULT_MAX_EVALS,
 ) -> QuadratureResult:
-    """Integrate spec over (0, inf) to absolute tolerance tol, in one finite integral.
+    """Integrate spec over (0, spec.domain_upper) to absolute tolerance tol.
 
-    With policy=None the tail is truncated at the first ladder T where its
-    bound meets tol/10, and compactified at T = 10 if the ladder ends first.
-    Truncation spends what the tail bound leaves of tol on discretization
-    (at least tol/10, and never below the engine's smallest tol); a forced
-    truncation whose bound exceeds tol (the slow-convergence pathology of an
-    algebraic tail) is returned with that bound as truncation_error and
-    converged=False.
+    The steps are those of the module docstring; a policy applies to
+    (0, inf) only.  Truncation spends what the tail bound leaves of tol on
+    discretization (at least tol/10, and never below the engine's smallest
+    tol); a forced truncation whose bound exceeds tol (the slow-convergence
+    pathology of an algebraic tail) is returned with that bound as
+    truncation_error and converged=False.
     """
     _check_tol(tol)
-
-    if policy is not None:
+    f, b, disc_tol = spec.eval, spec.domain_upper, tol
+    mode, T, trunc = "none", 0.0, 0.0
+    if math.isfinite(b):
+        if policy is not None:
+            raise ValueError(f"the domain [0, {b}] is finite; it takes no policy")
+    elif policy is not None:
         mode, T = policy.mode, float(policy.T)
+    elif spec.tail_bound(_LADDER[-1]) <= tol / TAIL_SAFETY:
+        mode = "truncate"
+        T = next(t for t in _LADDER if spec.tail_bound(t) <= tol / TAIL_SAFETY)
     else:
-        T = _auto_truncation_point(spec, tol / TAIL_SAFETY)
-        if spec.tail_bound(T) <= tol / TAIL_SAFETY:
-            mode = "truncate"
-        else:
-            mode, T = "compactify", 10.0
-
-    endpoint = "log_singular_at_a" if spec.log_singular_at_zero else None
-
+        mode, T = "compactify", 10.0
     if mode == "truncate":
         trunc = spec.tail_bound(T)
         disc_tol = max(tol - trunc, 0.1 * tol, _TOL_MIN)
-        res = integrate_finite(spec.eval, 0.0, T, disc_tol, endpoint, max_evals)
-    else:
-        trunc = 0.0
-
-        def g(s):
-            r = 1.0 / (1.0 - s)
-            return spec.eval(T * s * r) * T * r * r
-
-        res = integrate_finite(g, 0.0, 1.0, tol, endpoint, max_evals)
-    err = res.error_estimate + trunc
+        b = T
+    elif mode == "compactify":
+        f, b = _compactified(f, T), 1.0
+    sliver = 0.0
+    if spec.log_singular_at_zero:
+        sliver = b * math.exp(-_LOG_SING_S) * (_LOG_SING_S + 2.0)
+        f, b = _log_mapped(f, b), _LOG_SING_S
+    res = integrate_finite(f, 0.0, b, disc_tol, max_evals)
+    disc = res.error_estimate + sliver
+    err = disc + trunc
     return QuadratureResult(
         value=res.value,
         error_estimate=err,
         evaluations=res.evaluations,
-        converged=res.converged and err <= tol,
+        converged=disc <= disc_tol and err <= tol,
         truncation_error=trunc,
         truncation_T=T,
         truncation_mode=mode,

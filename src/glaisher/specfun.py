@@ -19,11 +19,12 @@ ln(n/k) and accumulates it in extended precision (80-bit on x86).
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from .integrands import IntegrandSpec, _binet_kernel, _horner
-from .quadrature import QuadratureResult, integrate_semi_infinite
+from .quadrature import QuadratureResult, integrate
 
 __all__ = [
     "log_gamma_plus_one",
@@ -76,7 +77,7 @@ def binet_theta(x: float, tol: float = 1e-10) -> QuadratureResult:
         # kernel in (0, 1/2), so tail <= int_T^inf e^{-xt}/(2t) <= e^{-xT}/(2xT)
         return math.exp(-x * T) / (2.0 * x * T)
 
-    return integrate_semi_infinite(IntegrandSpec(eval=f, tail_bound=bound), tol)
+    return integrate(IntegrandSpec(eval=f, tail_bound=bound), tol)
 
 
 # Taylor coefficients in t of [z - (1-e^{-zt})/(1-e^{-t})]/t, each a
@@ -107,7 +108,7 @@ def malmsten_log_gamma(z: float, tol: float = 1e-10) -> QuadratureResult:
         # |bracket| <= z + 1/(1-e^{-1}) + 1/2 < z + 2.1 for t >= 1
         return (z + 2.1) * math.exp(-T) / T
 
-    return integrate_semi_infinite(IntegrandSpec(eval=f, tail_bound=bound), tol)
+    return integrate(IntegrandSpec(eval=f, tail_bound=bound), tol)
 
 
 def barnes_g_log(n: int) -> float:
@@ -128,6 +129,10 @@ def glaisher_seq_log_term(n: int) -> float:
         (n^2/2) ln n - ln G(n+1) = (n/2) ln n + sum_{k<n} (n-k) ln(n/k),
     which keeps the absolute error near 1e-13 even at n ~ 1000.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"glaisher_seq_log_term requires an integer n, got {n!r}") from None
     if n < 1:
         raise ValueError(f"glaisher_seq_log_term requires n >= 1, got {n}")
     ld = np.longdouble

@@ -14,8 +14,8 @@ from glaisher import (
     binet_theta,
     construct_reference,
     identity_residual_eq4,
+    integrate,
     integrate_finite,
-    integrate_semi_infinite,
     ln_a,
     log_gamma_plus_one,
     malmsten_integrand,
@@ -125,12 +125,14 @@ def test_criterion_7_convergence_claim():
 
 def test_criterion_8_quadrature_unit_suite():
     r1 = integrate_finite(lambda x: x * x, 0.0, 1.0, 1e-12)
-    r2 = integrate_finite(math.log, 0.0, 1.0, 1e-10, "log_singular_at_a")
+    r2 = integrate(
+        IntegrandSpec(eval=math.log, log_singular_at_zero=True, domain_upper=1.0), 1e-10
+    )
     toy = IntegrandSpec(
         eval=lambda t: math.exp(-t),
         tail_bound=lambda T: math.exp(-T),
     )
-    r3 = integrate_semi_infinite(toy, 1e-12)
+    r3 = integrate(toy, 1e-12)
     basics = (
         abs(r1.value - 1.0 / 3.0) <= 1e-12
         and abs(r2.value + 1.0) <= 1e-10
@@ -140,9 +142,9 @@ def test_criterion_8_quadrature_unit_suite():
         (r1, 1.0 / 3.0),
         (r2, -1.0),
         (r3, 1.0),
-        (integrate_semi_infinite(get_classical(), 1e-12), -0.08271057185022546),
-        (integrate_semi_infinite(get_binet(), 1e-11), 0.19510718545735218),
-        (integrate_semi_infinite(get_malmsten(), 1e-12), -0.042853740650290945),
+        (integrate(get_classical(), 1e-12), -0.08271057185022546),
+        (integrate(get_binet(), 1e-11), 0.19510718545735218),
+        (integrate(get_malmsten(), 1e-12), -0.042853740650290945),
     ]
     honesty = all(
         res.converged and abs(res.value - truth) <= 10.0 * max(res.error_estimate, 1e-16)

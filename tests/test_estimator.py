@@ -17,9 +17,10 @@ from glaisher.estimator import (
 from glaisher.integrands import get_integrand, lngamma_direct_integrand
 from glaisher.quadrature import (
     TruncationPolicy,
+    integrate,
     integrate_finite,
-    integrate_semi_infinite,
 )
+from glaisher.specfun import glaisher_seq_log_term
 
 
 class TestClosedFormConstants:
@@ -36,7 +37,7 @@ class TestRoutes:
         assert est.discretization_error + est.truncation_error <= 1e-10
 
     def test_classical_intermediate_integral(self):
-        res = integrate_semi_infinite(get_integrand("classical"), 1e-11)
+        res = integrate(get_integrand("classical"), 1e-11)
         assert res.value == pytest.approx(-0.0827105719, abs=1e-9)
 
     def test_classical_monotone_cost(self):
@@ -52,7 +53,7 @@ class TestRoutes:
         assert abs(est.ln_A - LN_A_REFERENCE) <= 1e-9
 
     def test_binet_intermediate_integral(self):
-        res = integrate_semi_infinite(get_integrand("binet_form13"), 1e-11)
+        res = integrate(get_integrand("binet_form13"), 1e-11)
         assert res.value == pytest.approx(0.1951071854, abs=1e-9)
 
     def test_binet_truncate_only_is_infeasible(self):
@@ -73,7 +74,7 @@ class TestRoutes:
         assert abs(est.ln_A - LN_A_REFERENCE) <= 1e-11
 
     def test_malmsten_intermediate_integral(self):
-        res = integrate_semi_infinite(get_integrand("malmsten_form19"), 1e-11)
+        res = integrate(get_integrand("malmsten_form19"), 1e-11)
         assert res.value == pytest.approx(-0.0428537406, abs=1e-9)
 
     def test_direct_lgamma(self):
@@ -143,6 +144,11 @@ class TestLimitSequence:
             ln_a_limit_sequence(0)
         with pytest.raises(ValueError):
             ln_a_limit_sequence(N_MAX + 1)
+        for n in (1000.5, 1000.0):
+            with pytest.raises(ValueError):
+                ln_a_limit_sequence(n)
+            with pytest.raises(ValueError):
+                glaisher_seq_log_term(n)
 
 
 class TestCrossValidation:

@@ -4,6 +4,7 @@ import pytest
 
 from glaisher.integrands import (
     INTEGRAND_IDS,
+    IntegrandSpec,
     SERIES_SWITCH_T,
     binet_integrand,
     classical_integrand,
@@ -176,3 +177,8 @@ class TestTailBounds:
     def test_domain(self):
         with pytest.raises(KeyError):
             get_integrand("nonsense")
+
+    def test_semi_infinite_spec_needs_a_bound(self):
+        with pytest.raises(ValueError):
+            IntegrandSpec(eval=binet_integrand)
+        assert IntegrandSpec(eval=lngamma_direct_integrand, domain_upper=0.5).tail_bound is None

@@ -8,8 +8,8 @@ from glaisher.quadrature import (
     PANEL_EVALS,
     EvaluationFailedError,
     TruncationPolicy,
+    integrate,
     integrate_finite,
-    integrate_semi_infinite,
 )
 
 
@@ -18,6 +18,10 @@ def _exp_spec():
         eval=lambda t: math.exp(-t),
         tail_bound=lambda T: math.exp(-T),
     )
+
+
+def _log_spec():
+    return IntegrandSpec(eval=math.log, log_singular_at_zero=True, domain_upper=1.0)
 
 
 @pytest.mark.parametrize("k", range(9))
@@ -33,13 +37,13 @@ def test_x_squared():
 
 
 def test_log_singular_endpoint():
-    res = integrate_finite(math.log, 0.0, 1.0, 1e-10, "log_singular_at_a")
+    res = integrate(_log_spec(), 1e-10)
     assert res.converged
     assert abs(res.value - (-1.0)) <= 1e-10
 
 
 def test_exponential_tail_toy():
-    res = integrate_semi_infinite(_exp_spec(), 1e-12)
+    res = integrate(_exp_spec(), 1e-12)
     assert res.converged
     assert abs(res.value - 1.0) <= 1e-12
     assert res.truncation_mode == "truncate"
@@ -50,11 +54,11 @@ def test_error_estimate_honesty():
     # true error <= 10x the reported estimate whenever converged
     cases = [
         (integrate_finite(lambda x: x * x, 0.0, 1.0, 1e-12), 1.0 / 3.0),
-        (integrate_finite(math.log, 0.0, 1.0, 1e-10, "log_singular_at_a"), -1.0),
-        (integrate_semi_infinite(_exp_spec(), 1e-12), 1.0),
-        (integrate_semi_infinite(get_integrand("classical"), 1e-12), -0.08271057185022546),
-        (integrate_semi_infinite(get_integrand("binet_form13"), 1e-11), 0.19510718545735218),
-        (integrate_semi_infinite(get_integrand("malmsten_form19"), 1e-12), -0.042853740650290945),
+        (integrate(_log_spec(), 1e-10), -1.0),
+        (integrate(_exp_spec(), 1e-12), 1.0),
+        (integrate(get_integrand("classical"), 1e-12), -0.08271057185022546),
+        (integrate(get_integrand("binet_form13"), 1e-11), 0.19510718545735218),
+        (integrate(get_integrand("malmsten_form19"), 1e-12), -0.042853740650290945),
     ]
     for res, truth in cases:
         assert res.converged
@@ -66,7 +70,7 @@ def test_monotone_cost():
     evals = []
     tol = 1e-6
     while tol >= 1e-12:
-        evals.append(integrate_semi_infinite(f, tol).evaluations)
+        evals.append(integrate(f, tol).evaluations)
         tol /= 2.0
     assert all(b >= a for a, b in zip(evals, evals[1:]))
 
@@ -77,38 +81,38 @@ def test_automatic_rule_reads_the_tail_bound():
         eval=lambda t: 1.0 / (1.0 + t) ** 2,
         tail_bound=lambda T: 1.0 / T,
     )
-    res = integrate_semi_infinite(algebraic, 1e-8)
+    res = integrate(algebraic, 1e-8)
     assert (res.truncation_mode, res.truncation_T) == ("compactify", 10.0)
     assert res.truncation_error == 0.0
     assert res.converged and abs(res.value - 1.0) <= 1e-8
     # A bound of e^{-T} first meets 1e-9 on the ladder 5 * 1.25^k at k = 7.
     assert math.exp(-5.0 * 1.25**6) > 1e-9 >= math.exp(-5.0 * 1.25**7)
-    res = integrate_semi_infinite(_exp_spec(), 1e-8)
+    res = integrate(_exp_spec(), 1e-8)
     assert (res.truncation_mode, res.truncation_T) == ("truncate", 5.0 * 1.25**7)
     assert res.truncation_error == math.exp(-5.0 * 1.25**7)
 
 
 def test_compactification_agreement():
     spec = get_integrand("binet_form13")
-    a = integrate_semi_infinite(spec, 1e-11, TruncationPolicy("compactify", 10.0))
-    b = integrate_semi_infinite(spec, 1e-11, TruncationPolicy("compactify", 50.0))
+    a = integrate(spec, 1e-11, TruncationPolicy("compactify", 10.0))
+    b = integrate(spec, 1e-11, TruncationPolicy("compactify", 50.0))
     assert abs(a.value - b.value) <= 1e-10
 
 
 def test_semi_infinite_examples():
     spec = get_integrand("malmsten_form19")
-    res = integrate_semi_infinite(spec, 1e-11)
+    res = integrate(spec, 1e-11)
     assert abs(res.value - (-0.0428537406)) <= 1e-9
 
     spec = get_integrand("binet_form13")
-    res = integrate_semi_infinite(spec, 1e-10)
+    res = integrate(spec, 1e-10)
     assert res.truncation_mode == "compactify"
     assert abs(res.value - 0.1951071854) <= 1e-9
 
 
 def test_budget_exhaustion_flags_not_raises():
     spec = get_integrand("classical")
-    res = integrate_semi_infinite(spec, 1e-12, max_evals=93)
+    res = integrate(spec, 1e-12, max_evals=93)
     assert not res.converged
     assert res.evaluations > 0
 
@@ -125,6 +129,7 @@ def test_budget_below_one_panel_is_rejected():
         ("classical", None),
         ("classical", TruncationPolicy("compactify", 5.0)),
         ("malmsten_form19", TruncationPolicy("truncate", 30.0)),
+        ("lngamma_direct", None),
     ],
 )
 def test_one_finite_integral(monkeypatch, spec_id, policy):
@@ -136,9 +141,44 @@ def test_one_finite_integral(monkeypatch, spec_id, policy):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "integrate_finite", counting)
-    res = integrate_semi_infinite(get_integrand(spec_id), 1e-10, policy)
-    upper = 1.0 if res.truncation_mode == "compactify" else res.truncation_T
+    spec = get_integrand(spec_id)
+    res = integrate(spec, 1e-10, policy)
+    if spec.log_singular_at_zero:
+        upper = 45.0  # x = b e^{-s} on s in [0, 45]
+    elif res.truncation_mode == "compactify":
+        upper = 1.0
+    elif res.truncation_mode == "truncate":
+        upper = res.truncation_T
+    else:
+        upper = spec.domain_upper
     assert calls == [(0.0, upper)]
+
+
+def test_finite_domain_spec():
+    spec = get_integrand("lngamma_direct")
+    res = integrate(spec, 1e-8)
+    ref = integrate_finite(spec.eval, 0.0, 0.5, 1e-8)
+    assert (res.value, res.error_estimate, res.evaluations) == (
+        ref.value,
+        ref.error_estimate,
+        ref.evaluations,
+    )
+    assert (res.truncation_mode, res.truncation_T, res.truncation_error) == ("none", 0.0, 0.0)
+    with pytest.raises(ValueError):
+        integrate(spec, 1e-8, TruncationPolicy("truncate", 5.0))
+
+
+def test_algebraic_bound_is_read_once_before_compactifying():
+    reads = []
+
+    def bound(T):
+        reads.append(T)
+        return 1.0 / (2.0 * T)
+
+    spec = IntegrandSpec(eval=lambda t: 1.0 / (1.0 + t) ** 2, tail_bound=bound)
+    res = integrate(spec, 1e-8)
+    assert (res.truncation_mode, res.truncation_T) == ("compactify", 10.0)
+    assert len(reads) == 1
 
 
 def test_nan_propagates_as_error():
@@ -155,14 +195,9 @@ def test_infinite_value_is_an_error(value):
 def test_policy_infeasible_for_algebraic_truncation():
     spec = get_integrand("binet_form13")
     # the pathology is recorded, with the tail bound, instead of raising
-    res = integrate_semi_infinite(spec, 1e-9, TruncationPolicy("truncate", 50.0))
+    res = integrate(spec, 1e-9, TruncationPolicy("truncate", 50.0))
     assert not res.converged
     assert res.truncation_error == pytest.approx(1.0 / 100.0)
-
-
-def test_unknown_endpoint_flag():
-    with pytest.raises(ValueError):
-        integrate_finite(lambda x: x, 0.0, 1.0, 1e-10, endpoint="bogus")
 
 
 def test_result_invariants():
