@@ -34,7 +34,6 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
 
 from .integrands import IntegrandSpec
 
@@ -56,9 +55,37 @@ TAIL_SAFETY = 10.0
 # Accepted tolerance range of both integrators.
 _TOL_MIN, _TOL_MAX = 1e-14, 1e-2
 
-# Nodes/weights on [-1, 1].
-_X10, _W10 = np.polynomial.legendre.leggauss(10)
-_X21, _W21 = np.polynomial.legendre.leggauss(21)
+# Gauss-Legendre nodes and weights on [-1, 1], frozen as floats.
+_X10 = (
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+    0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+    0.9739065285171717,
+)
+_W10 = (
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+    0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+    0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+    0.06667134430868814,
+)
+_X21 = (
+    -0.9937521706203895, -0.9672268385663063, -0.9200993341504008,
+    -0.8533633645833173, -0.7684399634756779, -0.6671388041974123,
+    -0.5516188358872198, -0.4243421202074388, -0.2880213168024011,
+    -0.1455618541608951, 0.0, 0.1455618541608951, 0.2880213168024011,
+    0.4243421202074388, 0.5516188358872198, 0.6671388041974123,
+    0.7684399634756779, 0.8533633645833173, 0.9200993341504008,
+    0.9672268385663063, 0.9937521706203895,
+)
+_W21 = (
+    0.01601722825777436, 0.03695378977085188, 0.05713442542685717,
+    0.07610011362837911, 0.09344442345603395, 0.1087972991671484,
+    0.12183141605372864, 0.13226893863333763, 0.1398873947910734,
+    0.14452440398997027, 0.1460811336496907, 0.14452440398997027,
+    0.1398873947910734, 0.13226893863333763, 0.12183141605372864,
+    0.1087972991671484, 0.09344442345603395, 0.07610011362837911,
+    0.05713442542685717, 0.03695378977085188, 0.01601722825777436,
+)
 
 # Integrand evaluations of one panel: the G10 and the G21 rule share no node.
 PANEL_EVALS = len(_X10) + len(_X21)
