@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -110,7 +111,9 @@ def ln_a(
 
     policy applies to the semi-infinite routes; the finite-interval route
     rejects one.  max_evals is a hard cap, an integer of at least one panel
-    (31 evaluations).  The limit sequence is ln_a_limit_sequence.
+    (PANEL_EVALS evaluations).  The discretization error includes the
+    rounding of offset + scale * integral.  The limit sequence is
+    ln_a_limit_sequence.
     """
     if method not in ROUTES:
         raise ValueError(f"unknown route {method!r}; known: {', '.join(ROUTES)}")
@@ -118,13 +121,17 @@ def ln_a(
     integrand_id, scale, offset = ROUTES[method]
     s = abs(scale)
     res = integrate(get_integrand(integrand_id), tol / s, policy, max_evals)
+    scaled = scale * res.value
+    rounding = sys.float_info.epsilon * (abs(offset) + abs(scaled))
+    disc = s * (res.error_estimate - res.truncation_error) + rounding
+    trunc = s * res.truncation_error
     return ConstantEstimate(
         method=method,
-        ln_A=offset + scale * res.value,
-        discretization_error=s * (res.error_estimate - res.truncation_error),
-        truncation_error=s * res.truncation_error,
+        ln_A=offset + scaled,
+        discretization_error=disc,
+        truncation_error=trunc,
         evaluations=res.evaluations,
-        converged=res.converged,
+        converged=res.converged and disc + trunc <= tol,
         truncation_T=res.truncation_T,
         truncation_mode=res.truncation_mode,
     )

@@ -254,7 +254,7 @@ class TestUsageErrors:
         "argv",
         [
             ["eval", "--method", "classical", "--budget", "5"],
-            ["eval", "--method", "binet", "--budget", "30"],
+            ["eval", "--method", "binet", "--budget", "20"],
             ["compare", "--budget", "5"],
         ],
     )

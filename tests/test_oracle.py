@@ -2,7 +2,8 @@
 
 mpmath computes ln A independently of this package (from its own Glaisher
 constant at 40 digits); it is a test-only dependency.  A hypothesis test
-checks that every evaluation budget is a hard cap.
+checks over (route, tol, policy, budget) that every evaluation budget is a
+hard cap and that every reported bound holds.
 """
 
 import math
@@ -53,6 +54,23 @@ def test_error_budget_holds_binet_compactified(T, tol):
     _assert_budget_holds(ln_a("binet", tol, TruncationPolicy("compactify", T)), tol)
 
 
+@pytest.mark.parametrize(
+    "route, tol, policy, max_evals",
+    [
+        # One panel over the whole compactified domain: under-resolved.
+        ("classical", 1e-13, None, 31),
+        # One truncated panel over [0, 50] at a loose tolerance.
+        ("classical", 1e-3, TruncationPolicy("truncate", 50.0), 10_000),
+        # A bound near the rounding of offset + scale * integral.
+        ("malmsten", 1e-13, TruncationPolicy("truncate", 60.0), 10_000),
+    ],
+)
+def test_error_budget_holds_where_a_panel_estimate_was_too_small(
+    route, tol, policy, max_evals
+):
+    _assert_budget_holds(ln_a(route, tol, policy, max_evals), tol)
+
+
 @st.composite
 def _calls(draw):
     route = draw(st.sampled_from(list(ROUTES)))
@@ -72,4 +90,6 @@ def _calls(draw):
 @given(_calls())
 def test_evaluation_budget_is_a_hard_cap(call):
     route, tol, policy, max_evals = call
-    assert ln_a(route, tol, policy, max_evals).evaluations <= max_evals
+    est = ln_a(route, tol, policy, max_evals)
+    assert est.evaluations <= max_evals
+    _assert_budget_holds(est, tol)

@@ -24,6 +24,55 @@ def _log_spec():
     return IntegrandSpec(eval=math.log, log_singular_at_zero=True, domain_upper=1.0)
 
 
+def test_kronrod_constants_match_an_mpmath_derivation():
+    """Rederive the G10/K21 rule at 60 digits; the frozen floats are its rounding."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def moment(k):  # int x^k on [-1, 1]
+        return 0 if k % 2 else mpmath.mpf(2) / (k + 1)
+
+    def solve_moments(xs):
+        """Weights integrating x^k exactly on [-1, 1] for k < len(xs)."""
+        vandermonde = mpmath.matrix([[x**k for x in xs] for k in range(len(xs))])
+        moments = mpmath.matrix([moment(k) for k in range(len(xs))])
+        return list(mpmath.lu_solve(vandermonde, moments))
+
+    def real_roots(coeffs):
+        """Roots of sum c_k x^k, given c_0 first."""
+        roots = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=200)
+        return [mpmath.re(r) for r in roots]
+
+    with mpmath.workdps(60):
+        p10 = mpmath.taylor(lambda x: mpmath.legendre(10, x), 0, 10)
+        gauss = sorted(real_roots(p10))
+        wg = solve_moments(gauss)
+        # The Stieltjes polynomial E11 = x^11 + sum c_m x^m over odd m is
+        # orthogonal to P10 x^k for odd k <= 9 (even k hold by parity).
+        odd = range(1, 11, 2)
+
+        def inner(k):  # int P10 x^k on [-1, 1]
+            return mpmath.fsum(c * moment(k + j) for j, c in enumerate(p10))
+
+        c = mpmath.lu_solve(
+            mpmath.matrix([[inner(k + m) for m in odd] for k in odd]),
+            mpmath.matrix([-inner(k + 11) for k in odd]),
+        )
+        # E11 = x q(x^2): its roots are 0 and the square roots of q's.
+        ys = real_roots([*c, 1])
+        stieltjes = [mpmath.mpf(0)] + [s * mpmath.sqrt(y) for y in ys for s in (-1, 1)]
+        xk = sorted(gauss + stieltjes)
+        wk = solve_moments(xk)
+
+    assert tuple(map(float, xk)) == quadrature._XK
+    assert tuple(map(float, wk)) == quadrature._WK
+    assert tuple(map(float, wg)) == quadrature._WG
+    assert quadrature._XK[quadrature._GAUSS] == tuple(map(float, gauss))
+    # QUADPACK qk21's published xgk(1) and wgk(1).
+    assert quadrature._XK[-1] == 0.9956571630258081
+    assert quadrature._WK[-1] == 0.011694638867371874
+    assert PANEL_EVALS == 21
+
+
 @pytest.mark.parametrize("k", range(9))
 def test_polynomials_exact(k):
     res = integrate_finite(lambda x: x**k, 0.0, 1.0, 1e-13)
