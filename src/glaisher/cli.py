@@ -14,6 +14,7 @@ invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -51,7 +52,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     p = _Parser(prog="glaisher", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

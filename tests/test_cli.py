@@ -211,6 +211,12 @@ class TestDeterminism:
         assert code1 == code2
         assert out1 == out2
 
+    def test_reused_parser_survives_a_usage_error(self, capsys):
+        argv = ["eval", "--method", "binet", "--tol", "1e-8", "--format", "json"]
+        first = run_cli(capsys, *argv)
+        assert run_cli(capsys, "eval", "--method", "zeta")[0] == 64
+        assert run_cli(capsys, *argv) == first
+
 
 class TestUsageErrors:
     def test_unknown_method(self, capsys):
