@@ -57,9 +57,9 @@ def test_error_budget_holds_binet_compactified(T, tol):
 @pytest.mark.parametrize(
     "route, tol, policy, max_evals",
     [
-        # One panel over the whole compactified domain: under-resolved.
+        # A budget of one panel over the whole compactified domain.
         ("classical", 1e-13, None, 31),
-        # One truncated panel over [0, 50] at a loose tolerance.
+        # Truncated at T = 50 at a loose tolerance: few, wide panels.
         ("classical", 1e-3, TruncationPolicy("truncate", 50.0), 10_000),
         # A bound near the rounding of offset + scale * integral.
         ("malmsten", 1e-13, TruncationPolicy("truncate", 60.0), 10_000),
