@@ -26,7 +26,6 @@ from .integrands import (
 from .quadrature import (
     EvaluationFailedError,
     QuadratureResult,
-    TruncationPolicy,
     integrate,
     integrate_finite,
 )

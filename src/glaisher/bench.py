@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
 from .estimator import LN_A_REFERENCE, ConstantEstimate, ln_a
-from .quadrature import DEFAULT_MAX_EVALS, PANEL_EVALS, TruncationPolicy
+from .quadrature import DEFAULT_MAX_EVALS, PANEL_EVALS, TRUNCATE_AT_MAX, TRUNCATE_AT_MIN
 
 __all__ = [
     "ConvergenceRecord",
@@ -52,14 +52,13 @@ def sweep_truncation(
     if method not in ("binet", "malmsten"):
         raise ValueError(f"truncation sweep supports binet|malmsten, got {method!r}")
     check_T_list(T_list)
-    policies = [TruncationPolicy("truncate", float(T)) for T in T_list]
-    return [_record(ln_a(method, tol, policy), DEFAULT_MAX_EVALS) for policy in policies]
+    return [_record(ln_a(method, tol, truncate_at=float(T)), DEFAULT_MAX_EVALS) for T in T_list]
 
 
 def sweep_nodes(
     method: str, budgets: Sequence[int], tol: float = 1e-12
 ) -> List[ConvergenceRecord]:
-    """One record per evaluation budget, automatic truncation policy."""
+    """One record per evaluation budget, automatic truncation rule."""
     check_budgets(budgets)
     return [_record(ln_a(method, tol, max_evals=budget), budget) for budget in budgets]
 
@@ -67,12 +66,13 @@ def sweep_nodes(
 def check_T_list(T_list: Sequence[float]) -> None:
     """Raise ValueError unless T_list is non-empty, ascending and each T in [5, 500].
 
-    NaN fails every comparison, so the range check rejects it.
+    The range is quadrature's TRUNCATE_AT_MIN/MAX.  NaN fails every
+    comparison, so the range check rejects it.
     """
     if list(T_list) != sorted(T_list) or not T_list:
         raise ValueError("T_list must be non-empty and sorted ascending")
-    if not all(5.0 <= T <= 500.0 for T in T_list):
-        raise ValueError("T values must lie in [5, 500]")
+    if not all(TRUNCATE_AT_MIN <= T <= TRUNCATE_AT_MAX for T in T_list):
+        raise ValueError(f"T values must lie in [{TRUNCATE_AT_MIN:g}, {TRUNCATE_AT_MAX:g}]")
 
 
 def check_budgets(budgets: Sequence[int]) -> None:

@@ -9,10 +9,10 @@ Routes:
   limit_sequence the defining limit term, optionally Richardson-accelerated
 
 All closed-form constants are assembled from ln 2 and ln pi at import time,
-never as decimal literals.  The frozen reference value of ln A was produced
-by two disjoint routes (Richardson-extrapolated limit sequence at
-n = 200/400/800 and compactified quadrature of the classical integral at
-tol 1e-13); construct_reference() reruns that procedure.
+never as decimal literals.  The frozen reference value of ln A is checked
+against two disjoint routes (Richardson-extrapolated limit sequence at
+n = 200/400/800 and quadrature of the classical integral at tol 1e-13),
+which construct_reference() reruns, and against mpmath in the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import specfun
 from .integrands import binet_integrand, get_integrand, malmsten_integrand
-from .quadrature import DEFAULT_MAX_EVALS, TruncationPolicy, integrate
+from .quadrature import DEFAULT_MAX_EVALS, integrate
 
 __all__ = [
     "ConstantEstimate",
@@ -104,23 +104,24 @@ def inner_tol(tol: float) -> float:
 def ln_a(
     method: str,
     tol: float = 1e-10,
-    policy: Optional[TruncationPolicy] = None,
+    truncate_at: Optional[float] = None,
     max_evals: int = DEFAULT_MAX_EVALS,
 ) -> ConstantEstimate:
     """ln A by one integral route of ROUTES, with its error budget.
 
-    policy applies to the semi-infinite routes; the finite-interval route
-    rejects one.  max_evals is a hard cap, an integer of at least one panel
-    (PANEL_EVALS evaluations).  The discretization error includes the
-    rounding of offset + scale * integral.  The limit sequence is
-    ln_a_limit_sequence.
+    truncate_at forces a semi-infinite route's truncation point T, in
+    [5, 500]; None leaves the tail to the automatic rule, and the
+    finite-interval route rejects any T.  max_evals is a hard cap, an
+    integer of at least one panel (PANEL_EVALS evaluations).  The
+    discretization error includes the rounding of offset + scale * integral.
+    The limit sequence is ln_a_limit_sequence.
     """
     if method not in ROUTES:
         raise ValueError(f"unknown route {method!r}; known: {', '.join(ROUTES)}")
     _check_tol(tol)
     integrand_id, scale, offset = ROUTES[method]
     s = abs(scale)
-    res = integrate(get_integrand(integrand_id), tol / s, policy, max_evals)
+    res = integrate(get_integrand(integrand_id), tol / s, truncate_at, max_evals)
     scaled = scale * res.value
     rounding = sys.float_info.epsilon * (abs(offset) + abs(scaled))
     disc = s * (res.error_estimate - res.truncation_error) + rounding
@@ -242,14 +243,13 @@ def construct_reference() -> tuple[float, float]:
 
     Returns (sequence_path, quadrature_path): a two-level Richardson
     extrapolation in 1/n^2 of the limit sequence at n = 200, 400, 800, and
-    1/12 - 2x the compactified classical integral at tol 1e-13.
+    1/12 - 2x the classical integral at tol 1e-13, whose tail the automatic
+    rule truncates (at T = 6.25) with a rigorous bound.
     """
     r1 = ln_a_limit_sequence(400).ln_A
     r2 = ln_a_limit_sequence(800).ln_A
     seq_path = (16.0 * r2 - r1) / 15.0
 
-    res = integrate(
-        get_integrand("classical"), 1e-13, TruncationPolicy("compactify", 5.0)
-    )
+    res = integrate(get_integrand("classical"), 1e-13)
     quad_path = 1.0 / 12.0 - 2.0 * res.value
     return seq_path, quad_path

@@ -4,8 +4,10 @@ An IntegrandSpec says what quadrature.integrate needs to know of an
 integrand and nothing more: its pointwise evaluator (with a frozen Taylor
 branch below a switch threshold, since the printed forms are 0/0 at t = 0),
 the upper end of its domain (0, domain_upper), whether it is log-singular at
-0, and, on (0, inf) only, a rigorous tail bound T -> int_T^inf |f| that does
-not increase with T.  The automatic truncation policy reads from that bound
+0, and, on (0, inf) only, a tail bound T -> int_T^inf |f| that does not
+increase with T and is rigorous for T >= 5, the automatic ladder's first rung
+and the smallest T a caller may force (the classical and Malmsten bounds
+assume T >= 1).  The automatic truncation rule reads from that bound
 alone whether the tail is cut or compactified.
 
 Evaluator notes:

@@ -10,20 +10,22 @@ only, so integrands never get evaluated at interval endpoints (removable
 singularities at 0 are safe).  integrate_finite(f, a, b, tol) is that
 engine on [a, b].
 
-integrate(spec, tol, policy) is the one entry that reads an IntegrandSpec,
-and it makes exactly one integrate_finite call:
+integrate(spec, tol, truncate_at) is the one entry that reads an
+IntegrandSpec, and it makes exactly one integrate_finite call:
 
   1. A finite domain [0, domain_upper] is integrated as it is.
   2. On (0, inf) the tail is truncated at T, with tail_bound(T) as the
      truncation error, or compactified as in QUADPACK's QAGI: t = T s/(1-s)
      maps s in [0, 1) onto [0, inf), so int_0^inf f dt = int_0^1 f(t(s))
      T/(1-s)^2 ds with T the scale (t(1/2) = T); a tail like c/t^2 becomes
-     the finite limit c/T at s = 1, a node never evaluated.  Without a
-     policy, a bound that drops below a tenth of the tolerance at some T of
-     a fixed ladder up to ~850 (an exponential tail) is truncated at the
-     first such T, and any other tail (an algebraic one) is compactified
-     at T = 10.  The automatic rule relies on bounds that do not increase
-     with T: it reads the top of the ladder first.
+     the finite limit c/T at s = 1, a node never evaluated.  A caller may
+     force truncation at any T in [TRUNCATE_AT_MIN, TRUNCATE_AT_MAX].
+     Otherwise the automatic rule decides: a bound that drops below a
+     tenth of the tolerance at some T of a fixed ladder up to ~850 (an
+     exponential tail) is truncated at the first such T, and any other
+     tail (an algebraic one) is compactified at T = 10.  The automatic rule
+     relies on bounds that do not increase with T: it reads the top of the
+     ladder first.
   3. A log singularity at 0 is mapped away by x = b e^{-s} on the interval
      that steps 1-2 produced.
 """
@@ -42,12 +44,13 @@ from .integrands import IntegrandSpec
 
 __all__ = [
     "QuadratureResult",
-    "TruncationPolicy",
     "EvaluationFailedError",
     "integrate_finite",
     "integrate",
     "DEFAULT_MAX_EVALS",
     "PANEL_EVALS",
+    "TRUNCATE_AT_MIN",
+    "TRUNCATE_AT_MAX",
 ]
 
 DEFAULT_MAX_EVALS = 10_000
@@ -57,6 +60,12 @@ TAIL_SAFETY = 10.0
 
 # Accepted tolerance range of both integrators.
 _TOL_MIN, _TOL_MAX = 1e-14, 1e-2
+
+# Accepted range of a forced truncation point, where every reported bar
+# holds: from the ladder's first rung (the classical and Malmsten tail bounds
+# need T >= 1) to well below T ~ 3000, where every node of the first panel
+# can sit where f is 0 to rounding, so K21 = G10 misses the integral.
+TRUNCATE_AT_MIN, TRUNCATE_AT_MAX = 5.0, 500.0
 
 # The 21-point Gauss-Kronrod rule on [-1, 1] extending the 10-point
 # Gauss-Legendre rule, as in QUADPACK's qk21 (Piessens et al., 1983),
@@ -111,23 +120,6 @@ class QuadratureResult:
     truncation_error: float = 0.0
     truncation_T: float = 0.0
     truncation_mode: str = "none"
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """How the semi-infinite domain is cut or compactified at T.
-
-    Passing no policy (None) lets the integrand's tail choose.
-    """
-
-    mode: str  # "truncate" | "compactify"
-    T: Optional[float] = None
-
-    def __post_init__(self):
-        if self.mode not in ("truncate", "compactify"):
-            raise ValueError(f"unknown truncation mode {self.mode!r}")
-        if not (self.T is not None and 0 < self.T < math.inf):
-            raise ValueError(f"mode {self.mode!r} requires an explicit finite T > 0")
 
 
 def _panel(f: Callable[[float], float], a: float, b: float):
@@ -243,37 +235,38 @@ def _log_mapped(f, b):
 def integrate(
     spec: IntegrandSpec,
     tol: float,
-    policy: Optional[TruncationPolicy] = None,
+    truncate_at: Optional[float] = None,
     max_evals: int = DEFAULT_MAX_EVALS,
 ) -> QuadratureResult:
     """Integrate spec over (0, spec.domain_upper) to absolute tolerance tol.
 
-    The steps are those of the module docstring; a policy applies to
-    (0, inf) only.  Truncation spends what the tail bound leaves of tol on
-    discretization (at least tol/10, and never below the engine's smallest
-    tol); a forced truncation whose bound exceeds tol (the slow-convergence
-    pathology of an algebraic tail) is returned with that bound as
-    truncation_error and converged=False.
+    The steps are those of the module docstring; truncate_at (None: the
+    automatic rule) applies to (0, inf) only.  Truncation spends what the
+    tail bound leaves of tol on discretization (at least tol/10, and never
+    below the engine's smallest tol); a forced truncation whose bound
+    exceeds tol (the slow-convergence pathology of an algebraic tail) is
+    returned with that bound as truncation_error and converged=False.
     """
     _check_tol(tol)
     f, b, disc_tol = spec.eval, spec.domain_upper, tol
     mode, T, trunc = "none", 0.0, 0.0
     if math.isfinite(b):
-        if policy is not None:
-            raise ValueError(f"the domain [0, {b}] is finite; it takes no policy")
-    elif policy is not None:
-        mode, T = policy.mode, float(policy.T)
-    elif spec.tail_bound(_LADDER[-1]) <= tol / TAIL_SAFETY:
-        mode = "truncate"
-        T = next(t for t in _LADDER if spec.tail_bound(t) <= tol / TAIL_SAFETY)
-    else:
+        if truncate_at is not None:
+            raise ValueError(f"the domain [0, {b}] is finite; it takes no truncate_at")
+    elif truncate_at is None and not spec.tail_bound(_LADDER[-1]) <= tol / TAIL_SAFETY:
+        # "not <=" so that a NaN bound is compactified, never truncated.
         mode, T = "compactify", 10.0
-    if mode == "truncate":
-        trunc = spec.tail_bound(T)
+        f, b = _compactified(f, T), 1.0
+    else:
+        if truncate_at is None:
+            T = next(t for t in _LADDER if spec.tail_bound(t) <= tol / TAIL_SAFETY)
+        elif TRUNCATE_AT_MIN <= truncate_at <= TRUNCATE_AT_MAX:
+            T = float(truncate_at)
+        else:
+            raise ValueError(f"truncate_at {truncate_at} outside [{TRUNCATE_AT_MIN}, {TRUNCATE_AT_MAX}]")
+        mode, trunc = "truncate", spec.tail_bound(T)
         disc_tol = max(tol - trunc, 0.1 * tol, _TOL_MIN)
         b = T
-    elif mode == "compactify":
-        f, b = _compactified(f, T), 1.0
     sliver = 0.0
     if spec.log_singular_at_zero:
         sliver = b * math.exp(-_LOG_SING_S) * (_LOG_SING_S + 2.0)

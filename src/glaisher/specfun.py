@@ -62,13 +62,14 @@ def _theta_kernel(t: float) -> float:
 
 
 def binet_theta(x: float, tol: float = 1e-10) -> QuadratureResult:
-    """Binet's theta(x) by quadrature of its integral representation.
+    """Binet's theta(x) by quadrature of its integral representation, 0 < x <= 100.
 
     Accurate for x >= 0.1; the representation itself degrades pointwise as
     x -> 0 (the x-integral over [0, 1/2] is handled analytically elsewhere).
+    Above x = 100 the quadrature's error bar can fail (it does from x ~ 305).
     """
-    if x <= 0.0:
-        raise ValueError(f"binet_theta requires x > 0, got {x}")
+    if not 0.0 < x <= 100.0:
+        raise ValueError(f"binet_theta requires 0 < x <= 100, got {x}")
 
     def f(t):
         return _theta_kernel(t) * math.exp(-x * t)
@@ -92,9 +93,9 @@ def _malmsten_bracket_series(z: float, t: float) -> float:
 
 
 def malmsten_log_gamma(z: float, tol: float = 1e-10) -> QuadratureResult:
-    """ln Gamma(z+1) by quadrature of the Malmsten integral, z >= 0."""
-    if z < 0.0:
-        raise ValueError(f"malmsten_log_gamma requires z >= 0, got {z}")
+    """ln Gamma(z+1) by quadrature of the Malmsten integral, finite z >= 0."""
+    if not 0.0 <= z < math.inf:
+        raise ValueError(f"malmsten_log_gamma requires finite z >= 0, got {z}")
     # The bracket cancels to O(t) at 0; series below a z-scaled threshold.
     switch = 0.005 / max(1.0, z)
 

@@ -6,13 +6,13 @@ import pytest
 from glaisher.bench import (
     CSV_HEADER,
     ConvergenceRecord,
+    check_T_list,
     parse_csv,
     records_to_string,
     sweep_nodes,
     sweep_truncation,
 )
 from glaisher.estimator import LN_A_REFERENCE, ln_a
-from glaisher.quadrature import TruncationPolicy
 
 T_GRID = [25.0, 50.0, 100.0, 200.0]
 
@@ -68,6 +68,13 @@ class TestTruncationSweep:
         with pytest.raises(ValueError):
             sweep_truncation("binet", [1.0])
 
+    def test_range_is_the_engine_contract(self):
+        # The CLI prints this message; its range is quadrature's.
+        with pytest.raises(ValueError, match=r"^T values must lie in \[5, 500\]$"):
+            check_T_list([5.0, 500.5])
+        (rec,) = sweep_truncation("malmsten", [500], tol=1e-6)
+        assert type(rec.truncation_T) is float and rec.truncation_T == 500.0
+
 
 class TestNodeSweep:
     def test_budget_too_small_is_a_legal_outcome(self):
@@ -86,7 +93,7 @@ class TestNodeSweep:
         assert good, "malmsten never reached 1e-9"
         evals_m = min(r.evaluations_used for r in good)
         binet = [
-            ln_a("binet", 1e-12, TruncationPolicy("truncate", 200.0), b)
+            ln_a("binet", 1e-12, 200.0, b)
             for b in (1024, 4096, 10000)
         ]
         errors = [abs(e.ln_A - LN_A_REFERENCE) for e in binet]

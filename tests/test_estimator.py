@@ -15,11 +15,7 @@ from glaisher.estimator import (
     ln_a_limit_sequence,
 )
 from glaisher.integrands import get_integrand, lngamma_direct_integrand
-from glaisher.quadrature import (
-    TruncationPolicy,
-    integrate,
-    integrate_finite,
-)
+from glaisher.quadrature import integrate, integrate_finite
 from glaisher.specfun import glaisher_seq_log_term
 
 
@@ -57,14 +53,14 @@ class TestRoutes:
         assert res.value == pytest.approx(0.1951071854, abs=1e-9)
 
     def test_binet_truncate_only_is_infeasible(self):
-        est = ln_a("binet", 1e-9, TruncationPolicy("truncate", 100.0))
+        est = ln_a("binet", 1e-9, 100.0)
         assert not est.converged
         assert est.truncation_error == pytest.approx((2.0 / 3.0) / (2.0 * 100.0))
 
     def test_lowest_tol_forced_truncation(self):
         # tol - trunc falls below the engine's tol range; the discretization
         # tol stays inside it and the result is flagged, not raised
-        est = ln_a("classical", 1e-13, TruncationPolicy("truncate", 5.0))
+        est = ln_a("classical", 1e-13, 5.0)
         assert not est.converged
         assert abs(est.ln_A - LN_A_REFERENCE) <= est.discretization_error + est.truncation_error
 
@@ -107,7 +103,22 @@ class TestRoutes:
         with pytest.raises(ValueError):
             ln_a("limit_sequence")
         with pytest.raises(ValueError):
-            ln_a("direct_lgamma", 1e-9, TruncationPolicy("compactify", 5.0))
+            ln_a("direct_lgamma", 1e-9, 5.0)
+
+    @pytest.mark.parametrize(
+        "method, truncate_at",
+        [
+            ("malmsten", 3162.0),
+            ("classical", 0.5),
+            ("binet", 4.99),
+            ("malmsten", 500.01),
+            ("classical", math.nan),
+            ("binet", math.inf),
+        ],
+    )
+    def test_truncate_at_outside_the_contract(self, method, truncate_at):
+        with pytest.raises(ValueError):
+            ln_a(method, 1e-6, truncate_at)
 
     def test_tol_domain(self):
         with pytest.raises(ValueError):
@@ -174,8 +185,7 @@ class TestCrossValidation:
         # than the previously reported truncation error
         for method in ("classical", "malmsten"):
             base = ln_a(method, 1e-9)
-            policy = TruncationPolicy("truncate", base.truncation_T * 1.5)
-            pushed = ln_a(method, 1e-9, policy)
+            pushed = ln_a(method, 1e-9, base.truncation_T * 1.5)
             slack = base.discretization_error + pushed.discretization_error
             assert abs(pushed.ln_A - base.ln_A) <= base.truncation_error + slack
 

@@ -2,8 +2,8 @@
 
 mpmath computes ln A independently of this package (from its own Glaisher
 constant at 40 digits); it is a test-only dependency.  A hypothesis test
-checks over (route, tol, policy, budget) that every evaluation budget is a
-hard cap and that every reported bound holds.
+checks over (route, tol, truncate_at, budget) that every evaluation budget
+is a hard cap and that every reported bound holds.
 """
 
 import math
@@ -14,12 +14,22 @@ from hypothesis import strategies as st
 
 from glaisher.estimator import ROUTES, TOL_MAX, TOL_MIN, ln_a
 from glaisher.integrands import get_integrand
-from glaisher.quadrature import PANEL_EVALS, TruncationPolicy
+from glaisher.quadrature import (
+    PANEL_EVALS,
+    TRUNCATE_AT_MAX,
+    TRUNCATE_AT_MIN,
+    _compactified,
+    integrate_finite,
+)
 
 mpmath = pytest.importorskip("mpmath")
 
 with mpmath.workdps(40):
     LN_A = float(mpmath.log(mpmath.glaisher))
+    # The Binet route's integral: ln A = ln 2 / 9 + 1/24 + (2/3) I_BINET.
+    I_BINET = float(
+        (mpmath.log(mpmath.glaisher) - mpmath.log(2) / 9 - mpmath.mpf(1) / 24) * 3 / 2
+    )
 
 # 1, 2, 5 per decade across the accepted range, both ends included.
 TOLS = [
@@ -51,24 +61,30 @@ def test_error_budget_holds(route, tol):
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("T", [1.0, 3.0, 10.0, 30.0, 100.0])
 def test_error_budget_holds_binet_compactified(T, tol):
-    _assert_budget_holds(ln_a("binet", tol, TruncationPolicy("compactify", T)), tol)
+    # The automatic rule compactifies Binet's tail at T = 10; the engine's
+    # bar on the mapped integrand must hold at every scale T.
+    f = _compactified(get_integrand(ROUTES["binet"][0]).eval, T)
+    res = integrate_finite(f, 0.0, 1.0, tol)
+    assert abs(res.value - I_BINET) <= res.error_estimate
+    if res.converged:
+        assert res.error_estimate <= tol
 
 
 @pytest.mark.parametrize(
-    "route, tol, policy, max_evals",
+    "route, tol, truncate_at, max_evals",
     [
-        # A budget of one panel over the whole compactified domain.
+        # A budget of one panel over the whole truncated domain.
         ("classical", 1e-13, None, 31),
         # Truncated at T = 50 at a loose tolerance: few, wide panels.
-        ("classical", 1e-3, TruncationPolicy("truncate", 50.0), 10_000),
+        ("classical", 1e-3, 50.0, 10_000),
         # A bound near the rounding of offset + scale * integral.
-        ("malmsten", 1e-13, TruncationPolicy("truncate", 60.0), 10_000),
+        ("malmsten", 1e-13, 60.0, 10_000),
     ],
 )
 def test_error_budget_holds_where_a_panel_estimate_was_too_small(
-    route, tol, policy, max_evals
+    route, tol, truncate_at, max_evals
 ):
-    _assert_budget_holds(ln_a(route, tol, policy, max_evals), tol)
+    _assert_budget_holds(ln_a(route, tol, truncate_at, max_evals), tol)
 
 
 @st.composite
@@ -77,19 +93,17 @@ def _calls(draw):
     exponent = draw(st.floats(math.log10(TOL_MIN), math.log10(TOL_MAX)))
     tol = min(max(10.0**exponent, TOL_MIN), TOL_MAX)
     max_evals = draw(st.integers(PANEL_EVALS, 10_000))
-    kind = draw(st.sampled_from(["auto", "compactify", "truncate"]))
-    policy = None
-    if route in SEMI_INFINITE and kind == "compactify":
-        policy = TruncationPolicy("compactify", draw(st.floats(1.0, 100.0)))
-    elif route in SEMI_INFINITE and kind == "truncate":
-        policy = TruncationPolicy("truncate", draw(st.floats(5.0, 500.0)))
-    return route, tol, policy, max_evals
+    kind = draw(st.sampled_from(["auto", "truncate"]))
+    truncate_at = None
+    if route in SEMI_INFINITE and kind == "truncate":
+        truncate_at = draw(st.floats(TRUNCATE_AT_MIN, TRUNCATE_AT_MAX))
+    return route, tol, truncate_at, max_evals
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_calls())
 def test_evaluation_budget_is_a_hard_cap(call):
-    route, tol, policy, max_evals = call
-    est = ln_a(route, tol, policy, max_evals)
+    route, tol, truncate_at, max_evals = call
+    est = ln_a(route, tol, truncate_at, max_evals)
     assert est.evaluations <= max_evals
     _assert_budget_holds(est, tol)

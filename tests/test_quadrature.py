@@ -6,8 +6,9 @@ from glaisher import quadrature
 from glaisher.integrands import IntegrandSpec, get_integrand
 from glaisher.quadrature import (
     PANEL_EVALS,
+    TRUNCATE_AT_MAX,
+    TRUNCATE_AT_MIN,
     EvaluationFailedError,
-    TruncationPolicy,
     integrate,
     integrate_finite,
 )
@@ -142,9 +143,11 @@ def test_automatic_rule_reads_the_tail_bound():
 
 
 def test_compactification_agreement():
-    spec = get_integrand("binet_form13")
-    a = integrate(spec, 1e-11, TruncationPolicy("compactify", 10.0))
-    b = integrate(spec, 1e-11, TruncationPolicy("compactify", 50.0))
+    # The automatic rule maps Binet's tail at T = 10; any other scale agrees.
+    f = get_integrand("binet_form13").eval
+    a, b = (
+        integrate_finite(quadrature._compactified(f, T), 0.0, 1.0, 1e-11) for T in (10.0, 50.0)
+    )
     assert abs(a.value - b.value) <= 1e-10
 
 
@@ -172,16 +175,15 @@ def test_budget_below_one_panel_is_rejected():
 
 
 @pytest.mark.parametrize(
-    "spec_id, policy",
+    "spec_id, truncate_at",
     [
         ("binet_form13", None),
         ("classical", None),
-        ("classical", TruncationPolicy("compactify", 5.0)),
-        ("malmsten_form19", TruncationPolicy("truncate", 30.0)),
+        ("malmsten_form19", 30.0),
         ("lngamma_direct", None),
     ],
 )
-def test_one_finite_integral(monkeypatch, spec_id, policy):
+def test_one_finite_integral(monkeypatch, spec_id, truncate_at):
     calls = []
     real = quadrature.integrate_finite
 
@@ -191,7 +193,7 @@ def test_one_finite_integral(monkeypatch, spec_id, policy):
 
     monkeypatch.setattr(quadrature, "integrate_finite", counting)
     spec = get_integrand(spec_id)
-    res = integrate(spec, 1e-10, policy)
+    res = integrate(spec, 1e-10, truncate_at)
     if spec.log_singular_at_zero:
         upper = 45.0  # x = b e^{-s} on s in [0, 45]
     elif res.truncation_mode == "compactify":
@@ -214,7 +216,7 @@ def test_finite_domain_spec():
     )
     assert (res.truncation_mode, res.truncation_T, res.truncation_error) == ("none", 0.0, 0.0)
     with pytest.raises(ValueError):
-        integrate(spec, 1e-8, TruncationPolicy("truncate", 5.0))
+        integrate(spec, 1e-8, 5.0)
 
 
 def test_algebraic_bound_is_read_once_before_compactifying():
@@ -244,7 +246,7 @@ def test_infinite_value_is_an_error(value):
 def test_policy_infeasible_for_algebraic_truncation():
     spec = get_integrand("binet_form13")
     # the pathology is recorded, with the tail bound, instead of raising
-    res = integrate(spec, 1e-9, TruncationPolicy("truncate", 50.0))
+    res = integrate(spec, 1e-9, 50.0)
     assert not res.converged
     assert res.truncation_error == pytest.approx(1.0 / 100.0)
 
@@ -263,13 +265,28 @@ def test_bad_arguments():
         integrate_finite(lambda x: x, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         integrate_finite(lambda x: x, 0.0, math.inf, 1e-10)
-    with pytest.raises(ValueError):
-        TruncationPolicy("truncate", math.inf)
-    with pytest.raises(ValueError):
-        TruncationPolicy("compactify", math.inf)
-    with pytest.raises(ValueError):
-        TruncationPolicy("truncate")
-    with pytest.raises(ValueError):
-        TruncationPolicy("nonsense", 1.0)
-    with pytest.raises(ValueError):
-        TruncationPolicy("auto", 10.0)
+
+
+@pytest.mark.parametrize(
+    "spec_id, truncate_at",
+    [
+        # The first panel over [0, 3162] sees Malmsten's f as 0: K21 = G10.
+        ("malmsten_form19", 3162.0),
+        # The classical tail bound holds for T >= 1 only.
+        ("classical", 0.5),
+        ("binet_form13", 4.99),
+        ("malmsten_form19", 500.01),
+        ("classical", math.nan),
+        ("binet_form13", math.inf),
+    ],
+)
+def test_truncate_at_outside_the_contract_is_rejected(spec_id, truncate_at):
+    with pytest.raises(ValueError, match="truncate_at"):
+        integrate(get_integrand(spec_id), 1e-6, truncate_at)
+
+
+def test_truncate_at_range_ends_are_accepted():
+    assert (TRUNCATE_AT_MIN, TRUNCATE_AT_MAX) == (5.0, 500.0)
+    for T in (TRUNCATE_AT_MIN, TRUNCATE_AT_MAX):
+        res = integrate(get_integrand("malmsten_form19"), 1e-6, T)
+        assert (res.truncation_mode, res.truncation_T) == ("truncate", T)

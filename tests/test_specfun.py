@@ -79,9 +79,23 @@ class TestBinetTheta:
             rhs = x * math.log(x) - x + 0.5 * math.log(2.0 * math.pi * x) + theta
             assert abs(log_gamma_plus_one(x) - rhs) <= 1e-9
 
+    @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13])
+    def test_theta_100_against_mpmath(self, tol):
+        # x = 100 is the top of the domain; the bar still holds there.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            x = mpmath.mpf(100)
+            stirling = (x - 0.5) * mpmath.log(x) - x + mpmath.log(2 * mpmath.pi) / 2
+            truth = float(mpmath.loggamma(x) - stirling)
+        res = binet_theta(100.0, tol)
+        assert res.converged
+        assert abs(res.value - truth) <= res.error_estimate <= tol
+
     def test_domain(self):
-        with pytest.raises(ValueError):
-            binet_theta(0.0)
+        # Above x = 100 the bar fails (theta(1000) misses it by 900x).
+        for x in (0.0, -1.0, 100.5, 1000.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                binet_theta(x)
         with pytest.raises(ValueError):
             binet_theta(1.0, tol=0.5)
 
@@ -103,8 +117,9 @@ class TestMalmstenLogGamma:
             assert abs(res.value - log_gamma_plus_one(z)) <= 1e-9
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            malmsten_log_gamma(-0.1)
+        for z in (-0.1, -math.inf, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                malmsten_log_gamma(z)
 
 
 class TestBarnesG:
