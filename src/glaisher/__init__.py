@@ -30,7 +30,6 @@ from .quadrature import (
     integrate_finite,
 )
 from .specfun import (
-    barnes_g_log,
     binet_theta,
     glaisher_seq_log_term,
     log_gamma_plus_one,

@@ -23,8 +23,8 @@ __all__ = [
     "check_budgets",
     "sweep_truncation",
     "sweep_nodes",
+    "csv_text",
     "records_to_string",
-    "parse_csv",
 ]
 
 CSV_HEADER = "method,truncation_mode,truncation_T,node_budget,evaluations_used,abs_error,converged"
@@ -39,6 +39,10 @@ class ConvergenceRecord:
     evaluations_used: int
     abs_error: float
     converged: bool
+
+
+# A record's CSV row: the header's columns are its field names.
+_row = operator.attrgetter(*CSV_HEADER.split(","))
 
 
 def sweep_truncation(
@@ -103,18 +107,20 @@ def _record(est: ConstantEstimate, node_budget: int) -> ConvergenceRecord:
     )
 
 
-def _format_row(r: ConvergenceRecord) -> str:
-    return ",".join(
-        (
-            r.method,
-            r.truncation_mode,
-            repr(r.truncation_T),
-            str(r.node_budget),
-            str(r.evaluations_used),
-            repr(r.abs_error),
-            "true" if r.converged else "false",
-        )
-    )
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
+def csv_text(header: str, rows: Iterable[Iterable]) -> str:
+    """CSV text: the header line, then one line per row, each ending in a newline.
+
+    Floats and ints are written with str (for a float, its shortest
+    round-trip form), bools as true/false and strings as they are.
+    """
+    lines = [header] + [",".join(map(_csv_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def records_to_string(records: Iterable[ConvergenceRecord]) -> str:
@@ -122,26 +128,4 @@ def records_to_string(records: Iterable[ConvergenceRecord]) -> str:
     records = list(records)
     if not records:
         raise ValueError("refusing to emit CSV for an empty record list")
-    return "\n".join([CSV_HEADER] + [_format_row(r) for r in records]) + "\n"
-
-
-def parse_csv(text: str) -> List[ConvergenceRecord]:
-    """Inverse of records_to_string."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing or unexpected CSV header")
-    records = []
-    for ln in lines[1:]:
-        method, mode, T, budget, evals, err, conv = ln.split(",")
-        records.append(
-            ConvergenceRecord(
-                method=method,
-                truncation_mode=mode,
-                truncation_T=float(T),
-                node_budget=int(budget),
-                evaluations_used=int(evals),
-                abs_error=float(err),
-                converged={"true": True, "false": False}[conv],
-            )
-        )
-    return records
+    return csv_text(CSV_HEADER, map(_row, records))

@@ -172,14 +172,12 @@ def _cmd_compare(args) -> int:
     spread = max(values) - min(values)
     ok = spread <= 4.0 * args.tol and all(e.converged for e in estimates)
     if args.format == "csv":
-        rows = [COMPARE_CSV_HEADER]
-        for e in estimates:
-            rows.append(
-                f"{e.method},{e.ln_A!r},{e.discretization_error!r},"
-                f"{e.truncation_error!r},{e.evaluations},"
-                f"{'true' if e.converged else 'false'}"
-            )
-        _emit("\n".join(rows) + "\n", args.output)
+        rows = [
+            (e.method, e.ln_A, e.discretization_error, e.truncation_error,
+             e.evaluations, e.converged)
+            for e in estimates
+        ]
+        _emit(bench.csv_text(COMPARE_CSV_HEADER, rows), args.output)
     elif args.format == "json":
         payload = {
             "estimates": [_estimate_dict(e) for e in estimates],

@@ -6,7 +6,7 @@ Routes:
   malmsten       ln A = 1/3 + (7/36) ln 2 - (1/6) ln pi + (2/3) * I_M
   direct_lgamma  ln A = (2/3) [int_0^{1/2} ln Gamma(x+1) dx
                                + 1/2 + (7/24) ln 2 - (1/4) ln pi]
-  limit_sequence the defining limit term, optionally Richardson-accelerated
+  limit_sequence the defining limit term, Richardson-accelerated
 
 All closed-form constants are assembled from ln 2 and ln pi at import time,
 never as decimal literals.  The frozen reference value of ln A is checked
@@ -138,12 +138,13 @@ def ln_a(
     )
 
 
-def ln_a_limit_sequence(n_max: int = 1000, richardson: bool = True) -> ConstantEstimate:
+def ln_a_limit_sequence(n_max: int = 1000) -> ConstantEstimate:
     """ln A from the defining limit sequence; no quadrature code involved.
 
-    With richardson=True one extrapolation step in 1/n^2 is applied across
-    (n_max/2, n_max); the step size |extrapolated - raw| is reported as the
-    (certainly conservative) error estimate.
+    One extrapolation step in 1/n^2 is applied across (n_max // 2, n_max);
+    the step size |extrapolated - raw| is reported as the (certainly
+    conservative) error estimate.  n_max = 1 has no such pair and returns
+    the raw term.
     """
     try:
         n_max = operator.index(n_max)
@@ -152,7 +153,7 @@ def ln_a_limit_sequence(n_max: int = 1000, richardson: bool = True) -> ConstantE
     if not 1 <= n_max <= N_MAX:
         raise ValueError(f"n_max {n_max} outside [1, {N_MAX}]")
     raw = specfun.glaisher_seq_log_term(n_max)
-    if richardson and n_max >= 2:
+    if n_max >= 2:
         half = specfun.glaisher_seq_log_term(n_max // 2)
         value = (4.0 * raw - half) / 3.0
         err = abs(value - raw)
@@ -160,8 +161,8 @@ def ln_a_limit_sequence(n_max: int = 1000, richardson: bool = True) -> ConstantE
     else:
         value = raw
         # leading error is ~1/(240 n^2); double it for headroom
-        err = 1.0 / (120.0 * n_max * n_max)
-        evals = n_max
+        err = 1.0 / 120.0
+        evals = 1
     return ConstantEstimate(
         method="limit_sequence",
         ln_A=value,

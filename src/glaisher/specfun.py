@@ -6,7 +6,6 @@
   representation, theta(x) = int_0^inf (1/(e^t-1) - 1/t + 1/2) e^{-xt}/t dt.
 * malmsten_log_gamma: ln Gamma(z+1) from the Malmsten integral
   int_0^inf [z - (1-e^{-zt})/(1-e^{-t})] e^{-t}/t dt.
-* barnes_g_log: ln G(n) = sum of ln k! in log space.
 * glaisher_seq_log_term: the log of the defining limit-sequence term
   (2 pi)^{n/2} n^{n^2/2 - 1/12} e^{-3n^2/4 + 1/12} / G(n+1).
 
@@ -30,7 +29,6 @@ __all__ = [
     "log_gamma_plus_one",
     "binet_theta",
     "malmsten_log_gamma",
-    "barnes_g_log",
     "glaisher_seq_log_term",
 ]
 
@@ -110,13 +108,6 @@ def malmsten_log_gamma(z: float, tol: float = 1e-10) -> QuadratureResult:
         return (z + 2.1) * math.exp(-T) / T
 
     return integrate(IntegrandSpec(eval=f, tail_bound=bound), tol)
-
-
-def barnes_g_log(n: int) -> float:
-    """ln G(n) = sum_{k=1}^{n-2} ln k!, entirely in log space."""
-    if n < 2:
-        raise ValueError(f"barnes_g_log requires n >= 2, got {n}")
-    return math.fsum(log_gamma_plus_one(k) for k in range(1, n - 1))
 
 
 _LN_2PI_LD = np.longdouble("1.837877066409345483560659472811")

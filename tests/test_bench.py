@@ -7,7 +7,7 @@ from glaisher.bench import (
     CSV_HEADER,
     ConvergenceRecord,
     check_T_list,
-    parse_csv,
+    csv_text,
     records_to_string,
     sweep_nodes,
     sweep_truncation,
@@ -137,21 +137,14 @@ class TestCsv:
         lines = text.strip().split("\n")
         assert len(lines) == 2
         assert lines[0] == CSV_HEADER
+        assert lines[1] == "binet,truncate,100.0,10000,1234,0.0032511188,false"
 
-    def test_round_trip(self):
-        records = [
-            self._record(),
-            ConvergenceRecord("malmsten", "truncate", 40.0, 10000, 777,
-                              2.220446049250313e-16, True),
-        ]
-        parsed = parse_csv(records_to_string(records))
-        assert parsed == records
+    def test_csv_text(self):
+        x = 0.1 + 0.2
+        text = csv_text("a,b,c,d", [("binet", x, 21, True), ("malmsten", 2.5e-16, 0, False)])
+        assert text == "a,b,c,d\nbinet,0.30000000000000004,21,true\nmalmsten,2.5e-16,0,false\n"
+        assert float(text.splitlines()[1].split(",")[1]) == x
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             records_to_string([])
-
-    def test_bad_header_rejected(self):
-        text = records_to_string([self._record()]).replace("method,", "route,", 1)
-        with pytest.raises(ValueError):
-            parse_csv(text)

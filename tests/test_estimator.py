@@ -134,12 +134,11 @@ class TestRoutes:
 
 class TestLimitSequence:
     def test_raw_first_term(self):
-        est = ln_a_limit_sequence(1, richardson=False)
+        est = ln_a_limit_sequence(1)
         assert est.ln_A == pytest.approx(0.2522718665, abs=1e-9)
 
     def test_n100(self):
-        est = ln_a_limit_sequence(100, richardson=False)
-        assert abs(est.ln_A - LN_A_REFERENCE) <= 1e-4
+        assert abs(glaisher_seq_log_term(100) - LN_A_REFERENCE) <= 1e-4
 
     def test_richardson_100_200(self):
         est = ln_a_limit_sequence(200)

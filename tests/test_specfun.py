@@ -4,7 +4,6 @@ import pytest
 
 from glaisher.specfun import (
     _theta_kernel,
-    barnes_g_log,
     binet_theta,
     glaisher_seq_log_term,
     log_gamma_plus_one,
@@ -120,25 +119,6 @@ class TestMalmstenLogGamma:
         for z in (-0.1, -math.inf, math.nan, math.inf):
             with pytest.raises(ValueError):
                 malmsten_log_gamma(z)
-
-
-class TestBarnesG:
-    def test_empty_product(self):
-        assert barnes_g_log(2) == 0.0
-
-    def test_small_values(self):
-        assert barnes_g_log(4) == pytest.approx(math.log(2.0), abs=1e-12)
-        assert barnes_g_log(5) == pytest.approx(math.log(12.0), abs=1e-12)
-
-    def test_recurrence(self):
-        # ln G(n+1) = ln G(n) + ln Gamma(n)
-        for n in range(2, 51):
-            lhs = barnes_g_log(n + 1) - barnes_g_log(n)
-            assert abs(lhs - log_gamma_plus_one(n - 1)) <= 1e-10
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            barnes_g_log(1)
 
 
 class TestGlaisherSequence:

@@ -12,10 +12,8 @@ count as a changed result.  The calls are
 
   * ln_a over route x tol x {auto, truncate_at T} x budget, with each T
     drawn from a seeded generator, then RANDOM_CALLS more draws of route,
-    tol (log-uniform), T and budget (draws of a forced compactification,
-    which the library no longer offers, are made and skipped, so every
-    later call sees the same random stream as before);
-  * ln_a_limit_sequence over n, with and without Richardson;
+    tol (log-uniform), auto or truncate_at T, and budget;
+  * ln_a_limit_sequence over n;
   * binet_theta and malmsten_log_gamma over (x, tol);
   * identity_residual_eq4 over tol, and construct_reference once.
 
@@ -54,21 +52,17 @@ def calls(glaisher, rng):
     for route in ROUTES:
         for tol in TOLS:
             for budget in BUDGETS:
-                t_cut, _ = rng.uniform(2.0, 200.0), rng.uniform(0.5, 60.0)
+                t_cut = rng.uniform(2.0, 200.0)
                 for truncate_at in (None, t_cut):
                     yield ln_a(route, tol, truncate_at, budget)
     for _ in range(RANDOM_CALLS):
         route = rng.choice(ROUTES)
         tol = 10.0 ** rng.uniform(-13.0, -3.0)
-        mode = rng.choice([None, "truncate", "compactify"])
-        truncate_at = mode and rng.uniform(0.5, 300.0)
+        truncate_at = rng.choice([None, rng.uniform(0.5, 300.0)])
         budget = rng.choice(BUDGETS)
-        if mode != "compactify":
-            yield ln_a(route, tol, truncate_at, budget)
+        yield ln_a(route, tol, truncate_at, budget)
     for n in SEQUENCE_NS:
-        for rich in (True, False):
-            yield (f"ln_a_limit_sequence({n!r}, {rich!r})",
-                   lambda n=n, r=rich: glaisher.ln_a_limit_sequence(n, r))
+        yield f"ln_a_limit_sequence({n!r})", lambda n=n: glaisher.ln_a_limit_sequence(n)
     for fn in (glaisher.binet_theta, glaisher.malmsten_log_gamma):
         xs = SPECFUN_XS + [rng.uniform(0.05, 20.0) for _ in range(10)]
         for x in xs:
