@@ -142,9 +142,10 @@ def ln_a_limit_sequence(n_max: int = 1000) -> ConstantEstimate:
     """ln A from the defining limit sequence; no quadrature code involved.
 
     One extrapolation step in 1/n^2 is applied across (n_max // 2, n_max);
-    the step size |extrapolated - raw| is reported as the (certainly
-    conservative) error estimate.  n_max = 1 has no such pair and returns
-    the raw term.
+    the error estimate is the step size |extrapolated - raw| (certainly
+    conservative for the truncation of the sequence) plus the rounding of
+    both terms and of their combination.  n_max = 1 has no such pair and
+    returns the raw term.
     """
     try:
         n_max = operator.index(n_max)
@@ -154,10 +155,11 @@ def ln_a_limit_sequence(n_max: int = 1000) -> ConstantEstimate:
         raise ValueError(f"n_max {n_max} outside [1, {N_MAX}]")
     raw = specfun.glaisher_seq_log_term(n_max)
     if n_max >= 2:
-        half = specfun.glaisher_seq_log_term(n_max // 2)
-        value = (4.0 * raw - half) / 3.0
-        err = abs(value - raw)
-        evals = n_max + n_max // 2
+        m = n_max // 2
+        value = (4.0 * raw - specfun.glaisher_seq_log_term(m)) / 3.0
+        rounding = specfun.SEQ_TERM_ROUNDING * (4.0 * n_max * n_max + m * m) / 3.0
+        err = abs(value - raw) + rounding + sys.float_info.epsilon * abs(value)
+        evals = n_max + m
     else:
         value = raw
         # leading error is ~1/(240 n^2); double it for headroom

@@ -1,9 +1,10 @@
-"""Every integral route's error budget, checked against an mpmath oracle.
+"""Every route's error budget, checked against an mpmath oracle.
 
 mpmath computes ln A independently of this package (from its own Glaisher
 constant at 40 digits); it is a test-only dependency.  A hypothesis test
 checks over (route, tol, truncate_at, budget) that every evaluation budget
-is a hard cap and that every reported bound holds.
+is a hard cap and that every reported bound holds; the limit sequence's
+bound is checked over its upper range of n.
 """
 
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glaisher.estimator import ROUTES, TOL_MAX, TOL_MIN, ln_a
+from glaisher.estimator import N_MAX, ROUTES, TOL_MAX, TOL_MIN, ln_a, ln_a_limit_sequence
 from glaisher.integrands import get_integrand
 from glaisher.quadrature import (
     PANEL_EVALS,
@@ -85,6 +86,19 @@ def test_error_budget_holds_where_a_panel_estimate_was_too_small(
     route, tol, truncate_at, max_evals
 ):
     _assert_budget_holds(ln_a(route, tol, truncate_at, max_evals), tol)
+
+
+def test_limit_sequence_bar_holds():
+    # 200 log-spaced n in [1e3, 1e5], where the rounding of the long-double
+    # sum outgrows the Richardson step, plus three n where the step alone
+    # was 3.4x to 4.6x too small.
+    ns = {round(1e3 * 100.0 ** (i / 199)) for i in range(200)} | {77777, 99991, N_MAX}
+    misses = []
+    for n in sorted(ns):
+        est = ln_a_limit_sequence(n)
+        if not abs(est.ln_A - LN_A) <= est.discretization_error + est.truncation_error:
+            misses.append(n)
+    assert not misses
 
 
 @st.composite

@@ -91,12 +91,44 @@ class TestBinetTheta:
         assert abs(res.value - truth) <= res.error_estimate <= tol
 
     def test_domain(self):
-        # Above x = 100 the bar fails (theta(1000) misses it by 900x).
-        for x in (0.0, -1.0, 100.5, 1000.0, math.nan, math.inf):
+        # Above x = 100 the bar fails (theta(1000) misses it by 900x), and
+        # below x = 0.1 too (theta(1e-4) at tol 1e-4 misses it by 1.5e4x).
+        for x in (0.0, 1e-9, 0.0999, -1.0, 100.5, 1000.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 binet_theta(x)
         with pytest.raises(ValueError):
             binet_theta(1.0, tol=0.5)
+
+    @pytest.mark.parametrize(
+        "x, tol",
+        [
+            # Each returned converged=True with an error 38x to 1.5e4x its bar.
+            (0.0001625512117582549, 1e-4),
+            (0.01744652134969198, 1e-4),
+            (1e-9, 1e-12),
+        ],
+    )
+    def test_below_the_domain_bars_failed(self, x, tol):
+        with pytest.raises(ValueError):
+            binet_theta(x, tol)
+
+    def test_bar_holds_near_the_lower_end(self):
+        # Where the bar is tightest: 91 points of [0.1, 1] at every decade of tol.
+        mpmath = pytest.importorskip("mpmath")
+        misses = []
+        for i in range(91):
+            x = 0.1 + 0.01 * i
+            with mpmath.workdps(40):
+                xm = mpmath.mpf(x)
+                stirling = (xm - 0.5) * mpmath.log(xm) - xm + mpmath.log(2 * mpmath.pi) / 2
+                truth = float(mpmath.loggamma(xm) - stirling)
+            for k in range(2, 15):
+                res = binet_theta(x, 10.0**-k)
+                if not abs(res.value - truth) <= res.error_estimate:
+                    misses.append((x, k))
+                if res.converged and res.error_estimate > 10.0**-k:
+                    misses.append((x, k))
+        assert not misses
 
 
 class TestMalmstenLogGamma:
