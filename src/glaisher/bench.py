@@ -41,10 +41,6 @@ class ConvergenceRecord:
     converged: bool
 
 
-# A record's CSV row: the header's columns are its field names.
-_row = operator.attrgetter(*CSV_HEADER.split(","))
-
-
 def sweep_truncation(
     method: str, T_list: Sequence[float], tol: float = 1e-12
 ) -> List[ConvergenceRecord]:
@@ -128,4 +124,5 @@ def records_to_string(records: Iterable[ConvergenceRecord]) -> str:
     records = list(records)
     if not records:
         raise ValueError("refusing to emit CSV for an empty record list")
-    return csv_text(CSV_HEADER, map(_row, records))
+    row = operator.attrgetter(*CSV_HEADER.split(","))  # the columns are field names
+    return csv_text(CSV_HEADER, map(row, records))

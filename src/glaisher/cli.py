@@ -172,11 +172,8 @@ def _cmd_compare(args) -> int:
     spread = max(values) - min(values)
     ok = spread <= 4.0 * args.tol and all(e.converged for e in estimates)
     if args.format == "csv":
-        rows = [
-            (e.method, e.ln_A, e.discretization_error, e.truncation_error,
-             e.evaluations, e.converged)
-            for e in estimates
-        ]
+        rows = [(e.method, e.ln_A, e.discretization_error, e.truncation_error,
+                 e.evaluations, e.converged) for e in estimates]
         _emit(bench.csv_text(COMPARE_CSV_HEADER, rows), args.output)
     elif args.format == "json":
         payload = {

@@ -143,9 +143,8 @@ def ln_a_limit_sequence(n_max: int = 1000) -> ConstantEstimate:
 
     One extrapolation step in 1/n^2 is applied across (n_max // 2, n_max);
     the error estimate is the step size |extrapolated - raw| (certainly
-    conservative for the truncation of the sequence) plus the rounding of
-    both terms and of their combination.  n_max = 1 has no such pair and
-    returns the raw term.
+    conservative) plus the rounding of both terms and of their combination.
+    n_max = 1 has no such pair and returns the raw term.
     """
     try:
         n_max = operator.index(n_max)
@@ -154,23 +153,19 @@ def ln_a_limit_sequence(n_max: int = 1000) -> ConstantEstimate:
     if not 1 <= n_max <= N_MAX:
         raise ValueError(f"n_max {n_max} outside [1, {N_MAX}]")
     raw = specfun.glaisher_seq_log_term(n_max)
-    if n_max >= 2:
-        m = n_max // 2
+    m = n_max // 2
+    if m:
         value = (4.0 * raw - specfun.glaisher_seq_log_term(m)) / 3.0
         rounding = specfun.SEQ_TERM_ROUNDING * (4.0 * n_max * n_max + m * m) / 3.0
         err = abs(value - raw) + rounding + sys.float_info.epsilon * abs(value)
-        evals = n_max + m
-    else:
-        value = raw
-        # leading error is ~1/(240 n^2); double it for headroom
-        err = 1.0 / 120.0
-        evals = 1
+    else:  # the raw term's leading error is ~1/(240 n^2); doubled for headroom
+        value, err = raw, 1.0 / 120.0
     return ConstantEstimate(
         method="limit_sequence",
         ln_A=value,
         discretization_error=err,
         truncation_error=0.0,
-        evaluations=evals,
+        evaluations=n_max + m,
         converged=True,
     )
 

@@ -63,10 +63,9 @@ def _theta_kernel(t: float) -> float:
 def binet_theta(x: float, tol: float = 1e-10) -> QuadratureResult:
     """Binet's theta(x) by quadrature of its integral representation, 0.1 <= x <= 100.
 
-    Outside that range the quadrature's error bar can fail: below x = 0.1,
-    where the integrand (about e^{-xt}/(2t) for large t) spreads out to
-    t ~ 1/x (theta(1.6e-4) at tol 1e-4 errs by 3e-2 against a bar of 2e-6),
-    and above x = 100 (it does from x ~ 305).
+    Outside it the quadrature's error bar can fail: below x = 0.1, where the
+    integrand (~e^{-xt}/(2t)) spreads out to t ~ 1/x, theta(1.6e-4) at tol
+    1e-4 errs by 3e-2 against a bar of 2e-6; above, it fails from x ~ 305.
     """
     if not 0.1 <= x <= 100.0:
         raise ValueError(f"binet_theta requires 0.1 <= x <= 100, got {x}")
@@ -114,11 +113,10 @@ def malmsten_log_gamma(z: float, tol: float = 1e-10) -> QuadratureResult:
 
 _LN_2PI_LD = np.longdouble("1.837877066409345483560659472811")
 
-# glaisher_seq_log_term(n) is within SEQ_TERM_ROUNDING * n^2 of the exact
-# term: its pieces reach ~n^2 and are summed in long double (80-bit on x86,
-# plain double elsewhere).  The factor 4 is measured against mpmath on 1503
-# n in [1e3, 1e5]: ln_a_limit_sequence's error there is at most 0.29 of its
-# bar, against 0.54 with a factor 2 and 0.96 with 1.
+# glaisher_seq_log_term(n) is within SEQ_TERM_ROUNDING * n^2 of the exact term:
+# its ~n^2-sized pieces are summed in long double (80-bit on x86, else double).
+# The factor 4 is measured against mpmath on 1503 n in [1e3, 1e5], where it
+# keeps ln_a_limit_sequence's error within 0.29 of its bar (2: 0.54, 1: 0.96).
 SEQ_TERM_ROUNDING = 4.0 * float(np.finfo(np.longdouble).eps)
 
 
