@@ -58,9 +58,20 @@ def sweep_truncation(
 def sweep_nodes(
     method: str, budgets: Sequence[int], tol: float = 1e-12
 ) -> List[ConvergenceRecord]:
-    """One record per evaluation budget, automatic truncation rule."""
+    """One record per evaluation budget, automatic truncation rule.
+
+    A run that ends with room for another bisection (two panels) stopped
+    because it met tol, and every larger budget retraces it exactly, so its
+    estimate is reused for the budgets after it.
+    """
     check_budgets(budgets)
-    return [_record(ln_a(method, tol, max_evals=budget), budget) for budget in budgets]
+    records, settled = [], False
+    for budget in budgets:
+        if not settled:
+            est = ln_a(method, tol, max_evals=budget)
+            settled = est.evaluations + 2 * PANEL_EVALS <= budget
+        records.append(_record(est, budget))
+    return records
 
 
 def check_T_list(T_list: Sequence[float]) -> None:

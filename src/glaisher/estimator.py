@@ -143,8 +143,10 @@ def ln_a_limit_sequence(n_max: int = 1000) -> ConstantEstimate:
 
     One extrapolation step in 1/n^2 is applied across (n_max // 2, n_max);
     the error estimate is the step size |extrapolated - raw| (certainly
-    conservative) plus the rounding of both terms and of their combination.
-    n_max = 1 has no such pair and returns the raw term.
+    conservative) plus the rounding: each term is within half an ulp, and
+    the combination adds at most eps |value|.  n_max = 1 has no such pair
+    and returns the raw term.  evaluations is n_max + n_max // 2, the n of
+    the two terms (their work is O(sqrt n) blocks each).
     """
     try:
         n_max = operator.index(n_max)
@@ -155,9 +157,11 @@ def ln_a_limit_sequence(n_max: int = 1000) -> ConstantEstimate:
     raw = specfun.glaisher_seq_log_term(n_max)
     m = n_max // 2
     if m:
-        value = (4.0 * raw - specfun.glaisher_seq_log_term(m)) / 3.0
-        rounding = specfun.SEQ_TERM_ROUNDING * (4.0 * n_max * n_max + m * m) / 3.0
-        err = abs(value - raw) + rounding + sys.float_info.epsilon * abs(value)
+        low = specfun.glaisher_seq_log_term(m)
+        value = (4.0 * raw - low) / 3.0
+        eps = sys.float_info.epsilon
+        rounding = eps * (4.0 * abs(raw) + abs(low)) / 6.0 + eps * abs(value)
+        err = abs(value - raw) + rounding
     else:  # the raw term's leading error is ~1/(240 n^2); doubled for headroom
         value, err = raw, 1.0 / 120.0
     return ConstantEstimate(

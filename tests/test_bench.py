@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from glaisher import bench
 from glaisher.bench import (
     CSV_HEADER,
     ConvergenceRecord,
@@ -12,7 +13,8 @@ from glaisher.bench import (
     sweep_nodes,
     sweep_truncation,
 )
-from glaisher.estimator import LN_A_REFERENCE, ln_a
+from glaisher.estimator import LN_A_REFERENCE, ROUTES, ln_a
+from glaisher.quadrature import PANEL_EVALS
 
 T_GRID = [25.0, 50.0, 100.0, 200.0]
 
@@ -101,6 +103,27 @@ class TestNodeSweep:
         assert all(
             evals_m < e.evaluations or err > 1e-9 for e, err in zip(binet, errors)
         )
+
+    @pytest.mark.parametrize("method", list(ROUTES))
+    def test_settled_run_is_reused(self, monkeypatch, method):
+        # At tol 1e-12 classical hits the cap at budgets 32, 64 and 128 and
+        # needs 231 evaluations; every route settles by 512.
+        budgets = [32, 64, 128, 256, 512, 1024, 2048]
+        fresh = [sweep_nodes(method, [b], tol=1e-12)[0] for b in budgets]
+        if method == "classical":
+            assert [r.evaluations_used for r in fresh[:3]] == [21, 63, 105]
+        settle = next(
+            i for i, r in enumerate(fresh) if r.evaluations_used + 2 * PANEL_EVALS <= r.node_budget
+        )
+        calls = []
+
+        def counting_ln_a(*args, **kwargs):
+            calls.append(kwargs["max_evals"])
+            return ln_a(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "ln_a", counting_ln_a)
+        assert sweep_nodes(method, budgets, tol=1e-12) == fresh
+        assert calls == budgets[: settle + 1]
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -144,6 +144,10 @@ class TestLimitSequence:
         est = ln_a_limit_sequence(200)
         assert abs(est.ln_A - LN_A_REFERENCE) <= 1e-7
 
+    def test_bar_at_n_max(self):
+        # The Richardson step, ~1/(240 n^2), plus the terms' rounding.
+        assert ln_a_limit_sequence(N_MAX).discretization_error < 1e-12
+
     def test_shares_no_quadrature(self):
         est = ln_a_limit_sequence(500)
         assert est.truncation_error == 0.0

@@ -4,7 +4,7 @@ mpmath computes ln A independently of this package (from its own Glaisher
 constant at 40 digits); it is a test-only dependency.  A hypothesis test
 checks over (route, tol, truncate_at, budget) that every evaluation budget
 is a hard cap and that every reported bound holds; the limit sequence's
-bound is checked over its upper range of n.
+bound is checked at every n up to 1000 and on a grid up to N_MAX.
 """
 
 import math
@@ -89,10 +89,11 @@ def test_error_budget_holds_where_a_panel_estimate_was_too_small(
 
 
 def test_limit_sequence_bar_holds():
-    # 200 log-spaced n in [1e3, 1e5], where the rounding of the long-double
-    # sum outgrows the Richardson step, plus three n where the step alone
-    # was 3.4x to 4.6x too small.
-    ns = {round(1e3 * 100.0 ** (i / 199)) for i in range(200)} | {77777, 99991, N_MAX}
+    # Every n up to 1000 (the bar is tightest at n = 3, where the error is
+    # 0.56 of it), 200 log-spaced n in [1e3, 1e5], and three n where the
+    # long-double sum this replaced had errors 3.4x to 4.6x the step.
+    ns = set(range(1, 1001)) | {round(1e3 * 100.0 ** (i / 199)) for i in range(200)}
+    ns |= {77777, 99991, N_MAX}
     misses = []
     for n in sorted(ns):
         est = ln_a_limit_sequence(n)

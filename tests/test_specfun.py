@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from glaisher import specfun
 from glaisher.specfun import (
     _theta_kernel,
     binet_theta,
@@ -163,3 +164,37 @@ class TestGlaisherSequence:
     def test_domain(self):
         with pytest.raises(ValueError):
             glaisher_seq_log_term(0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 1000, 1024, 4096, 77777, 99991, 100000])
+    def test_within_one_ulp_of_mpmath(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            m = mpmath.mpf(n)
+            exact = (
+                m / 2 * mpmath.log(2 * mpmath.pi)
+                + (m * m / 2 - mpmath.mpf(1) / 12) * mpmath.log(m)
+                - 3 * m * m / 4
+                + mpmath.mpf(1) / 12
+                - mpmath.log(mpmath.barnesg(m + 1))
+            )
+            term = glaisher_seq_log_term(n)
+            assert abs(term - exact) <= math.ulp(term)
+
+    def test_independent_of_earlier_calls(self, monkeypatch):
+        # A call at 1e5 grows the table past 77777; a fresh table is built
+        # to 77777 itself.  Both give the same bits.
+        monkeypatch.setattr(specfun, "_TABLE", None)
+        glaisher_seq_log_term(100_000)
+        after_growth = glaisher_seq_log_term(77777)
+        monkeypatch.setattr(specfun, "_TABLE", None)
+        fresh = glaisher_seq_log_term(77777)
+        assert after_growth.hex() == fresh.hex()
+
+    @pytest.mark.parametrize("p", [2, 3, 99991])
+    def test_table_logarithms(self, p):
+        mpmath = pytest.importorskip("mpmath")
+        _, keys, psi, *_ = specfun._table(p)
+        scaled = specfun._ln_prime(keys, psi, p)
+        with mpmath.workdps(80):
+            err = mpmath.mpf(scaled) / 2**specfun._BITS - mpmath.log(p)
+            assert abs(err) <= mpmath.mpf(2) ** -150
