@@ -90,8 +90,7 @@ def test_error_budget_holds_where_a_panel_estimate_was_too_small(
 
 def test_limit_sequence_bar_holds():
     # Every n up to 1000 (the bar is tightest at n = 3, where the error is
-    # 0.56 of it), 200 log-spaced n in [1e3, 1e5], and three n where the
-    # long-double sum this replaced had errors 3.4x to 4.6x the step.
+    # 0.56 of it), 200 log-spaced n in [1e3, 1e5], and three n at the top.
     ns = set(range(1, 1001)) | {round(1e3 * 100.0 ** (i / 199)) for i in range(200)}
     ns |= {77777, 99991, N_MAX}
     misses = []
