@@ -10,8 +10,8 @@ CSV with shortest round-trip decimal formatting.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .estimator import LN_A_REFERENCE, ConstantEstimate, ln_a
 from .quadrature import DEFAULT_MAX_EVALS, PANEL_EVALS, TRUNCATE_AT_MAX, TRUNCATE_AT_MIN
@@ -27,23 +27,18 @@ __all__ = [
     "records_to_string",
 ]
 
-CSV_HEADER = "method,truncation_mode,truncation_T,node_budget,evaluations_used,abs_error,converged"
+# One CSV row: the fields are the columns.
+ConvergenceRecord = namedtuple(
+    "ConvergenceRecord",
+    "method truncation_mode truncation_T node_budget evaluations_used abs_error converged",
+)
 
-
-@dataclass(frozen=True)
-class ConvergenceRecord:
-    method: str
-    truncation_mode: str
-    truncation_T: float
-    node_budget: int
-    evaluations_used: int
-    abs_error: float
-    converged: bool
+CSV_HEADER = ",".join(ConvergenceRecord._fields)
 
 
 def sweep_truncation(
     method: str, T_list: Sequence[float], tol: float = 1e-12
-) -> List[ConvergenceRecord]:
+) -> list[ConvergenceRecord]:
     """One record per truncation point T, truncate mode forced.
 
     The discretization tolerance is pinned at tol, so abs_error isolates the
@@ -57,7 +52,7 @@ def sweep_truncation(
 
 def sweep_nodes(
     method: str, budgets: Sequence[int], tol: float = 1e-12
-) -> List[ConvergenceRecord]:
+) -> list[ConvergenceRecord]:
     """One record per evaluation budget, automatic truncation rule.
 
     A run that ends with room for another bisection (two panels) stopped
@@ -135,5 +130,4 @@ def records_to_string(records: Iterable[ConvergenceRecord]) -> str:
     records = list(records)
     if not records:
         raise ValueError("refusing to emit CSV for an empty record list")
-    row = operator.attrgetter(*CSV_HEADER.split(","))  # the columns are field names
-    return csv_text(CSV_HEADER, map(row, records))
+    return csv_text(CSV_HEADER, records)

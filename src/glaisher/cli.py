@@ -17,7 +17,6 @@ import argparse
 import functools
 import json
 import sys
-from typing import List, Optional
 
 from . import bench, estimator
 from .estimator import N_MAX, TOL_MAX, TOL_MIN, ConstantEstimate
@@ -133,7 +132,7 @@ def _estimate_dict(est: ConstantEstimate) -> dict:
     }
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
         return
@@ -145,9 +144,11 @@ def _emit(text: str, output: Optional[str]) -> None:
         raise SystemExit(EXIT_IO)
 
 
-def _run_estimate(method: str, tol: float, budget: Optional[int]) -> ConstantEstimate:
+def _run_estimate(method: str, tol: float, budget: int | None) -> ConstantEstimate:
     if method == "limit_sequence":
-        return estimator.ln_a_limit_sequence(1000 if budget is None else budget)
+        if budget is None:
+            return estimator.ln_a_limit_sequence()
+        return estimator.ln_a_limit_sequence(budget)
     if budget is None:
         return estimator.ln_a(method, tol)
     return estimator.ln_a(method, tol, max_evals=budget)
@@ -221,7 +222,7 @@ def _cmd_convergence(args) -> int:
     return EXIT_OK
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from . import specfun
 from .integrands import binet_integrand, get_integrand, malmsten_integrand
@@ -76,16 +75,12 @@ TOL_MIN, TOL_MAX = 1e-13, 1e-3
 N_MAX = 100_000
 
 
-@dataclass(frozen=True)
-class ConstantEstimate:
-    method: str
-    ln_A: float
-    discretization_error: float
-    truncation_error: float
-    evaluations: int
-    converged: bool
-    truncation_T: float = 0.0
-    truncation_mode: str = "none"
+ConstantEstimate = namedtuple(
+    "ConstantEstimate",
+    "method ln_A discretization_error truncation_error evaluations converged"
+    " truncation_T truncation_mode",
+    defaults=(0.0, "none"),
+)
 
 
 def _check_tol(tol: float) -> None:
@@ -104,7 +99,7 @@ def inner_tol(tol: float) -> float:
 def ln_a(
     method: str,
     tol: float = 1e-10,
-    truncate_at: Optional[float] = None,
+    truncate_at: float | None = None,
     max_evals: int = DEFAULT_MAX_EVALS,
 ) -> ConstantEstimate:
     """ln A by one integral route of ROUTES, with its error budget.

@@ -37,8 +37,7 @@ Malmsten form 19; forms 12 and 18 are reached through the form argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections import namedtuple
 
 __all__ = [
     "IntegrandSpec",
@@ -102,16 +101,13 @@ def _horner(coeffs, t):
     return acc
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
-    eval: Callable[[float], float]
-    tail_bound: Optional[Callable[[float], float]] = None  # required on (0, inf)
-    log_singular_at_zero: bool = False
-    domain_upper: float = math.inf  # 0.5 for the finite lngamma integrand
-
-    def __post_init__(self):
-        if self.tail_bound is None and math.isinf(self.domain_upper):
-            raise ValueError("an integrand on (0, inf) needs a tail_bound")
+# eval(x) -> f(x); tail_bound(T) -> int_T^inf |f|, which quadrature.integrate
+# requires on (0, inf); domain_upper is 0.5 for the finite lngamma integrand.
+IntegrandSpec = namedtuple(
+    "IntegrandSpec",
+    "eval tail_bound log_singular_at_zero domain_upper",
+    defaults=(None, False, math.inf),
+)
 
 
 def classical_integrand(x: float) -> float:

@@ -36,9 +36,8 @@ import heapq
 import math
 import operator
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional
-
+from collections import namedtuple
+from collections.abc import Callable
 
 from .integrands import IntegrandSpec
 
@@ -111,15 +110,12 @@ class EvaluationFailedError(Exception):
     """The integrand returned a non-finite value (NaN or inf) at some node."""
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float
-    evaluations: int
-    converged: bool
-    truncation_error: float = 0.0
-    truncation_T: float = 0.0
-    truncation_mode: str = "none"
+QuadratureResult = namedtuple(
+    "QuadratureResult",
+    "value error_estimate evaluations converged"
+    " truncation_error truncation_T truncation_mode",
+    defaults=(0.0, 0.0, "none"),
+)
 
 
 def _panel(f: Callable[[float], float], a: float, b: float):
@@ -235,7 +231,7 @@ def _log_mapped(f, b):
 def integrate(
     spec: IntegrandSpec,
     tol: float,
-    truncate_at: Optional[float] = None,
+    truncate_at: float | None = None,
     max_evals: int = DEFAULT_MAX_EVALS,
 ) -> QuadratureResult:
     """Integrate spec over (0, spec.domain_upper) to absolute tolerance tol.
@@ -253,6 +249,8 @@ def integrate(
     if math.isfinite(b):
         if truncate_at is not None:
             raise ValueError(f"the domain [0, {b}] is finite; it takes no truncate_at")
+    elif spec.tail_bound is None:
+        raise ValueError("an integrand on (0, inf) needs a tail_bound")
     elif truncate_at is None and not spec.tail_bound(_LADDER[-1]) <= tol / TAIL_SAFETY:
         # "not <=" so that a NaN bound is compactified, never truncated.
         mode, T = "compactify", 10.0

@@ -120,6 +120,10 @@ def malmsten_log_gamma(z: float, tol: float = 1e-10) -> QuadratureResult:
 _BITS = 160
 _GUARD = 32
 
+# ln 2 pi as the integer nearest 2^_BITS times it; tests/test_specfun.py
+# rederives it in mpmath.
+_LN_2PI = 0x1D67F1C864BEB4A6929792002883240479F611F1A
+
 # The limit sequence's table (see _build_table), grown on demand to at least
 # twice its last limit.  A growth builds a whole new table in locals and then
 # swaps it in.  No entry depends on the limit, so a term has the same bits
@@ -127,34 +131,30 @@ _GUARD = 32
 _TABLE = None
 
 
-def _atanh(num: int, den: int, sign: int = 1) -> int:
-    """2^(_BITS + _GUARD) atanh(num/den) for 0 < num/den < 1; sign = -1 gives atan.
+def _acoth(m: int) -> int:
+    """2^(_BITS + _GUARD) acoth(m) = atanh(1/m) for an integer m > 1.
 
-    The terms are floored, so the result is within about two units per
-    term.  For atan the powers alternate in sign; the floor takes -1 to 0
-    all the same, so the series ends.
+    The terms are floored, so the result is within about two units per term.
     """
-    power = (num << (_BITS + _GUARD)) // den
-    total, k = power, 1
-    num2, den2 = num * num, sign * den * den
+    power = (1 << (_BITS + _GUARD)) // m
+    total, k, m2 = power, 1, m * m
     while power:
-        power = power * num2 // den2
+        power //= m2
         k += 2
         total += power // k
     return total
 
 
 def _build_table(limit: int):
-    """(limit, keys, psi, psi1, factor, ln_2pi) for the terms up to limit.
+    """(limit, keys, psi, psi1, factor) for the terms up to limit.
 
     keys lists the prime powers d <= limit in order; psi[i] and psi1[i] are
     the sums of Lambda(d) and d Lambda(d) (von Mangoldt's Lambda(p^k) = ln p)
     over keys[:i], so psi(x) = psi[bisect_right(keys, x)].  factor views
     the smallest-prime-factor sieve of [0, limit] (0 at 0 and 1), a numpy
     array of 4 bytes per entry.  ln p is 2 atanh(1/(2p - 1)) plus ln(p - 1),
-    which the sieve factors over smaller primes (so ln 2 = 2 atanh(1/3)),
-    and ln 2 pi = ln 6 + 2 atanh((2 pi - 6)/(2 pi + 6)) with Machin's
-    pi = 16 atan(1/5) - 4 atan(1/239).  Every logarithm is scaled by 2^_BITS.
+    which the sieve factors over smaller primes (so ln 2 = 2 atanh(1/3)).
+    Every logarithm is scaled by 2^_BITS.
     """
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):
@@ -167,7 +167,7 @@ def _build_table(limit: int):
     ln_p = {}
     keys = primes.tolist()
     for p in keys:
-        ln, m = 2 * _atanh(1, 2 * p - 1), p - 1
+        ln, m = 2 * _acoth(2 * p - 1), p - 1
         while m > 1:
             q = factor[m]
             ln += ln_p[q]
@@ -183,16 +183,13 @@ def _build_table(limit: int):
     lam = [(ln_p[factor[d]] + half) >> _GUARD for d in keys]
     psi = list(itertools.accumulate(lam, initial=0))
     psi1 = list(itertools.accumulate(map(operator.mul, keys, lam), initial=0))
-    pi = 4 * (4 * _atanh(1, 5, -1) - _atanh(1, 239, -1))
-    six = 6 << (_BITS + _GUARD)
-    ln_2pi = ln_p[2] + ln_p[3] + 2 * _atanh(2 * pi - six, 2 * pi + six)
-    return limit, keys, psi, psi1, factor, (ln_2pi + half) >> _GUARD
+    return limit, keys, psi, psi1, factor
 
 
 def _table(n: int):
     """The limit sequence's table, grown first if its limit is below n.
 
-    The smallest table holds the primes up to 1024 (ln 2 pi needs 2 and 3).
+    The smallest table holds the primes up to 1024.
     """
     global _TABLE
     table = _TABLE
@@ -227,7 +224,7 @@ def glaisher_seq_log_term(n: int) -> float:
         raise ValueError(f"glaisher_seq_log_term requires an integer n, got {n!r}") from None
     if n < 1:
         raise ValueError(f"glaisher_seq_log_term requires n >= 1, got {n}")
-    _, keys, psi, psi1, factor, ln_2pi = _table(n)
+    _, keys, psi, psi1, factor = _table(n)
     ln_g, d, lo = 0, 1, 0
     while d < n:
         q = (n - 1) // d
@@ -242,5 +239,5 @@ def glaisher_seq_log_term(n: int) -> float:
         p = factor[m]
         ln_n += _ln_prime(keys, psi, p)
         m //= p
-    total = 12 * n * ln_2pi + (12 * n * n - 2) * ln_n - 24 * ln_g - ((18 * n * n - 2) << _BITS)
+    total = 12 * n * _LN_2PI + (12 * n * n - 2) * ln_n - 24 * ln_g - ((18 * n * n - 2) << _BITS)
     return total / (24 << _BITS)

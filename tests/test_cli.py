@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -84,7 +83,7 @@ class TestEval:
 
     def test_evaluation_failure_exit_70(self, capsys, monkeypatch):
         spec = integrands.get_integrand("classical")
-        nan_spec = dataclasses.replace(spec, eval=lambda x: math.nan)
+        nan_spec = spec._replace(eval=lambda x: math.nan)
         monkeypatch.setitem(integrands._SPECS, "classical", nan_spec)
         code, out, err = run_cli(capsys, "eval", "--method", "classical")
         assert code == 70
@@ -314,3 +313,13 @@ class TestBinaryInvocation:
             capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == 64
+
+    def test_import_leaves_out_dataclasses(self):
+        # typing cannot be checked this way: numpy imports it.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, glaisher.cli; print('dataclasses' in sys.modules)"],
+            capture_output=True, text=True, env=CHILD_ENV,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "False\n"

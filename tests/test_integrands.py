@@ -12,7 +12,7 @@ from glaisher.integrands import (
     lngamma_direct_integrand,
     malmsten_integrand,
 )
-from glaisher.quadrature import integrate_finite
+from glaisher.quadrature import integrate, integrate_finite
 
 
 def _log_grid(lo, hi, n):
@@ -179,6 +179,9 @@ class TestTailBounds:
             get_integrand("nonsense")
 
     def test_semi_infinite_spec_needs_a_bound(self):
-        with pytest.raises(ValueError):
-            IntegrandSpec(eval=binet_integrand)
-        assert IntegrandSpec(eval=lngamma_direct_integrand, domain_upper=0.5).tail_bound is None
+        for truncate_at in (None, 10.0):
+            with pytest.raises(ValueError, match="tail_bound"):
+                integrate(IntegrandSpec(eval=binet_integrand), 1e-10, truncate_at)
+        finite = IntegrandSpec(eval=lngamma_direct_integrand, domain_upper=0.5)
+        assert finite.tail_bound is None
+        assert integrate(finite, 1e-10).converged

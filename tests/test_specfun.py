@@ -190,6 +190,13 @@ class TestGlaisherSequence:
         fresh = glaisher_seq_log_term(77777)
         assert after_growth.hex() == fresh.hex()
 
+    def test_ln_2pi_matches_an_mpmath_derivation(self):
+        """The frozen 2^_BITS ln 2 pi is the integer nearest it at 320 bits."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workprec(320):
+            exact = mpmath.ldexp(mpmath.log(2 * mpmath.pi), specfun._BITS)
+            assert specfun._LN_2PI == int(mpmath.nint(exact))
+
     @pytest.mark.parametrize("p", [2, 3, 99991])
     def test_table_logarithms(self, p):
         mpmath = pytest.importorskip("mpmath")
