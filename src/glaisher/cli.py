@@ -147,8 +147,8 @@ def _emit(text: str, output: str | None) -> None:
 def _run_estimate(method: str, tol: float, budget: int | None) -> ConstantEstimate:
     if method == "limit_sequence":
         if budget is None:
-            return estimator.ln_a_limit_sequence()
-        return estimator.ln_a_limit_sequence(budget)
+            return estimator.ln_a_limit_sequence(tol=tol)
+        return estimator.ln_a_limit_sequence(budget, tol)
     if budget is None:
         return estimator.ln_a(method, tol)
     return estimator.ln_a(method, tol, max_evals=budget)

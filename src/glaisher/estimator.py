@@ -6,12 +6,12 @@ Routes:
   malmsten       ln A = 1/3 + (7/36) ln 2 - (1/6) ln pi + (2/3) * I_M
   direct_lgamma  ln A = (2/3) [int_0^{1/2} ln Gamma(x+1) dx
                                + 1/2 + (7/24) ln 2 - (1/4) ln pi]
-  limit_sequence the defining limit term, Richardson-accelerated
+  limit_sequence the defining limit term plus its first asymptotic corrections
 
 All closed-form constants are assembled from ln 2 and ln pi at import time,
 never as decimal literals.  The frozen reference value of ln A is checked
-against two disjoint routes (Richardson-extrapolated limit sequence at
-n = 200/400/800 and quadrature of the classical integral at tol 1e-13),
+against two disjoint routes (the corrected limit sequence at n = 800 and
+quadrature of the classical integral at tol 1e-13),
 which construct_reference() reruns, and against mpmath in the tests.
 """
 
@@ -74,6 +74,22 @@ TOL_MIN, TOL_MAX = 1e-13, 1e-3
 # Largest n of the limit sequence, for the library and the CLI's --budget.
 N_MAX = 100_000
 
+# ln A = term(n) + sum_k c_k / n^(2k) asymptotically, with c_k =
+# B_{2k+2} / (4k(k+1)) (the Barnes G expansion, DLMF 5.17.5).  For real n > 0
+# the remainder after any number of terms has the sign of the first omitted
+# one and is no larger (Nemes 2014).  ln_a_limit_sequence adds the first
+# _SEQ_ORDER of them and bounds the rest by the next.
+_SEQ_CORRECTIONS = (-1.0 / 240.0, 1.0 / 1008.0, -1.0 / 1440.0, 1.0 / 1056.0)
+_SEQ_ORDER = 3
+# Rounding of the corrections' Horner sum at x = 1/n^2 <= 1, per unit of x:
+# 2K - 1 operations, k roundings in x^k and one in c_k make at most 3K
+# half-ulps of sum_k |c_k| x^k <= x sum_k |c_k|, and one more covers the
+# second-order terms.
+_SEQ_CORRECTION_ROUNDING = (
+    (3 * _SEQ_ORDER + 1) / 2 * sys.float_info.epsilon
+    * sum(map(abs, _SEQ_CORRECTIONS[:_SEQ_ORDER]))
+)
+
 
 ConstantEstimate = namedtuple(
     "ConstantEstimate",
@@ -133,15 +149,17 @@ def ln_a(
     )
 
 
-def ln_a_limit_sequence(n_max: int = 1000) -> ConstantEstimate:
+def ln_a_limit_sequence(n_max: int = 1000, tol: float = 1e-10) -> ConstantEstimate:
     """ln A from the defining limit sequence; no quadrature code involved.
 
-    One extrapolation step in 1/n^2 is applied across (n_max // 2, n_max);
-    the error estimate is the step size |extrapolated - raw| (certainly
-    conservative) plus the rounding: each term is within half an ulp, and
-    the combination adds at most eps |value|.  n_max = 1 has no such pair
-    and returns the raw term.  evaluations is n_max + n_max // 2, the n of
-    the two terms (their work is O(sqrt n) blocks each).
+    One term, at n = n_max, plus the first _SEQ_ORDER asymptotic corrections
+    c_k / n^(2k).  The error estimate is twice the first omitted correction
+    (the remainder is no larger than it) plus the rounding: the term is
+    within half an ulp, the corrections' sum within
+    _SEQ_CORRECTION_ROUNDING / n^2, and their sum adds at most half an ulp
+    of the value.  evaluations is n_max, the n of the term (its work is
+    O(sqrt n) steps).  converged means the error estimate is at most tol,
+    which must lie in [TOL_MIN, TOL_MAX] as for ln_a.
     """
     try:
         n_max = operator.index(n_max)
@@ -149,23 +167,25 @@ def ln_a_limit_sequence(n_max: int = 1000) -> ConstantEstimate:
         raise ValueError(f"n_max must be an integer, got {n_max!r}") from None
     if not 1 <= n_max <= N_MAX:
         raise ValueError(f"n_max {n_max} outside [1, {N_MAX}]")
-    raw = specfun.glaisher_seq_log_term(n_max)
-    m = n_max // 2
-    if m:
-        low = specfun.glaisher_seq_log_term(m)
-        value = (4.0 * raw - low) / 3.0
-        eps = sys.float_info.epsilon
-        rounding = eps * (4.0 * abs(raw) + abs(low)) / 6.0 + eps * abs(value)
-        err = abs(value - raw) + rounding
-    else:  # the raw term's leading error is ~1/(240 n^2); doubled for headroom
-        value, err = raw, 1.0 / 120.0
+    _check_tol(tol)
+    term = specfun.glaisher_seq_log_term(n_max)
+    x = 1.0 / (n_max * n_max)
+    correction = 0.0
+    for c in reversed(_SEQ_CORRECTIONS[:_SEQ_ORDER]):
+        correction = (correction + c) * x
+    value = term + correction
+    err = (
+        2.0 * abs(_SEQ_CORRECTIONS[_SEQ_ORDER]) * x ** (_SEQ_ORDER + 1)
+        + sys.float_info.epsilon * (abs(term) + abs(value))
+        + _SEQ_CORRECTION_ROUNDING * x
+    )
     return ConstantEstimate(
         method="limit_sequence",
         ln_A=value,
         discretization_error=err,
         truncation_error=0.0,
-        evaluations=n_max + m,
-        converged=True,
+        evaluations=n_max,
+        converged=err <= tol,
     )
 
 
@@ -238,14 +258,11 @@ def identity_suites(tol: float = 1e-10) -> list[dict]:
 def construct_reference() -> tuple[float, float]:
     """Recompute ln A by the two disjoint oracle-construction paths.
 
-    Returns (sequence_path, quadrature_path): a two-level Richardson
-    extrapolation in 1/n^2 of the limit sequence at n = 200, 400, 800, and
-    1/12 - 2x the classical integral at tol 1e-13, whose tail the automatic
-    rule truncates (at T = 6.25) with a rigorous bound.
+    Returns (sequence_path, quadrature_path): the corrected limit sequence
+    at n = 800, and 1/12 - 2x the classical integral at tol 1e-13, whose
+    tail the automatic rule truncates (at T = 6.25) with a rigorous bound.
     """
-    r1 = ln_a_limit_sequence(400).ln_A
-    r2 = ln_a_limit_sequence(800).ln_A
-    seq_path = (16.0 * r2 - r1) / 15.0
+    seq_path = ln_a_limit_sequence(800).ln_A
 
     res = integrate(get_integrand("classical"), 1e-13)
     quad_path = 1.0 / 12.0 - 2.0 * res.value

@@ -10,10 +10,11 @@
   (2 pi)^{n/2} n^{n^2/2 - 1/12} e^{-3n^2/4 + 1/12} / G(n+1).
 
 The sequence term cancels ~n^2-sized pieces down to an O(1) answer, so it
-is computed exactly and rounded once: ln G(n+1) is summed over the O(sqrt n)
-blocks of an integer combination of von Mangoldt's function, from prefix
-sums held as integers scaled by 2^160 in a table that each process builds
-once (numpy sieves its primes) and grows on demand.
+is computed exactly and rounded once: ln G(n+1) is an integer combination of
+von Mangoldt's function, summed in O(sqrt n) steps from prefix sums held as
+integers scaled by 2^160 in a table that each process builds once (numpy
+sieves its primes) and grows on demand.  estimator.ln_a_limit_sequence adds
+the Barnes G asymptotic corrections to one such term.
 """
 
 from __future__ import annotations
@@ -206,17 +207,46 @@ def _ln_prime(keys, psi, p: int) -> int:
     return psi[i] - psi[i - 1]
 
 
+def _ln_barnes_g(n: int, keys, psi, psi1) -> int:
+    """2^_BITS ln G(n+1) from the table: exactly the integer sum below.
+
+    ln G(n+1) = sum_{k<n} (n - k) ln k, regrouped over the divisors d of k,
+    is
+        sum_{d<n} Lambda(d) (q n - d q (q+1)/2),  q = N // d,  N = n - 1.
+    The prime powers d <= s = isqrt(N) are summed one by one.  Above s, d
+    runs in blocks of one q <= Q = N // (s + 1), and summation by parts over
+    q turns the blocks into
+        n (sum_q psi(N // q) - Q psi(s)) - (sum_q q psi1(N // q) - Q (Q+1)/2 psi1(s)),
+    so the sum takes O(sqrt n) lookups.  Every step is exact, so any such
+    regrouping gives the same integer.
+    """
+    big_n = n - 1
+    s = math.isqrt(big_n)
+    i_s = bisect.bisect_right(keys, s)
+    ln_g = 0
+    for i in range(i_s):
+        d = keys[i]
+        q = big_n // d
+        ln_g += (q * n - d * (q * (q + 1) // 2)) * (psi[i + 1] - psi[i])
+    top_q = big_n // (s + 1)
+    sum_psi = sum_psi1 = 0
+    hi = len(keys)
+    for q in range(1, top_q + 1):
+        hi = bisect.bisect_right(keys, big_n // q, i_s, hi)
+        sum_psi += psi[hi]
+        sum_psi1 += q * psi1[hi]
+    ln_g += n * (sum_psi - top_q * psi[i_s])
+    return ln_g - (sum_psi1 - top_q * (top_q + 1) // 2 * psi1[i_s])
+
+
 def glaisher_seq_log_term(n: int) -> float:
     """Log of the limit-sequence term at n, to half an ulp; tends to ln A.
 
     The term is (n/2) ln 2 pi + (n^2/2 - 1/12) ln n - 3n^2/4 + 1/12 -
-    ln G(n+1), and ln G(n+1) = sum_{k<n} (n - k) ln k, regrouped over the
-    divisors d of k, is
-        sum_{d<n} Lambda(d) (q n - d q (q+1)/2),  q = (n-1) // d,
-    which takes psi and psi1 of _build_table once per block of d with one q
-    (O(sqrt n) blocks).  24 times the term is then one integer scaled by
-    2^_BITS, within 2^-110 of exact for n <= 10^5 (each table entry is
-    within half a unit), and Python's int / int rounds it correctly.
+    ln G(n+1), with ln G(n+1) from _ln_barnes_g.  24 times the term is then
+    one integer scaled by 2^_BITS, within 2^-110 of exact for n <= 10^5
+    (each table entry is within half a unit), and Python's int / int rounds
+    it correctly.
     """
     try:
         n = operator.index(n)
@@ -225,15 +255,7 @@ def glaisher_seq_log_term(n: int) -> float:
     if n < 1:
         raise ValueError(f"glaisher_seq_log_term requires n >= 1, got {n}")
     _, keys, psi, psi1, factor = _table(n)
-    ln_g, d, lo = 0, 1, 0
-    while d < n:
-        q = (n - 1) // d
-        top = (n - 1) // q
-        hi = bisect.bisect_right(keys, top, lo)
-        if hi > lo:
-            ln_g += q * n * (psi[hi] - psi[lo]) - q * (q + 1) // 2 * (psi1[hi] - psi1[lo])
-            lo = hi
-        d = top + 1
+    ln_g = _ln_barnes_g(n, keys, psi, psi1)
     ln_n, m = 0, n
     while m > 1:
         p = factor[m]

@@ -76,6 +76,30 @@ class TestEval:
         )
         assert json.loads(out)["evaluations"] <= budget
 
+    @pytest.mark.parametrize("budget", [1, 5, 1000, N_MAX])
+    def test_limit_sequence_budget_is_a_hard_cap(self, capsys, budget):
+        code, out, _ = run_cli(
+            capsys, "eval", "--method", "limit-sequence", "--budget", str(budget),
+            "--format", "json",
+        )
+        assert json.loads(out)["evaluations"] <= budget
+
+    def test_limit_sequence_honours_tol(self, capsys):
+        # The bar at n = 5 is ~4.8e-9: met at 1e-8, not at 1e-13.
+        code, out, _ = run_cli(
+            capsys, "eval", "--method", "limit-sequence", "--budget", "5",
+            "--tol", "1e-13", "--format", "json",
+        )
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["converged"] is False
+        assert "warning" in payload
+        code, _, _ = run_cli(
+            capsys, "eval", "--method", "limit-sequence", "--budget", "5",
+            "--tol", "1e-8", "--format", "json",
+        )
+        assert code == 0
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--method", "direct-lgamma")
         assert code == 0

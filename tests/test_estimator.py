@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from glaisher import estimator
 from glaisher.estimator import (
     EQ4_CONSTANT,
     LN_A_REFERENCE,
@@ -9,6 +10,8 @@ from glaisher.estimator import (
     METHODS,
     N_MAX,
     ROUTES,
+    TOL_MAX,
+    TOL_MIN,
     construct_reference,
     identity_residual_eq4,
     ln_a,
@@ -133,20 +136,43 @@ class TestRoutes:
 
 
 class TestLimitSequence:
-    def test_raw_first_term(self):
+    def test_corrected_first_term(self):
+        # term(1) = ln(2 pi)/2 - 2/3, plus c_1 + c_2 + c_3.
         est = ln_a_limit_sequence(1)
-        assert est.ln_A == pytest.approx(0.2522718665, abs=1e-9)
+        expected = 0.5 * math.log(2.0 * math.pi) - 2.0 / 3.0 - 1 / 240 + 1 / 1008 - 1 / 1440
+        assert est.ln_A == pytest.approx(expected, abs=1e-15)
+        assert abs(est.ln_A - LN_A_REFERENCE) <= est.discretization_error
+        assert est.evaluations == 1
+        assert not est.converged  # the bar, ~1.9e-3, exceeds every accepted tol
 
     def test_n100(self):
         assert abs(glaisher_seq_log_term(100) - LN_A_REFERENCE) <= 1e-4
 
-    def test_richardson_100_200(self):
+    def test_corrected_200(self):
         est = ln_a_limit_sequence(200)
-        assert abs(est.ln_A - LN_A_REFERENCE) <= 1e-7
+        assert abs(est.ln_A - LN_A_REFERENCE) <= 1e-15
+        assert est.evaluations == 200
 
     def test_bar_at_n_max(self):
-        # The Richardson step, ~1/(240 n^2), plus the terms' rounding.
-        assert ln_a_limit_sequence(N_MAX).discretization_error < 1e-12
+        # Twice the first omitted correction, ~2e-43, plus the rounding.
+        assert ln_a_limit_sequence(N_MAX).discretization_error < 2e-16
+
+    def test_corrections_match_an_mpmath_derivation(self):
+        """c_k = B_{2k+2} / (4k(k+1)), each the float nearest it."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            derived = tuple(
+                float(mpmath.bernoulli(2 * k + 2) / (4 * k * (k + 1))) for k in range(1, 5)
+            )
+        assert estimator._SEQ_CORRECTIONS == derived
+
+    def test_converged_honours_tol(self):
+        # The bar at n = 5 is ~4.8e-9.
+        assert ln_a_limit_sequence(5, tol=1e-8).converged
+        assert not ln_a_limit_sequence(5, tol=1e-9).converged
+        for tol in (TOL_MIN / 2, TOL_MAX * 2):
+            with pytest.raises(ValueError):
+                ln_a_limit_sequence(1000, tol)
 
     def test_shares_no_quadrature(self):
         est = ln_a_limit_sequence(500)

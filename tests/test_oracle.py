@@ -4,7 +4,8 @@ mpmath computes ln A independently of this package (from its own Glaisher
 constant at 40 digits); it is a test-only dependency.  A hypothesis test
 checks over (route, tol, truncate_at, budget) that every evaluation budget
 is a hard cap and that every reported bound holds; the limit sequence's
-bound is checked at every n up to 1000 and on a grid up to N_MAX.
+bound, and the Barnes G remainder bound it rests on, are checked at every n
+up to 1000 and on a grid up to N_MAX.
 """
 
 import math
@@ -13,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glaisher.estimator import N_MAX, ROUTES, TOL_MAX, TOL_MIN, ln_a, ln_a_limit_sequence
+from glaisher.estimator import (
+    _SEQ_ORDER,
+    N_MAX,
+    ROUTES,
+    TOL_MAX,
+    TOL_MIN,
+    ln_a,
+    ln_a_limit_sequence,
+)
 from glaisher.integrands import get_integrand
 from glaisher.quadrature import (
     PANEL_EVALS,
@@ -89,16 +98,58 @@ def test_error_budget_holds_where_a_panel_estimate_was_too_small(
 
 
 def test_limit_sequence_bar_holds():
-    # Every n up to 1000 (the bar is tightest at n = 3, where the error is
-    # 0.56 of it), 200 log-spaced n in [1e3, 1e5], and three n at the top.
+    # Every n up to 1000 (the bar is tightest near n = 19, where the error
+    # is 0.50 of it), 200 log-spaced n in [1e3, 1e5], and three n at the top.
     ns = set(range(1, 1001)) | {round(1e3 * 100.0 ** (i / 199)) for i in range(200)}
     ns |= {77777, 99991, N_MAX}
     misses = []
+    worst = 0.0
     for n in sorted(ns):
         est = ln_a_limit_sequence(n)
-        if not abs(est.ln_A - LN_A) <= est.discretization_error + est.truncation_error:
+        bar = est.discretization_error + est.truncation_error
+        if not abs(est.ln_A - LN_A) <= bar:
             misses.append(n)
+        worst = max(worst, abs(est.ln_A - LN_A) / bar)
     assert not misses
+    assert worst <= 0.6
+
+
+def _barnes_g_remainder(n, order):
+    """The remainder of ln A - term(n) after `order` corrections, and the next.
+
+    Both in mpmath at the working precision, with the corrections c_k / n^(2k)
+    of estimator._SEQ_CORRECTIONS rederived from the Bernoulli numbers.
+    """
+    m = mpmath.mpf(n)
+    term = (
+        m / 2 * mpmath.log(2 * mpmath.pi)
+        + (m * m / 2 - mpmath.mpf(1) / 12) * mpmath.log(m)
+        - 3 * m * m / 4
+        + mpmath.mpf(1) / 12
+        - mpmath.log(mpmath.barnesg(m + 1))
+    )
+    c = [
+        mpmath.bernoulli(2 * k + 2) / (4 * k * (k + 1)) / m ** (2 * k)
+        for k in range(1, order + 2)
+    ]
+    return mpmath.log(mpmath.glaisher) - term - sum(c[:order]), c[order]
+
+
+@pytest.mark.parametrize("order", [_SEQ_ORDER, _SEQ_ORDER + 1])
+def test_limit_sequence_remainder_is_bounded_by_the_next_term(order):
+    # Nemes (2014): the remainder has the next term's sign and is no larger.
+    # The pieces of term(n) are ~n^2 ln n and the remainder ~n^-(2 order + 2),
+    # so 50 digits resolve it up to n = 1000 and 90 digits up to 1e5; too few
+    # digits would show as a ratio far outside (0, 1].
+    ns = [(n, 50) for n in range(1, 1001)]
+    ns += [(round(1e3 * 100.0 ** (i / 49)), 90) for i in range(1, 50)]
+    bad = []
+    for n, dps in ns:
+        with mpmath.workdps(dps):
+            remainder, nxt = _barnes_g_remainder(n, order)
+            if not 0 < remainder / nxt <= 1:
+                bad.append(n)
+    assert not bad
 
 
 @st.composite

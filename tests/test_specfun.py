@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -189,6 +190,20 @@ class TestGlaisherSequence:
         monkeypatch.setattr(specfun, "_TABLE", None)
         fresh = glaisher_seq_log_term(77777)
         assert after_growth.hex() == fresh.hex()
+
+    def test_ln_barnes_g_is_the_plain_sum(self):
+        """The O(sqrt n) regrouping gives the integer of the per-d sum exactly."""
+        rng = random.Random(15)
+        ns = [*range(1, 3000), *(rng.randint(3000, 100_000) for _ in range(40))]
+        _, keys, psi, psi1, _ = specfun._table(max(ns))
+        for n in ns:
+            plain = 0
+            for i, d in enumerate(keys):
+                if d >= n:
+                    break
+                q = (n - 1) // d
+                plain += (psi[i + 1] - psi[i]) * (q * n - d * q * (q + 1) // 2)
+            assert specfun._ln_barnes_g(n, keys, psi, psi1) == plain, n
 
     def test_ln_2pi_matches_an_mpmath_derivation(self):
         """The frozen 2^_BITS ln 2 pi is the integer nearest it at 320 bits."""
