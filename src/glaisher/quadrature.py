@@ -38,6 +38,7 @@ import operator
 import sys
 from collections import namedtuple
 from collections.abc import Callable
+from itertools import repeat
 
 from .integrands import IntegrandSpec
 
@@ -131,14 +132,19 @@ def _panel(f: Callable[[float], float], a: float, b: float):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     y = [f(mid + half * x) for x in _XK]
-    for v in y:
-        if not math.isfinite(v):
-            raise EvaluationFailedError(f"integrand returned {v} on [{a}, {b}]")
-    k21 = math.fsum(map(operator.mul, _WK, y))
+    wy = list(map(operator.mul, _WK, y))
+    # The weights are positive, so |w y| = w |y| exactly; a NaN or inf in y
+    # makes this sum non-finite, and only then is y scanned for the culprit.
+    abs_sum = sum(map(abs, wy))
+    if not math.isfinite(abs_sum):
+        for v in y:
+            if not math.isfinite(v):
+                raise EvaluationFailedError(f"integrand returned {v} on [{a}, {b}]")
+    k21 = math.fsum(wy)
     g10 = math.fsum(map(operator.mul, _WG, y[_GAUSS]))
     mean = 0.5 * k21
-    resabs = half * sum(map(operator.mul, _WK, map(abs, y)))
-    resasc = half * sum([w * abs(v - mean) for w, v in zip(_WK, y)])
+    resabs = half * abs_sum
+    resasc = half * sum(map(operator.mul, _WK, map(abs, map(operator.sub, y, repeat(mean)))))
     err = half * abs(k21 - g10)
     if resasc and err:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
