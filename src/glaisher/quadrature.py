@@ -26,8 +26,11 @@ IntegrandSpec, and it makes exactly one integrate_finite call:
      tail (an algebraic one) is compactified at T = 10.  The automatic rule
      relies on bounds that do not increase with T: it reads the top of the
      ladder first.
-  3. A log singularity at 0 is mapped away by x = b e^{-s} on the interval
-     that steps 1-2 produced.
+  3. A log singularity at 0 on the interval (0, b] that steps 1-2 produced
+     is graded away by x = b u^5 on u in (0, 1] (Davis & Rabinowitz, 1984):
+     f(x) ~ ln x becomes f(b u^5) 5 b u^4 ~ u^4 ln u, which tends to 0 at
+     u = 0, a node never evaluated.  The map covers (0, b] exactly, so
+     nothing is dropped.
 """
 
 from __future__ import annotations
@@ -208,10 +211,10 @@ _LADDER = [5.0]
 while _LADDER[-1] < 800.0:
     _LADDER.append(_LADDER[-1] * 1.25)
 
-# Substitution parameter for a log singularity at 0: x = b e^{-s} on
-# s in [0, S].  The dropped sliver has width b e^{-S} ~ 3e-20 b and
-# contributes O(delta |ln delta|) for log-singular f.
-_LOG_SING_S = 45.0
+# Grading exponent k of the map x = b u^k for a log singularity at 0.  Over
+# a log grid of tol in [1e-13, 1e-3], k = 5 took the fewest evaluations of
+# the classical integral on average among k = 4 ... 12.
+_GRADING = 5
 
 
 def _compactified(f, T):
@@ -224,12 +227,13 @@ def _compactified(f, T):
     return g
 
 
-def _log_mapped(f, b):
-    """f(x) dx on (0, b] as a function of s in [0, inf), x = b e^{-s}."""
+def _graded(f, b):
+    """f(x) dx on (0, b] as a function of u in (0, 1], x = b u^5."""
+    scale = _GRADING * b
 
-    def g(s):
-        x = b * math.exp(-s)
-        return f(x) * x
+    def g(u):
+        u4 = u * u * u * u
+        return f(b * u4 * u) * scale * u4
 
     return g
 
@@ -271,18 +275,15 @@ def integrate(
         mode, trunc = "truncate", spec.tail_bound(T)
         disc_tol = max(tol - trunc, 0.1 * tol, _TOL_MIN)
         b = T
-    sliver = 0.0
     if spec.log_singular_at_zero:
-        sliver = b * math.exp(-_LOG_SING_S) * (_LOG_SING_S + 2.0)
-        f, b = _log_mapped(f, b), _LOG_SING_S
+        f, b = _graded(f, b), 1.0
     res = integrate_finite(f, 0.0, b, disc_tol, max_evals)
-    disc = res.error_estimate + sliver
-    err = disc + trunc
+    err = res.error_estimate + trunc
     return QuadratureResult(
         value=res.value,
         error_estimate=err,
         evaluations=res.evaluations,
-        converged=disc <= disc_tol and err <= tol,
+        converged=res.converged and err <= tol,
         truncation_error=trunc,
         truncation_T=T,
         truncation_mode=mode,

@@ -107,7 +107,7 @@ class TestNodeSweep:
     @pytest.mark.parametrize("method", list(ROUTES))
     def test_settled_run_is_reused(self, monkeypatch, method):
         # At tol 1e-12 classical hits the cap at budgets 32, 64 and 128 and
-        # needs 231 evaluations; every route settles by 512.
+        # needs 189 evaluations; every route settles by 512.
         budgets = [32, 64, 128, 256, 512, 1024, 2048]
         fresh = [sweep_nodes(method, [b], tol=1e-12)[0] for b in budgets]
         if method == "classical":

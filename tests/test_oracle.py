@@ -3,7 +3,9 @@
 mpmath computes ln A independently of this package (from its own Glaisher
 constant at 40 digits); it is a test-only dependency.  A hypothesis test
 checks over (route, tol, truncate_at, budget) that every evaluation budget
-is a hard cap and that every reported bound holds; the limit sequence's
+is a hard cap and that every reported bound holds.  The engine's bar is also
+checked on the two mapped integrands, Binet's compactified tail and the
+classical log singularity graded by x = T u^5; the limit sequence's
 bound, and the Barnes G remainder bound it rests on, are checked at every n
 up to 1000 and on a grid up to N_MAX.
 """
@@ -29,6 +31,7 @@ from glaisher.quadrature import (
     TRUNCATE_AT_MAX,
     TRUNCATE_AT_MIN,
     _compactified,
+    _graded,
     integrate_finite,
 )
 
@@ -40,6 +43,15 @@ with mpmath.workdps(40):
     I_BINET = float(
         (mpmath.log(mpmath.glaisher) - mpmath.log(2) / 9 - mpmath.mpf(1) / 24) * 3 / 2
     )
+
+
+def _classical_integral_to(T):
+    """int_0^T x ln x / (e^{2 pi x} - 1) dx: ln A = 1/12 - 2 int_0^inf, less the tail."""
+    with mpmath.workdps(40):
+        tail = mpmath.quad(
+            lambda x: x * mpmath.log(x) / mpmath.expm1(2 * mpmath.pi * x), [T, mpmath.inf]
+        )
+        return float((mpmath.mpf(1) / 12 - mpmath.log(mpmath.glaisher)) / 2 - tail)
 
 # 1, 2, 5 per decade across the accepted range, both ends included.
 TOLS = [
@@ -78,6 +90,40 @@ def test_error_budget_holds_binet_compactified(T, tol):
     assert abs(res.value - I_BINET) <= res.error_estimate
     if res.converged:
         assert res.error_estimate <= tol
+
+
+@pytest.mark.parametrize("T", [5.0, 6.25, 25.0, 100.0, 500.0])
+def test_error_budget_holds_classical_graded(T):
+    # The classical route maps its log singularity away by x = T u^5 on the
+    # truncated domain (0, T]; the engine's bar on the mapped integrand must
+    # hold at every T a caller may force and at every tol.
+    exact = _classical_integral_to(T)
+    f = _graded(get_integrand("classical").eval, T)
+    for tol in TOLS:
+        res = integrate_finite(f, 0.0, 1.0, tol)
+        assert abs(res.value - exact) <= res.error_estimate, tol
+        if res.converged:
+            assert res.error_estimate <= tol
+
+
+# Classical evaluations of the automatic rule at each tol of TOLS, pinned so
+# that a change in cost shows up as an edit here.  The second column is what
+# the map x = b e^{-s} on s in [0, 45], which the graded map x = b u^5
+# replaced, took: the graded map is never dearer.
+CLASSICAL_EVALS = list(
+    zip(
+        TOLS,
+        [189] * 4 + [147] * 5 + [105] * 12 + [63] * 10,
+        [231] * 17 + [189] * 14,
+        strict=True,
+    )
+)
+
+
+@pytest.mark.parametrize("tol, evals, exp_map_evals", CLASSICAL_EVALS)
+def test_classical_evaluation_count(tol, evals, exp_map_evals):
+    assert ln_a("classical", tol).evaluations == evals
+    assert evals <= exp_map_evals
 
 
 @pytest.mark.parametrize(
