@@ -193,10 +193,8 @@ def integrate_finite(
         heapq.heappush(heap, (-e1, seq, pa, pm, v1, e1))
         seq += 1
         heapq.heappush(heap, (-e2, seq, pm, pb, v2, e2))
-    # Deterministic final summation: panels ordered by position.
-    panels = sorted(heap, key=lambda p: p[2])
-    value = math.fsum(p[4] for p in panels)
-    total_err = math.fsum(p[5] for p in panels)
+    value = math.fsum(p[4] for p in heap)
+    total_err = math.fsum(p[5] for p in heap)
     return QuadratureResult(
         value=value,
         error_estimate=total_err,
