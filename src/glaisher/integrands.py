@@ -4,11 +4,12 @@ An IntegrandSpec says what quadrature.integrate needs to know of an
 integrand and nothing more: its pointwise evaluator (with a frozen Taylor
 branch below a switch threshold, since the printed forms are 0/0 at t = 0),
 the upper end of its domain (0, domain_upper), whether it is log-singular at
-0, and, on (0, inf) only, a tail bound T -> int_T^inf |f| that does not
-increase with T and is rigorous for T >= 5, the automatic ladder's first rung
-and the smallest T a caller may force (the classical and Malmsten bounds
-assume T >= 1).  The automatic truncation rule reads from that bound
-alone whether the tail is cut or compactified.
+0, and, on (0, inf) only, an optional tail bound T -> int_T^inf |f| that
+does not increase with T and is rigorous for T >= 5, the automatic ladder's
+first rung and the smallest T a caller may force (the classical and Malmsten
+bounds assume T >= 1).  The automatic truncation rule reads from that bound
+alone whether the tail is cut or compactified; a tail without one is
+compactified, and cannot be truncated.
 
 Evaluator notes:
   * classical:  x ln x / (e^{2 pi x} - 1), log-singular at 0, exponential tail.
@@ -101,8 +102,8 @@ def _horner(coeffs, t):
     return acc
 
 
-# eval(x) -> f(x); tail_bound(T) -> int_T^inf |f|, which quadrature.integrate
-# requires on (0, inf); domain_upper is 0.5 for the finite lngamma integrand.
+# eval(x) -> f(x); tail_bound(T) -> int_T^inf |f|, which a forced truncation
+# needs; domain_upper is 0.5 for the finite lngamma integrand.
 IntegrandSpec = namedtuple(
     "IntegrandSpec",
     "eval tail_bound log_singular_at_zero domain_upper",

@@ -23,9 +23,10 @@ IntegrandSpec, and it makes exactly one integrate_finite call:
      Otherwise the automatic rule decides: a bound that drops below a
      tenth of the tolerance at some T of a fixed ladder up to ~850 (an
      exponential tail) is truncated at the first such T, and any other
-     tail (an algebraic one) is compactified at T = 10.  The automatic rule
-     relies on bounds that do not increase with T: it reads the top of the
-     ladder first.
+     tail (an algebraic one, or one with no bound) is compactified at
+     T = 10.  The automatic rule relies on bounds that do not increase with
+     T: it reads the top of the ladder first.  Only a forced truncation
+     needs a bound.
   3. A log singularity at 0 on the interval (0, b] that steps 1-2 produced
      is graded away by x = b u^5 on u in (0, 1] (Davis & Rabinowitz, 1984):
      f(x) ~ ln x becomes f(b u^5) 5 b u^4 ~ u^4 ln u, which tends to 0 at
@@ -245,32 +246,33 @@ def integrate(
     """Integrate spec over (0, spec.domain_upper) to absolute tolerance tol.
 
     The steps are those of the module docstring; truncate_at (None: the
-    automatic rule) applies to (0, inf) only.  Truncation spends what the
-    tail bound leaves of tol on discretization (at least tol/10, and never
-    below the engine's smallest tol); a forced truncation whose bound
-    exceeds tol (the slow-convergence pathology of an algebraic tail) is
-    returned with that bound as truncation_error and converged=False.
+    automatic rule) applies to (0, inf) only, and forcing it needs a
+    tail_bound.  Truncation spends what the tail bound leaves of tol on
+    discretization (at least tol/10, and never below the engine's smallest
+    tol); a forced truncation whose bound exceeds tol (the slow-convergence
+    pathology of an algebraic tail) is returned with that bound as
+    truncation_error and converged=False.
     """
     _check_tol(tol)
-    f, b, disc_tol = spec.eval, spec.domain_upper, tol
+    f, b, bound, disc_tol = spec.eval, spec.domain_upper, spec.tail_bound, tol
     mode, T, trunc = "none", 0.0, 0.0
     if math.isfinite(b):
         if truncate_at is not None:
             raise ValueError(f"the domain [0, {b}] is finite; it takes no truncate_at")
-    elif spec.tail_bound is None:
-        raise ValueError("an integrand on (0, inf) needs a tail_bound")
-    elif truncate_at is None and not spec.tail_bound(_LADDER[-1]) <= tol / TAIL_SAFETY:
+    elif truncate_at is None and (bound is None or not bound(_LADDER[-1]) <= tol / TAIL_SAFETY):
         # "not <=" so that a NaN bound is compactified, never truncated.
         mode, T = "compactify", 10.0
         f, b = _compactified(f, T), 1.0
     else:
         if truncate_at is None:
-            T = next(t for t in _LADDER if spec.tail_bound(t) <= tol / TAIL_SAFETY)
+            T = next(t for t in _LADDER if bound(t) <= tol / TAIL_SAFETY)
+        elif bound is None:
+            raise ValueError("a forced truncate_at needs a tail_bound")
         elif TRUNCATE_AT_MIN <= truncate_at <= TRUNCATE_AT_MAX:
             T = float(truncate_at)
         else:
             raise ValueError(f"truncate_at {truncate_at} outside [{TRUNCATE_AT_MIN}, {TRUNCATE_AT_MAX}]")
-        mode, trunc = "truncate", spec.tail_bound(T)
+        mode, trunc = "truncate", bound(T)
         disc_tol = max(tol - trunc, 0.1 * tol, _TOL_MIN)
         b = T
     if spec.log_singular_at_zero:

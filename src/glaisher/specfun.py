@@ -66,9 +66,11 @@ def _theta_kernel(t: float) -> float:
 def binet_theta(x: float, tol: float = 1e-10) -> QuadratureResult:
     """Binet's theta(x) by quadrature of its integral representation, 0.1 <= x <= 100.
 
-    Outside it the quadrature's error bar can fail: below x = 0.1, where the
+    The tail has no bound of its own, so the quadrature compactifies it.
+    Outside the domain the error bar can fail: below x = 0.1, where the
     integrand (~e^{-xt}/(2t)) spreads out to t ~ 1/x, theta(1.6e-4) at tol
-    1e-4 errs by 3e-2 against a bar of 2e-6; above, it fails from x ~ 305.
+    1e-4 errs by 3e-2 against a bar of 2e-6; above, from x ~ 150, the first
+    panel's nodes miss the peak at 0, of width ~1/x.
     """
     if not 0.1 <= x <= 100.0:
         raise ValueError(f"binet_theta requires 0.1 <= x <= 100, got {x}")
@@ -76,11 +78,7 @@ def binet_theta(x: float, tol: float = 1e-10) -> QuadratureResult:
     def f(t):
         return _theta_kernel(t) * math.exp(-x * t)
 
-    def bound(T):
-        # kernel in (0, 1/2), so tail <= int_T^inf e^{-xt}/(2t) <= e^{-xT}/(2xT)
-        return math.exp(-x * T) / (2.0 * x * T)
-
-    return integrate(IntegrandSpec(eval=f, tail_bound=bound), tol)
+    return integrate(IntegrandSpec(eval=f), tol)
 
 
 # Taylor coefficients in t of [z - (1-e^{-zt})/(1-e^{-t})]/t, each a
@@ -107,11 +105,7 @@ def malmsten_log_gamma(z: float, tol: float = 1e-10) -> QuadratureResult:
         bracket = z - math.expm1(-z * t) / math.expm1(-t)
         return bracket * math.exp(-t) / t
 
-    def bound(T):
-        # |bracket| <= z + 1/(1-e^{-1}) + 1/2 < z + 2.1 for t >= 1
-        return (z + 2.1) * math.exp(-T) / T
-
-    return integrate(IntegrandSpec(eval=f, tail_bound=bound), tol)
+    return integrate(IntegrandSpec(eval=f), tol)
 
 
 # The limit-sequence term works in fixed point: a logarithm is held as the

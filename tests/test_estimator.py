@@ -14,12 +14,13 @@ from glaisher.estimator import (
     TOL_MIN,
     construct_reference,
     identity_residual_eq4,
+    inner_tol,
     ln_a,
     ln_a_limit_sequence,
 )
 from glaisher.integrands import get_integrand, lngamma_direct_integrand
 from glaisher.quadrature import integrate, integrate_finite
-from glaisher.specfun import glaisher_seq_log_term
+from glaisher.specfun import binet_theta, glaisher_seq_log_term, malmsten_log_gamma
 
 
 class TestClosedFormConstants:
@@ -238,3 +239,37 @@ class TestEq4Identity:
         assert EQ4_CONSTANT == pytest.approx(
             -0.5 - 7.0 / 24.0 * math.log(2.0) + 0.25 * math.log(math.pi), abs=0.0
         )
+
+
+class TestIdentitySuites:
+    # Evaluations summed over the 12 special-function calls of
+    # identity_suites (theta at 5 x, Malmsten at 7 z, each at inner_tol(tol))
+    # on 101 log-spaced tols over [1e-13, 1e-3], pinned so that a change in
+    # their cost shows up as an edit here.  The second list is what the
+    # hand-derived tail bounds, which the compactified tails replaced, took:
+    # the bound-free tails are never dearer.
+    TOLS = [10.0 ** (-13 + i / 10) for i in range(101)]
+    EVALS = (
+        [1008] * 11 + [966] + [924] + [882] * 3 + [840] * 9 + [798] * 11 + [756] * 3
+        + [714] * 13 + [672] * 2 + [630] + [588] * 11 + [504] + [462] * 2 + [378] * 2
+        + [336] * 12 + [294] * 18
+    )
+    BOUNDED_TAIL_EVALS = (
+        [1386] * 12 + [1344] + [1302] * 12 + [1260] * 3 + [1218] + [1176] * 2
+        + [1134] * 2 + [1092] * 2 + [1050] * 2 + [966] * 8 + [924] * 2 + [882] * 7
+        + [840] * 3 + [798] * 3 + [756] + [714] + [630] * 7 + [588] * 3 + [546] * 6
+        + [504] + [462] * 6 + [420] + [378] * 4 + [336] * 8 + [294] * 3
+    )
+
+    def test_special_function_evaluations(self):
+        evals = []
+        for tol in self.TOLS:
+            inner = inner_tol(tol)
+            n = sum(binet_theta(x, inner).evaluations for x in (0.25, 0.5, 1.0, 2.0, 5.0))
+            n += sum(
+                malmsten_log_gamma(z, inner).evaluations
+                for z in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+            )
+            evals.append(n)
+        assert evals == self.EVALS
+        assert all(e <= b for e, b in zip(evals, self.BOUNDED_TAIL_EVALS, strict=True))

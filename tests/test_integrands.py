@@ -178,10 +178,14 @@ class TestTailBounds:
         with pytest.raises(KeyError):
             get_integrand("nonsense")
 
-    def test_semi_infinite_spec_needs_a_bound(self):
-        for truncate_at in (None, 10.0):
-            with pytest.raises(ValueError, match="tail_bound"):
-                integrate(IntegrandSpec(eval=binet_integrand), 1e-10, truncate_at)
+    def test_a_bound_is_needed_only_to_force_truncation(self):
+        # Without a bound the automatic rule compactifies the tail, as it does
+        # Binet's, whose bound never meets tol/10 on the ladder.
+        bare = integrate(IntegrandSpec(eval=binet_integrand), 1e-10)
+        assert (bare.truncation_mode, bare.truncation_T) == ("compactify", 10.0)
+        assert bare == integrate(get_integrand("binet_form13"), 1e-10)
+        with pytest.raises(ValueError, match="tail_bound"):
+            integrate(IntegrandSpec(eval=binet_integrand), 1e-10, 10.0)
         finite = IntegrandSpec(eval=lngamma_direct_integrand, domain_upper=0.5)
         assert finite.tail_bound is None
         assert integrate(finite, 1e-10).converged

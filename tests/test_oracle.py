@@ -5,7 +5,8 @@ constant at 40 digits); it is a test-only dependency.  A hypothesis test
 checks over (route, tol, truncate_at, budget) that every evaluation budget
 is a hard cap and that every reported bound holds.  The engine's bar is also
 checked on the two mapped integrands, Binet's compactified tail and the
-classical log singularity graded by x = T u^5; the limit sequence's
+classical log singularity graded by x = T u^5, and on specfun's Binet theta
+and Malmsten ln Gamma, whose tails have no bound; the limit sequence's
 bound, and the Barnes G remainder bound it rests on, are checked at every n
 up to 1000 and on a grid up to N_MAX.
 """
@@ -34,6 +35,7 @@ from glaisher.quadrature import (
     _graded,
     integrate_finite,
 )
+from glaisher.specfun import binet_theta, malmsten_log_gamma
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -124,6 +126,52 @@ CLASSICAL_EVALS = list(
 def test_classical_evaluation_count(tol, evals, exp_map_evals):
     assert ln_a("classical", tol).evaluations == evals
     assert evals <= exp_map_evals
+
+
+# Every tol the engine accepts, 1e-2 down to 1e-14, one per decade.
+ENGINE_TOLS = [10.0**-k for k in range(2, 15)]
+
+
+def _assert_bars_hold(results, truths):
+    """Each result's bar covers its error, and a converged bar is within tol.
+
+    Returns the worst error / bar, for a margin check.
+    """
+    worst, misses = 0.0, []
+    for (arg, tol), res in results:
+        error = abs(res.value - truths[arg])
+        if not error <= res.error_estimate or (res.converged and res.error_estimate > tol):
+            misses.append((arg, tol))
+        elif error:
+            worst = max(worst, error / res.error_estimate)
+    assert not misses
+    return worst
+
+
+def test_binet_theta_bar_holds():
+    # theta(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 at 22 x over the
+    # whole domain [0.1, 100].  With its tail compactified the worst error is
+    # 0.51 of the bar (x = 0.139); the hand-derived tail bound it replaced
+    # left 0.95 (x = 0.1).
+    xs = [10.0 ** (-1 + 3 * i / 21) for i in range(22)]
+    truths = {}
+    with mpmath.workdps(40):
+        for x in xs:
+            m = mpmath.mpf(x)
+            stirling = (m - 0.5) * mpmath.log(m) - m + mpmath.log(2 * mpmath.pi) / 2
+            truths[x] = float(mpmath.loggamma(m) - stirling)
+    calls = [(x, tol) for x in xs for tol in ENGINE_TOLS]
+    assert _assert_bars_hold([(c, binet_theta(*c)) for c in calls], truths) <= 0.75
+
+
+def test_malmsten_log_gamma_bar_holds():
+    # ln Gamma(z + 1) at z = 0 and 13 z log-spaced over [1e-3, 1e3]; the worst
+    # error is 0.1 of the bar, where the hand-derived tail bound left 0.93.
+    zs = [0.0] + [10.0 ** (-3 + i / 2) for i in range(13)]
+    with mpmath.workdps(40):
+        truths = {z: float(mpmath.loggamma(mpmath.mpf(z) + 1)) for z in zs}
+    calls = [(z, tol) for z in zs for tol in ENGINE_TOLS]
+    assert _assert_bars_hold([(c, malmsten_log_gamma(*c)) for c in calls], truths) <= 0.5
 
 
 @pytest.mark.parametrize(

@@ -93,9 +93,10 @@ class TestBinetTheta:
         assert abs(res.value - truth) <= res.error_estimate <= tol
 
     def test_domain(self):
-        # Above x = 100 the bar fails (theta(1000) misses it by 900x), and
-        # below x = 0.1 too: each (x, tol) pair of the second loop returned
-        # converged=True with an error 38x to 1.5e4x its bar.
+        # Above x = 100 the bar fails from x ~ 150 (theta(1000) at tol 1e-6
+        # misses it by 2e7x), and below x = 0.1 too: theta(1.6e-4) at tol 1e-4
+        # and theta(1e-9) at tol 1e-12 return converged=True with an error
+        # 1.5e4x and 38x their bar.
         for x in (0.0, 1e-9, 0.0999, -1.0, 100.5, 1000.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 binet_theta(x)
