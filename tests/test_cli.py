@@ -173,6 +173,13 @@ class TestCheck:
         code, _, _ = run_cli(capsys, "check", "--tol", "1e-4")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "tol", [f"{m}e{e}" for e in range(-13, -3) for m in (1, 2, 5)] + ["1e-3"]
+    )
+    def test_passes_at_every_accepted_tol(self, capsys, tol):
+        code, _, _ = run_cli(capsys, "check", "--tol", tol)
+        assert code == 0
+
 
 def convergence_rows(out):
     """The rows of convergence CSV text, each a dict keyed by the header."""
