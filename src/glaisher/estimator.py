@@ -205,11 +205,10 @@ def identity_residual_eq4(tol: float = 1e-10) -> float:
 def identity_suites(tol: float = 1e-10) -> list[dict]:
     """Max residual per identity suite, with its threshold.
 
-    Every quadrature inside a suite runs at inner_tol(tol).  The three
-    quadrature suites' thresholds are set for tol = 1e-10 and scale linearly
-    with it.  form_equivalence compares two printed forms of each integrand
-    at fixed points, so its residual is rounding alone (7.8 eps at worst) and
-    its threshold is a fixed 16 eps.
+    Every quadrature inside a suite runs at inner_tol(tol), and its suite's
+    threshold is set for tol = 1e-10 and scales linearly with it.
+    form_equivalence compares printed forms, so its residual is rounding
+    alone (7.8 eps at worst) and its threshold a fixed 16 eps.
     """
     _check_tol(tol)
     scale = tol / 1e-10
@@ -254,11 +253,7 @@ def identity_suites(tol: float = 1e-10) -> list[dict]:
         {"suite": "binet_identity", "max_residual": r_binet, "threshold": 1e-9 * scale},
         {"suite": "malmsten_vs_lgamma", "max_residual": r_malmsten, "threshold": 1e-9 * scale},
         {"suite": "eq4_identity", "max_residual": r_eq4, "threshold": 1e-9 * scale},
-        {
-            "suite": "form_equivalence",
-            "max_residual": r_forms,
-            "threshold": 16.0 * sys.float_info.epsilon,
-        },
+        {"suite": "form_equivalence", "max_residual": r_forms, "threshold": 16 * sys.float_info.epsilon},
     ]
 
 

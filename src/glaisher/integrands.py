@@ -7,9 +7,8 @@ the upper end of its domain (0, domain_upper), whether it is log-singular at
 0, and, on (0, inf) only, an optional tail bound T -> int_T^inf |f| that
 does not increase with T and is rigorous for T >= 5, the automatic ladder's
 first rung and the smallest T a caller may force (the classical and Malmsten
-bounds assume T >= 1).  The automatic truncation rule reads from that bound
-alone whether the tail is cut or compactified; a tail without one is
-compactified, and cannot be truncated.
+bounds assume T >= 1).  The automatic truncation rule reads from it alone
+whether the tail is cut or compactified (a tail without one is).
 
 Evaluator notes:
   * classical:  x ln x / (e^{2 pi x} - 1), log-singular at 0, exponential tail.

@@ -23,10 +23,9 @@ IntegrandSpec, and it makes exactly one integrate_finite call:
      Otherwise the automatic rule decides: a bound that drops below a
      tenth of the tolerance at some T of a fixed ladder up to ~850 (an
      exponential tail) is truncated at the first such T, and any other
-     tail (an algebraic one, or one with no bound) is compactified at
+     tail (an algebraic one, or one without a bound) is compactified at
      T = 10.  The automatic rule relies on bounds that do not increase with
-     T: it reads the top of the ladder first.  Only a forced truncation
-     needs a bound.
+     T: it reads the top of the ladder first.
   3. A log singularity at 0 on the interval (0, b] that steps 1-2 produced
      is graded away by x = b u^5 on u in (0, 1] (Davis & Rabinowitz, 1984):
      f(x) ~ ln x becomes f(b u^5) 5 b u^4 ~ u^4 ln u, which tends to 0 at
@@ -245,13 +244,12 @@ def integrate(
 ) -> QuadratureResult:
     """Integrate spec over (0, spec.domain_upper) to absolute tolerance tol.
 
-    The steps are those of the module docstring; truncate_at (None: the
-    automatic rule) applies to (0, inf) only, and forcing it needs a
-    tail_bound.  Truncation spends what the tail bound leaves of tol on
-    discretization (at least tol/10, and never below the engine's smallest
-    tol); a forced truncation whose bound exceeds tol (the slow-convergence
-    pathology of an algebraic tail) is returned with that bound as
-    truncation_error and converged=False.
+    The steps are those of the module docstring; a forced truncate_at
+    applies to (0, inf) only and needs a tail_bound.  Truncation spends what
+    the bound leaves of tol on discretization (at least tol/10, never below
+    the engine's smallest tol); a forced truncation whose bound exceeds tol
+    (the slow-convergence pathology of an algebraic tail) is returned with
+    that bound as truncation_error and converged=False.
     """
     _check_tol(tol)
     f, b, bound, disc_tol = spec.eval, spec.domain_upper, spec.tail_bound, tol

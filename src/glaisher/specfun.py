@@ -66,11 +66,10 @@ def _theta_kernel(t: float) -> float:
 def binet_theta(x: float, tol: float = 1e-10) -> QuadratureResult:
     """Binet's theta(x) by quadrature of its integral representation, 0.1 <= x <= 100.
 
-    The tail has no bound of its own, so the quadrature compactifies it.
-    Outside the domain the error bar can fail: below x = 0.1, where the
-    integrand (~e^{-xt}/(2t)) spreads out to t ~ 1/x, theta(1.6e-4) at tol
-    1e-4 errs by 3e-2 against a bar of 2e-6; above, from x ~ 150, the first
-    panel's nodes miss the peak at 0, of width ~1/x.
+    Its tail, which has no bound here, is compactified.  Outside the domain
+    the bar can fail: below x = 0.1, where the integrand (~e^{-xt}/(2t))
+    spreads out to t ~ 1/x, theta(1.6e-4) at tol 1e-4 errs by 3e-2 against a
+    bar of 2e-6; above, from x ~ 150, the first panel misses the peak at 0.
     """
     if not 0.1 <= x <= 100.0:
         raise ValueError(f"binet_theta requires 0.1 <= x <= 100, got {x}")
