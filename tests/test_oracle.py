@@ -152,7 +152,7 @@ def test_binet_theta_bar_holds():
     # theta(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 at 22 x over the
     # whole domain [0.1, 100].  With its tail compactified the worst error is
     # 0.51 of the bar (x = 0.139); the hand-derived tail bound it replaced
-    # left 0.95 (x = 0.1).
+    # left 0.95.
     xs = [10.0 ** (-1 + 3 * i / 21) for i in range(22)]
     truths = {}
     with mpmath.workdps(40):
