@@ -32,6 +32,14 @@ BUDGETS = [None, "31", "93", "2000"]
 # n = 5 is below what the lower tols need, so the limit sequence's tol check
 # shows as exit 2 there; an integral route would reject a budget this small.
 SEQ_BUDGETS = [*BUDGETS, "5"]
+# Sweeps whose runs nest (T doubling, a fine budget ladder) and whose T never
+# nest, at the two ends of the accepted range and one tol between.
+SWEEP_TOLS = ["1e-3", "1e-8", "1e-13"]
+SWEEPS = [
+    ["--T-list", "5,10,20,40,80,160,320"],
+    ["--T-list", "7,11,13,17"],
+    ["--budgets", "21,42,63,84,105,126,147,168,189,210"],
+]
 OUT = "{out}"  # replaced by a file in a temporary directory
 
 ERRORS = [
@@ -87,6 +95,9 @@ def commands():
         for fmt in ("json", "text"):
             yield ["check", "--tol", tol, "--format", fmt]
         yield ["convergence", "--tol", tol]
+    for tol in SWEEP_TOLS:
+        for sweep in SWEEPS:
+            yield ["convergence", "--tol", tol, *sweep]
     yield from ERRORS
 
 
