@@ -89,15 +89,21 @@ def _build_parser() -> _Parser:
 
 
 def _parse_list(parser, text, cast, what, default):
-    if not text:
+    """The comma-separated values of text, or default if the option was not given.
+
+    An empty item ("25,,50", ",25", "64,") is rejected, not skipped.
+    """
+    if text is None:
         return default
+    parts = text.split(",")
+    if not any(parts):
+        parser.error(f"empty {what} list")
+    if not all(parts):
+        parser.error(f"empty item in {what} list {text!r}")
     try:
-        values = [cast(part) for part in text.split(",") if part]
+        return [cast(part) for part in parts]
     except ValueError:
         parser.error(f"cannot parse {what} list {text!r}")
-    if not values:
-        parser.error(f"empty {what} list")
-    return values
 
 
 def _validate(parser: _Parser, args) -> None:

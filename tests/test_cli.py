@@ -316,6 +316,10 @@ class TestUsageErrors:
             ["--T-list", "nan"],
             ["--T-list", "25,nan,100"],
             ["--budgets", ","],
+            ["--T-list", "25,,50"],
+            ["--T-list", ",25"],
+            ["--budgets", "64,"],
+            ["--T-list", ""],
         ],
     )
     def test_convergence_arguments_out_of_contract(self, capsys, argv):

@@ -68,6 +68,9 @@ ERRORS = [
     ["convergence", "--T-list", "25,nan,100"],
     ["convergence", "--T-list", "a,b"],
     ["convergence", "--T-list", ","],
+    ["convergence", "--T-list", "25,,50"],
+    ["convergence", "--T-list", ",25"],
+    ["convergence", "--budgets", "64,"],
     ["convergence", "--budgets", "10"],
     ["convergence", "--budgets", ","],
     ["convergence", "--budgets", "128,64"],
