@@ -15,7 +15,10 @@ count as a changed result.  The calls are
     tol (log-uniform), auto or truncate_at T, and budget;
   * ln_a_limit_sequence over n;
   * binet_theta and malmsten_log_gamma over (x, tol);
-  * identity_residual_eq4 over tol, and construct_reference once.
+  * identity_residual_eq4 over tol, and construct_reference once;
+  * bench.sweep_truncation (binet, malmsten) and bench.sweep_nodes (every
+    route) over tol x a list of T or budgets: nested, never nested,
+    repeated and seeded ones.
 
 It is the library twin of tools/cli_grid.py: a refactor that should change
 no number is checked by running the grid on both checkouts and diffing:
@@ -39,6 +42,12 @@ SPECFUN_TOLS = [1e-12, 1e-10, 1e-8, 1e-6, 1e-4]
 SPECFUN_XS = [0.0, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0]
 SEQUENCE_NS = [1, 2, 3, 100, 1000, 4001]
 RANDOM_CALLS = 6000
+SWEEP_TOLS = [1e-13, 1e-11, 1e-8, 1e-6, 1e-3]
+T_LISTS = [[5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0], [7.0, 11.0, 13.0, 17.0],
+           [25.0, 25.0, 50.0], [500.0]]
+BUDGET_LISTS = [[64, 128, 256, 512, 1024], list(range(21, 211, 21)), [63, 63, 126],
+                [21, 22, 41, 42, 43, 300]]
+SEEDED_LISTS = 2
 
 
 def calls(glaisher, rng):
@@ -71,12 +80,27 @@ def calls(glaisher, rng):
     for tol in TOLS:
         yield f"identity_residual_eq4({tol!r})", lambda t=tol: glaisher.identity_residual_eq4(t)
     yield "construct_reference()", glaisher.construct_reference
+    bench = glaisher.bench
+    t_lists = T_LISTS + [sorted(rng.uniform(5.0, 500.0) for _ in range(4))
+                         for _ in range(SEEDED_LISTS)]
+    budget_lists = BUDGET_LISTS + [sorted(rng.randrange(21, 2000) for _ in range(5))
+                                   for _ in range(SEEDED_LISTS)]
+    for tol in SWEEP_TOLS:
+        for method in ("binet", "malmsten"):
+            for ts in t_lists:
+                yield (f"sweep_truncation({method!r}, {ts!r}, {tol!r})",
+                       lambda m=method, ts=ts, t=tol: bench.sweep_truncation(m, ts, t))
+        for route in ROUTES:
+            for budgets in budget_lists:
+                yield (f"sweep_nodes({route!r}, {budgets!r}, {tol!r})",
+                       lambda r=route, b=budgets, t=tol: bench.sweep_nodes(r, b, t))
 
 
 def main() -> int:
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1])
     sys.path.insert(0, str(root / "src"))
     import glaisher
+    import glaisher.bench  # noqa: F401  (a submodule the package does not import)
 
     for label, thunk in calls(glaisher, random.Random(SEED)):
         try:
