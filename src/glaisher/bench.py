@@ -43,11 +43,19 @@ def sweep_truncation(
 
     The discretization tolerance is pinned at tol, so abs_error isolates the
     truncation term.  Non-converged runs are recorded flagged, not dropped.
+    The runs share one panel memo: truncation leaves the integrand as it
+    is, so a panel that two runs bisect to ([0, 25] of T = 25 and of T = 50)
+    is evaluated once.  evaluations_used is what the run at that T would
+    spend alone.
     """
     if method not in ("binet", "malmsten"):
         raise ValueError(f"truncation sweep supports binet|malmsten, got {method!r}")
     check_T_list(T_list)
-    return [_record(ln_a(method, tol, truncate_at=float(T)), DEFAULT_MAX_EVALS) for T in T_list]
+    panels = {}
+    return [
+        _record(ln_a(method, tol, truncate_at=float(T), panels=panels), DEFAULT_MAX_EVALS)
+        for T in T_list
+    ]
 
 
 def sweep_nodes(
@@ -55,18 +63,14 @@ def sweep_nodes(
 ) -> list[ConvergenceRecord]:
     """One record per evaluation budget, automatic truncation rule.
 
-    A run that ends with room for another bisection (two panels) stopped
-    because it met tol, and every larger budget retraces it exactly, so its
-    estimate is reused for the budgets after it.
+    The runs share one panel memo: the run at a budget retraces every
+    smaller budget's run, so the sweep evaluates the panels of its largest
+    run once.  evaluations_used is what the run at that budget would spend
+    alone.
     """
     check_budgets(budgets)
-    records, settled = [], False
-    for budget in budgets:
-        if not settled:
-            est = ln_a(method, tol, max_evals=budget)
-            settled = est.evaluations + 2 * PANEL_EVALS <= budget
-        records.append(_record(est, budget))
-    return records
+    panels = {}
+    return [_record(ln_a(method, tol, max_evals=b, panels=panels), b) for b in budgets]
 
 
 def check_T_list(T_list: Sequence[float]) -> None:

@@ -31,7 +31,7 @@ EXIT_IO = 74
 # Defaults, in one place:
 #   tol        1e-10 (comfortably inside every route's supported range)
 #   T_list     the grid used for the published truncation comparison
-#   budgets    doubling ladder from the smallest sensible panel count
+#   budgets    evaluation budgets doubling from 64, room for three panels (63)
 DEFAULT_TOL = 1e-10
 DEFAULT_T_LIST = [25.0, 50.0, 100.0, 200.0]
 DEFAULT_BUDGETS = [64, 128, 256, 512, 1024]

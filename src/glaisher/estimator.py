@@ -117,22 +117,26 @@ def ln_a(
     tol: float = 1e-10,
     truncate_at: float | None = None,
     max_evals: int = DEFAULT_MAX_EVALS,
+    *,
+    panels: dict | None = None,
 ) -> ConstantEstimate:
     """ln A by one integral route of ROUTES, with its error budget.
 
     truncate_at forces a semi-infinite route's truncation point T, in
     [5, 500]; None leaves the tail to the automatic rule, and the
     finite-interval route rejects any T.  max_evals is a hard cap, an
-    integer of at least one panel (PANEL_EVALS evaluations).  The
-    discretization error includes the rounding of offset + scale * integral.
-    The limit sequence is ln_a_limit_sequence.
+    integer of at least one panel (PANEL_EVALS evaluations).  panels is
+    quadrature.integrate's panel memo, shared by a series of calls; the
+    result is the same without it.  The discretization error includes the
+    rounding of offset + scale * integral.  The limit sequence is
+    ln_a_limit_sequence.
     """
     if method not in ROUTES:
         raise ValueError(f"unknown route {method!r}; known: {', '.join(ROUTES)}")
     _check_tol(tol)
     integrand_id, scale, offset = ROUTES[method]
     s = abs(scale)
-    res = integrate(get_integrand(integrand_id), tol / s, truncate_at, max_evals)
+    res = integrate(get_integrand(integrand_id), tol / s, truncate_at, max_evals, panels=panels)
     scaled = scale * res.value
     rounding = sys.float_info.epsilon * (abs(offset) + abs(scaled))
     disc = s * (res.error_estimate - res.truncation_error) + rounding

@@ -10,6 +10,12 @@ only, so integrands never get evaluated at interval endpoints (removable
 singularities at 0 are safe).  integrate_finite(f, a, b, tol) is that
 engine on [a, b].
 
+Bisection is deterministic, so a panel's (value, error) depends only on the
+integrand and the panel's endpoints.  Both entries take an optional memo,
+panels, a dict a caller passes to a series of runs (bench's sweeps) so that
+each distinct panel is evaluated once; a panel taken from it still counts
+toward evaluations and the budget, so results are the same with or without.
+
 integrate(spec, tol, truncate_at) is the one entry that reads an
 IntegrandSpec, and it makes exactly one integrate_finite call:
 
@@ -159,14 +165,38 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol {tol} outside [{_TOL_MIN}, {_TOL_MAX}]")
 
 
+def _memoized(f, panels):
+    """_panel of f as a function of (a, b), through the memo panels keyed by (a, b).
+
+    Without a caller's memo the run keeps its own, whose entries are all
+    misses: a run never bisects into the same panel twice.  A panel whose
+    integrand raised is not stored.
+    """
+
+    def panel(a, b):
+        key = (a, b)
+        hit = panels.get(key)
+        if hit is None:
+            hit = panels[key] = _panel(f, a, b)
+        return hit
+
+    return panel
+
+
 def integrate_finite(
     f: Callable[[float], float],
     a: float,
     b: float,
     tol: float,
     max_evals: int = DEFAULT_MAX_EVALS,
+    *,
+    panels: dict | None = None,
 ) -> QuadratureResult:
-    """Integrate f over [a, b] to absolute tolerance tol, at most max_evals calls."""
+    """Integrate f over [a, b] to absolute tolerance tol, at most max_evals calls.
+
+    panels, if given, is f's panel memo (module docstring): a dict that only
+    runs on this f may share.
+    """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"require finite a < b, got [{a}, {b}]")
     _check_tol(tol)
@@ -176,7 +206,8 @@ def integrate_finite(
         raise ValueError(f"max_evals must be an integer, got {max_evals!r}") from None
     if max_evals < PANEL_EVALS:
         raise ValueError(f"max_evals {max_evals} is below one panel ({PANEL_EVALS})")
-    value, err = _panel(f, a, b)
+    panel = _memoized(f, {} if panels is None else panels)
+    value, err = panel(a, b)
     evals = PANEL_EVALS
     # heap entries: (-error, insertion order, a, b, value, error)
     seq = 0
@@ -185,8 +216,8 @@ def integrate_finite(
     while total_err > tol and evals + 2 * PANEL_EVALS <= max_evals:
         neg, _, pa, pb, pv, pe = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
-        v1, e1 = _panel(f, pa, pm)
-        v2, e2 = _panel(f, pm, pb)
+        v1, e1 = panel(pa, pm)
+        v2, e2 = panel(pm, pb)
         evals += 2 * PANEL_EVALS
         total_err += e1 + e2 - pe
         seq += 1
@@ -241,6 +272,8 @@ def integrate(
     tol: float,
     truncate_at: float | None = None,
     max_evals: int = DEFAULT_MAX_EVALS,
+    *,
+    panels: dict | None = None,
 ) -> QuadratureResult:
     """Integrate spec over (0, spec.domain_upper) to absolute tolerance tol.
 
@@ -250,17 +283,24 @@ def integrate(
     the engine's smallest tol); a forced truncation whose bound exceeds tol
     (the slow-convergence pathology of an algebraic tail) is returned with
     that bound as truncation_error and converged=False.
+
+    panels, if given, is a panel memo (module docstring) that any runs may
+    share: its entries are keyed by the integrand integrate_finite sees,
+    (spec.eval, compactify scale T or None, graded map's b or None), and
+    each holds that integrand's panels.  Truncation keeps spec.eval as it
+    is, so runs truncated at different T share panels.
     """
     _check_tol(tol)
     f, b, bound, disc_tol = spec.eval, spec.domain_upper, spec.tail_bound, tol
     mode, T, trunc = "none", 0.0, 0.0
+    compact_T = graded_b = None
     if math.isfinite(b):
         if truncate_at is not None:
             raise ValueError(f"the domain [0, {b}] is finite; it takes no truncate_at")
     elif truncate_at is None and (bound is None or not bound(_LADDER[-1]) <= tol / TAIL_SAFETY):
         # "not <=" so that a NaN bound is compactified, never truncated.
         mode, T = "compactify", 10.0
-        f, b = _compactified(f, T), 1.0
+        f, b, compact_T = _compactified(f, T), 1.0, T
     else:
         if truncate_at is None:
             T = next(t for t in _LADDER if bound(t) <= tol / TAIL_SAFETY)
@@ -274,8 +314,9 @@ def integrate(
         disc_tol = max(tol - trunc, 0.1 * tol, _TOL_MIN)
         b = T
     if spec.log_singular_at_zero:
-        f, b = _graded(f, b), 1.0
-    res = integrate_finite(f, 0.0, b, disc_tol, max_evals)
+        f, b, graded_b = _graded(f, b), 1.0, b
+    memo = None if panels is None else panels.setdefault((spec.eval, compact_T, graded_b), {})
+    res = integrate_finite(f, 0.0, b, disc_tol, max_evals, panels=memo)
     err = res.error_estimate + trunc
     return QuadratureResult(
         value=res.value,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from glaisher import bench
+from glaisher import quadrature
 from glaisher.bench import (
     CSV_HEADER,
     ConvergenceRecord,
@@ -14,9 +14,41 @@ from glaisher.bench import (
     sweep_truncation,
 )
 from glaisher.estimator import LN_A_REFERENCE, ROUTES, ln_a
-from glaisher.quadrature import PANEL_EVALS
+from glaisher.quadrature import DEFAULT_MAX_EVALS, PANEL_EVALS
 
 T_GRID = [25.0, 50.0, 100.0, 200.0]
+MEMO_TOLS = [1e-13, 1e-10, 1e-6, 1e-3]
+# Nested, never nested, and repeated.
+MEMO_T_LISTS = [[5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0], [7.0, 11.0, 13.0, 17.0],
+                [25.0, 25.0, 50.0]]
+MEMO_LADDERS = [[64, 128, 256, 512, 1024], list(range(21, 211, 21)), [63, 63, 126]]
+
+
+def _alone(est, node_budget):
+    """The record of one ln_a run that shares no panel memo."""
+    return ConvergenceRecord(
+        method=est.method,
+        truncation_mode=est.truncation_mode,
+        truncation_T=est.truncation_T,
+        node_budget=node_budget,
+        evaluations_used=est.evaluations,
+        abs_error=abs(est.ln_A - LN_A_REFERENCE),
+        converged=est.converged,
+    )
+
+
+@pytest.fixture
+def panel_calls(monkeypatch):
+    """The (a, b) of every panel quadrature evaluates, in order."""
+    calls = []
+    panel = quadrature._panel
+
+    def counting(f, a, b):
+        calls.append((a, b))
+        return panel(f, a, b)
+
+    monkeypatch.setattr(quadrature, "_panel", counting)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -105,25 +137,18 @@ class TestNodeSweep:
         )
 
     @pytest.mark.parametrize("method", list(ROUTES))
-    def test_settled_run_is_reused(self, monkeypatch, method):
+    def test_sweep_evaluates_its_largest_run_once(self, panel_calls, method):
         # At tol 1e-12 classical hits the cap at budgets 32, 64 and 128 and
-        # needs 189 evaluations; every route settles by 512.
+        # needs 189 evaluations.  A run retraces every smaller budget's run,
+        # so the sweep costs the panels of the run at 2048 alone.
         budgets = [32, 64, 128, 256, 512, 1024, 2048]
-        fresh = [sweep_nodes(method, [b], tol=1e-12)[0] for b in budgets]
+        alone = [_alone(ln_a(method, 1e-12, max_evals=b), b) for b in budgets]
         if method == "classical":
-            assert [r.evaluations_used for r in fresh[:3]] == [21, 63, 105]
-        settle = next(
-            i for i, r in enumerate(fresh) if r.evaluations_used + 2 * PANEL_EVALS <= r.node_budget
-        )
-        calls = []
-
-        def counting_ln_a(*args, **kwargs):
-            calls.append(kwargs["max_evals"])
-            return ln_a(*args, **kwargs)
-
-        monkeypatch.setattr(bench, "ln_a", counting_ln_a)
-        assert sweep_nodes(method, budgets, tol=1e-12) == fresh
-        assert calls == budgets[: settle + 1]
+            assert [r.evaluations_used for r in alone[:3]] == [21, 63, 105]
+        panel_calls.clear()
+        assert sweep_nodes(method, budgets, tol=1e-12) == alone
+        assert len(panel_calls) * PANEL_EVALS == alone[-1].evaluations_used
+        assert len(set(panel_calls)) == len(panel_calls)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -135,6 +160,46 @@ class TestNodeSweep:
         with pytest.raises(ValueError):
             sweep_nodes("binet", [31.9, 64.5])
         assert sweep_nodes("binet", [np.int64(31)])[0].node_budget == 31
+
+
+class TestPanelMemo:
+    """Each sweep shares one panel memo; its records are those of runs alone."""
+
+    @pytest.mark.parametrize("tol", MEMO_TOLS)
+    @pytest.mark.parametrize("method", ["binet", "malmsten"])
+    def test_truncation_sweep_equals_runs_alone(self, method, tol):
+        for ts in MEMO_T_LISTS:
+            alone = [_alone(ln_a(method, tol, T), DEFAULT_MAX_EVALS) for T in ts]
+            assert sweep_truncation(method, ts, tol) == alone
+
+    @pytest.mark.parametrize("tol", MEMO_TOLS)
+    @pytest.mark.parametrize("method", list(ROUTES))
+    def test_node_sweep_equals_runs_alone(self, method, tol):
+        for budgets in MEMO_LADDERS:
+            alone = [_alone(ln_a(method, tol, max_evals=b), b) for b in budgets]
+            assert sweep_nodes(method, budgets, tol) == alone
+
+    def test_nested_truncation_shares_panels(self, panel_calls):
+        # The run at T = 50 bisects [0, 50] into [0, 25], the first panel of
+        # the run at T = 25.
+        sweep_truncation("binet", [25.0], 1e-11)
+        at_25 = set(panel_calls)
+        panel_calls.clear()
+        sweep_truncation("binet", [25.0, 50.0], 1e-11)
+        assert (0.0, 25.0) in at_25
+        assert len(panel_calls) == len(set(panel_calls))
+        assert at_25 <= set(panel_calls)
+
+    def test_classical_graded_maps_at_two_T_do_not_share(self, panel_calls):
+        # Classical's graded map x = T u^5 depends on T, so each T has its
+        # own entry of the memo; a repeated T evaluates nothing.
+        panels = {}
+        shared = [ln_a("classical", 1e-10, T, panels=panels) for T in (25.0, 50.0)]
+        assert shared == [ln_a("classical", 1e-10, T) for T in (25.0, 50.0)]
+        assert len(panels) == 2
+        n = len(panel_calls)
+        assert ln_a("classical", 1e-10, 25.0, panels=panels) == shared[0]
+        assert len(panel_calls) == n
 
 
 class TestCsv:

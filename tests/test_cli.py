@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import glaisher
-from glaisher import integrands
+from glaisher import integrands, quadrature
 from glaisher.bench import CSV_HEADER
 from glaisher.cli import main
 from glaisher.estimator import LN_A_REFERENCE, N_MAX
@@ -231,6 +231,25 @@ class TestConvergence:
             "--output", "/no/such/dir/conv.csv",
         )
         assert code == 74
+
+    def test_each_panel_is_evaluated_once(self, capsys, monkeypatch):
+        # Each sweep shares one panel memo: 38 distinct panels at tol 1e-10
+        # (99 without it).  No memo outlives its sweep, so a second command
+        # evaluates them all again.
+        calls = []
+        panel = quadrature._panel
+
+        def counting(f, a, b):
+            calls.append(a)
+            return panel(f, a, b)
+
+        monkeypatch.setattr(quadrature, "_panel", counting)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert run_cli(capsys, "convergence", "--tol", "1e-10")[0] == 0
+            counts.append(len(calls))
+        assert counts == [38, 38]
 
 
 class TestDeterminism:

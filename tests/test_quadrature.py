@@ -243,6 +243,30 @@ def test_infinite_value_is_an_error(value):
         integrate_finite(lambda x: value, 0.0, 1.0, 1e-8)
 
 
+def test_panel_memo_keeps_no_failed_panel():
+    # The root panel's smallest node is 0.0022; the left child's is 0.0011.
+    def f(x):
+        return math.nan if x < 0.002 else math.sqrt(x)
+
+    panels = {}
+    for _ in range(2):
+        with pytest.raises(EvaluationFailedError):
+            integrate_finite(f, 0.0, 1.0, 1e-10, panels=panels)
+        assert list(panels) == [(0.0, 1.0)]
+
+
+def test_panel_memo_changes_no_result():
+    spec = get_integrand("malmsten_form19")
+    panels = {}
+    for tol in (1e-6, 1e-12, 1e-9):
+        for truncate_at in (None, 20.0, 40.0):
+            for max_evals in (63, 10_000):
+                ref = integrate(spec, tol, truncate_at, max_evals)
+                assert integrate(spec, tol, truncate_at, max_evals, panels=panels) == ref
+    # Truncation keeps the integrand; the automatic rule truncates here too.
+    assert list(panels) == [(spec.eval, None, None)]
+
+
 def test_policy_infeasible_for_algebraic_truncation():
     spec = get_integrand("binet_form13")
     # the pathology is recorded, with the tail bound, instead of raising
