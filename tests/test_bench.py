@@ -137,10 +137,11 @@ class TestNodeSweep:
         )
 
     @pytest.mark.parametrize("method", list(ROUTES))
-    def test_sweep_evaluates_its_largest_run_once(self, panel_calls, method):
+    def test_settled_run_is_reused(self, panel_calls, method):
         # At tol 1e-12 classical hits the cap at budgets 32, 64 and 128 and
         # needs 189 evaluations.  A run retraces every smaller budget's run,
-        # so the sweep costs the panels of the run at 2048 alone.
+        # and a run that settled is retraced whole, so the sweep costs the
+        # panels of the run at 2048 alone.
         budgets = [32, 64, 128, 256, 512, 1024, 2048]
         alone = [_alone(ln_a(method, 1e-12, max_evals=b), b) for b in budgets]
         if method == "classical":
