@@ -13,7 +13,7 @@ count as a changed result.  The calls are
   * ln_a over route x tol x {auto, truncate_at T} x budget, with each T
     drawn from a seeded generator, then RANDOM_CALLS more draws of route,
     tol (log-uniform), auto or truncate_at T, and budget;
-  * ln_a_limit_sequence over n;
+  * ln_a_limit_sequence over n, then over n_max x tol;
   * binet_theta and malmsten_log_gamma over (x, tol);
   * identity_residual_eq4 over tol, and construct_reference once;
   * bench.sweep_truncation (binet, malmsten) and bench.sweep_nodes (every
@@ -41,6 +41,7 @@ BUDGETS = [None, 31, 62, 93, 500, 2000]
 SPECFUN_TOLS = [1e-12, 1e-10, 1e-8, 1e-6, 1e-4]
 SPECFUN_XS = [0.0, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0]
 SEQUENCE_NS = [1, 2, 3, 100, 1000, 4001]
+SEQUENCE_N_MAXES = [1, 5, 20, 1000]  # and estimator.N_MAX
 RANDOM_CALLS = 6000
 SWEEP_TOLS = [1e-13, 1e-11, 1e-8, 1e-6, 1e-3]
 T_LISTS = [[5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0], [7.0, 11.0, 13.0, 17.0],
@@ -72,6 +73,10 @@ def calls(glaisher, rng):
         yield ln_a(route, tol, truncate_at, budget)
     for n in SEQUENCE_NS:
         yield f"ln_a_limit_sequence({n!r})", lambda n=n: glaisher.ln_a_limit_sequence(n)
+    for n_max in (*SEQUENCE_N_MAXES, glaisher.estimator.N_MAX):
+        for tol in TOLS:
+            yield (f"ln_a_limit_sequence({n_max!r}, {tol!r})",
+                   lambda n=n_max, t=tol: glaisher.ln_a_limit_sequence(n, t))
     for fn in (glaisher.binet_theta, glaisher.malmsten_log_gamma):
         xs = SPECFUN_XS + [rng.uniform(0.05, 20.0) for _ in range(10)]
         for x in xs:
