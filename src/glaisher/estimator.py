@@ -71,7 +71,9 @@ METHODS = (*ROUTES, "limit_sequence")
 # Accepted tolerance range of every route, the identity suites and the CLI.
 TOL_MIN, TOL_MAX = 1e-13, 1e-3
 
-# Largest n of the limit sequence, for the library and the CLI's --budget.
+# Largest n of the limit sequence: the default and the top of n_max and of the
+# CLI's --budget.  It caps the n that tol selects, which is at most 20 on
+# [TOL_MIN, TOL_MAX], so it is a bound, not a working point.
 N_MAX = 100_000
 
 # ln A = term(n) + sum_k c_k / n^(2k) asymptotically, with c_k =
@@ -89,6 +91,10 @@ _SEQ_CORRECTION_ROUNDING = (
     (3 * _SEQ_ORDER + 1) / 2 * sys.float_info.epsilon
     * sum(map(abs, _SEQ_CORRECTIONS[:_SEQ_ORDER]))
 )
+# Rounding of the term (within half an ulp) and of term + correction: for
+# every n >= 1 both lie in [1/8, 1/2), where half an ulp is at most eps/8.
+# The bar counts twice their sum.
+_SEQ_VALUE_ROUNDING = sys.float_info.epsilon / 2
 
 
 ConstantEstimate = namedtuple(
@@ -153,17 +159,54 @@ def ln_a(
     )
 
 
-def ln_a_limit_sequence(n_max: int = 1000, tol: float = 1e-10) -> ConstantEstimate:
+def _seq_bar(n: int) -> float:
+    """The limit sequence's error bar at n, which depends on n alone.
+
+    Twice the first omitted correction (the remainder is no larger than it)
+    plus the rounding: the corrections' sum within
+    _SEQ_CORRECTION_ROUNDING / n^2, and the term and the value within
+    _SEQ_VALUE_ROUNDING.
+    """
+    x = 1.0 / (n * n)
+    return (
+        2.0 * abs(_SEQ_CORRECTIONS[_SEQ_ORDER]) * x ** (_SEQ_ORDER + 1)
+        + _SEQ_VALUE_ROUNDING
+        + _SEQ_CORRECTION_ROUNDING * x
+    )
+
+
+def _limit_sequence_at(n: int, tol: float) -> ConstantEstimate:
+    """The corrected limit-sequence term at n, with its bar _seq_bar(n).
+
+    One term, plus the first _SEQ_ORDER asymptotic corrections c_k / n^(2k).
+    evaluations is n, and converged means the bar is at most tol.
+    """
+    term = specfun.glaisher_seq_log_term(n)
+    x = 1.0 / (n * n)
+    correction = 0.0
+    for c in reversed(_SEQ_CORRECTIONS[:_SEQ_ORDER]):
+        correction = (correction + c) * x
+    err = _seq_bar(n)
+    return ConstantEstimate(
+        method="limit_sequence",
+        ln_A=term + correction,
+        discretization_error=err,
+        truncation_error=0.0,
+        evaluations=n,
+        converged=err <= tol,
+    )
+
+
+def ln_a_limit_sequence(n_max: int = N_MAX, tol: float = 1e-10) -> ConstantEstimate:
     """ln A from the defining limit sequence; no quadrature code involved.
 
-    One term, at n = n_max, plus the first _SEQ_ORDER asymptotic corrections
-    c_k / n^(2k).  The error estimate is twice the first omitted correction
-    (the remainder is no larger than it) plus the rounding: the term is
-    within half an ulp, the corrections' sum within
-    _SEQ_CORRECTION_ROUNDING / n^2, and their sum adds at most half an ulp
-    of the value.  evaluations is n_max, the n of the term (its work is
-    O(sqrt n) steps).  converged means the error estimate is at most tol,
-    which must lie in [TOL_MIN, TOL_MAX] as for ln_a.
+    The corrected term at the smallest n whose bar (_seq_bar) is at most tol,
+    found before any term is evaluated: n = 2 / 3 / 9 / 15 / 20 at tol 1e-3
+    / 1e-6 / 1e-10 / 1e-12 / 1e-13.  n_max, an integer in [1, N_MAX], is a
+    hard cap on that n.  evaluations is the n used (the term's work is
+    O(sqrt n) steps), and converged means the bar is at most tol, which must
+    lie in [TOL_MIN, TOL_MAX] as for ln_a; it is False only when n_max is
+    below the n that tol needs.
     """
     try:
         n_max = operator.index(n_max)
@@ -172,25 +215,10 @@ def ln_a_limit_sequence(n_max: int = 1000, tol: float = 1e-10) -> ConstantEstima
     if not 1 <= n_max <= N_MAX:
         raise ValueError(f"n_max {n_max} outside [1, {N_MAX}]")
     _check_tol(tol)
-    term = specfun.glaisher_seq_log_term(n_max)
-    x = 1.0 / (n_max * n_max)
-    correction = 0.0
-    for c in reversed(_SEQ_CORRECTIONS[:_SEQ_ORDER]):
-        correction = (correction + c) * x
-    value = term + correction
-    err = (
-        2.0 * abs(_SEQ_CORRECTIONS[_SEQ_ORDER]) * x ** (_SEQ_ORDER + 1)
-        + sys.float_info.epsilon * (abs(term) + abs(value))
-        + _SEQ_CORRECTION_ROUNDING * x
-    )
-    return ConstantEstimate(
-        method="limit_sequence",
-        ln_A=value,
-        discretization_error=err,
-        truncation_error=0.0,
-        evaluations=n_max,
-        converged=err <= tol,
-    )
+    n = 1
+    while n < n_max and _seq_bar(n) > tol:
+        n += 1
+    return _limit_sequence_at(n, tol)
 
 
 def identity_residual_eq4(tol: float = 1e-10) -> float:
@@ -268,7 +296,7 @@ def construct_reference() -> tuple[float, float]:
     at n = 800, and 1/12 - 2x the classical integral at tol 1e-13, whose
     tail the automatic rule truncates (at T = 6.25) with a rigorous bound.
     """
-    seq_path = ln_a_limit_sequence(800).ln_A
+    seq_path = _limit_sequence_at(800, 1e-13).ln_A
 
     res = integrate(get_integrand("classical"), 1e-13)
     quad_path = 1.0 / 12.0 - 2.0 * res.value

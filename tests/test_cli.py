@@ -84,6 +84,22 @@ class TestEval:
         )
         assert json.loads(out)["evaluations"] <= budget
 
+    # n is the smallest whose bar meets --tol; --budget caps it.
+    @pytest.mark.parametrize(
+        "tol, budget, n", [("1e-10", [], 9), ("1e-13", [], 20), ("1e-3", ["--budget", "5"], 2),
+                           ("1e-13", ["--budget", "5"], 5)],
+    )
+    def test_limit_sequence_n_from_tol(self, capsys, tol, budget, n):
+        code, out, _ = run_cli(
+            capsys, "eval", "--method", "limit-sequence", "--tol", tol, *budget,
+            "--format", "json",
+        )
+        payload = json.loads(out)
+        assert payload["evaluations"] == n
+        assert code == (0 if payload["converged"] else 2)
+        # 1e-16 covers the rounding of LN_A_REFERENCE itself.
+        assert abs(payload["ln_A"] - LN_A_REFERENCE) <= payload["discretization_error"] + 1e-16
+
     def test_limit_sequence_honours_tol(self, capsys):
         # The bar at n = 5 is ~4.8e-9: met at 1e-8, not at 1e-13.
         code, out, _ = run_cli(

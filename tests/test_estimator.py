@@ -12,6 +12,7 @@ from glaisher.estimator import (
     ROUTES,
     TOL_MAX,
     TOL_MIN,
+    _limit_sequence_at,
     construct_reference,
     identity_residual_eq4,
     inner_tol,
@@ -136,10 +137,14 @@ class TestRoutes:
             ln_a("binet", 1e-10, max_evals=max_evals)
 
 
+# 201 log-spaced tols over the accepted range, both ends included.
+SEQUENCE_TOLS = [10.0 ** (-13 + i / 20) for i in range(201)]
+
+
 class TestLimitSequence:
     def test_corrected_first_term(self):
         # term(1) = ln(2 pi)/2 - 2/3, plus c_1 + c_2 + c_3.
-        est = ln_a_limit_sequence(1)
+        est = _limit_sequence_at(1, 1e-10)
         expected = 0.5 * math.log(2.0 * math.pi) - 2.0 / 3.0 - 1 / 240 + 1 / 1008 - 1 / 1440
         assert est.ln_A == pytest.approx(expected, abs=1e-15)
         assert abs(est.ln_A - LN_A_REFERENCE) <= est.discretization_error
@@ -150,13 +155,13 @@ class TestLimitSequence:
         assert abs(glaisher_seq_log_term(100) - LN_A_REFERENCE) <= 1e-4
 
     def test_corrected_200(self):
-        est = ln_a_limit_sequence(200)
+        est = _limit_sequence_at(200, 1e-10)
         assert abs(est.ln_A - LN_A_REFERENCE) <= 1e-15
         assert est.evaluations == 200
 
     def test_bar_at_n_max(self):
         # Twice the first omitted correction, ~2e-43, plus the rounding.
-        assert ln_a_limit_sequence(N_MAX).discretization_error < 2e-16
+        assert _limit_sequence_at(N_MAX, 1e-10).discretization_error < 2e-16
 
     def test_corrections_match_an_mpmath_derivation(self):
         """c_k = B_{2k+2} / (4k(k+1)), each the float nearest it."""
@@ -176,9 +181,46 @@ class TestLimitSequence:
                 ln_a_limit_sequence(1000, tol)
 
     def test_shares_no_quadrature(self):
-        est = ln_a_limit_sequence(500)
+        est = _limit_sequence_at(500, 1e-10)
         assert est.truncation_error == 0.0
         assert est.converged
+
+    # The n the bar needs at five tols across the accepted range.
+    @pytest.mark.parametrize("tol, n", [(1e-3, 2), (1e-6, 3), (1e-10, 9), (1e-12, 15), (1e-13, 20)])
+    def test_n_from_tol(self, tol, n):
+        est = ln_a_limit_sequence(tol=tol)
+        assert est.evaluations == n
+        assert est.converged
+        assert est == _limit_sequence_at(n, tol)
+
+    def test_n_is_the_smallest_whose_bar_meets_tol(self):
+        for tol in SEQUENCE_TOLS:
+            est = ln_a_limit_sequence(tol=tol)
+            n = est.evaluations
+            assert est.discretization_error <= tol
+            assert n == 1 or _limit_sequence_at(n - 1, tol).discretization_error > tol
+
+    def test_n_max_caps_n(self):
+        # The bar at n = 5 is ~4.8e-9, so tol 1e-9 needs more than 5.
+        est = ln_a_limit_sequence(5, tol=1e-9)
+        assert est.evaluations == 5
+        assert not est.converged
+        assert ln_a_limit_sequence(20, tol=1e-13) == ln_a_limit_sequence(tol=1e-13)
+
+    def test_one_term_per_call(self, monkeypatch):
+        calls = []
+        term = estimator.specfun.glaisher_seq_log_term
+
+        def counted(n):
+            calls.append(n)
+            return term(n)
+
+        monkeypatch.setattr(estimator.specfun, "glaisher_seq_log_term", counted)
+        for n_max in (1, 5, 20, 1000, N_MAX):
+            for tol in SEQUENCE_TOLS[::20]:
+                calls.clear()
+                est = ln_a_limit_sequence(n_max, tol)
+                assert calls == [est.evaluations]
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from glaisher.estimator import (
     ROUTES,
     TOL_MAX,
     TOL_MIN,
+    _limit_sequence_at,
     ln_a,
     ln_a_limit_sequence,
 )
@@ -199,12 +200,27 @@ def test_limit_sequence_bar_holds():
     misses = []
     worst = 0.0
     for n in sorted(ns):
-        est = ln_a_limit_sequence(n)
+        est = _limit_sequence_at(n, TOL_MIN)
         bar = est.discretization_error + est.truncation_error
         if not abs(est.ln_A - LN_A) <= bar:
             misses.append(n)
         worst = max(worst, abs(est.ln_A - LN_A) / bar)
     assert not misses
+    assert worst <= 0.6
+
+
+def test_limit_sequence_at_tol_meets_it():
+    # The n that each of 201 log-spaced tols selects: the bar holds against
+    # mpmath and is within tol.  The worst error is 0.50 of the bar, at
+    # n = 19.
+    worst = 0.0
+    for i in range(201):
+        tol = 10.0 ** (-13 + i / 20)
+        est = ln_a_limit_sequence(tol=tol)
+        bar = est.discretization_error + est.truncation_error
+        assert abs(est.ln_A - LN_A) <= bar <= tol
+        assert est.converged
+        worst = max(worst, abs(est.ln_A - LN_A) / bar)
     assert worst <= 0.6
 
 

@@ -13,7 +13,7 @@ count as a changed result.  The calls are
   * ln_a over route x tol x {auto, truncate_at T} x budget, with each T
     drawn from a seeded generator, then RANDOM_CALLS more draws of route,
     tol (log-uniform), auto or truncate_at T, and budget;
-  * ln_a_limit_sequence over n, then over n_max x tol;
+  * ln_a_limit_sequence over n_max, then over n_max x tol;
   * binet_theta and malmsten_log_gamma over (x, tol);
   * identity_residual_eq4 over tol, and construct_reference once;
   * bench.sweep_truncation (binet, malmsten) and bench.sweep_nodes (every
