@@ -23,7 +23,7 @@ import sys
 from collections import namedtuple
 
 from . import specfun
-from .integrands import binet_integrand, get_integrand, malmsten_integrand
+from .integrands import SERIES_SWITCH_T, binet_integrand, get_integrand, malmsten_integrand
 from .quadrature import DEFAULT_MAX_EVALS, integrate
 
 __all__ = [
@@ -268,7 +268,10 @@ def identity_suites(tol: float = 1e-10) -> list[dict]:
 
     r_eq4 = abs(identity_residual_eq4(inner))
 
-    ts = [10.0 ** (-3.0 + 4.7 * i / 199.0) for i in range(200)]
+    # 200 log-spaced t in [1e-3, 10**1.7]; below SERIES_SWITCH_T both forms
+    # of a pair are the same series, so only the points above it can differ.
+    grid = (10.0 ** (-3.0 + 4.7 * i / 199.0) for i in range(200))
+    ts = [t for t in grid if t >= SERIES_SWITCH_T]
     r_forms = 0.0
     for t in ts:
         b12 = binet_integrand(t, 12)

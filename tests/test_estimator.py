@@ -15,11 +15,18 @@ from glaisher.estimator import (
     _limit_sequence_at,
     construct_reference,
     identity_residual_eq4,
+    identity_suites,
     inner_tol,
     ln_a,
     ln_a_limit_sequence,
 )
-from glaisher.integrands import get_integrand, lngamma_direct_integrand
+from glaisher.integrands import (
+    SERIES_SWITCH_T,
+    binet_integrand,
+    get_integrand,
+    lngamma_direct_integrand,
+    malmsten_integrand,
+)
 from glaisher.quadrature import integrate, integrate_finite
 from glaisher.specfun import binet_theta, glaisher_seq_log_term, malmsten_log_gamma
 
@@ -302,6 +309,22 @@ class TestIdentitySuites:
         + [840] * 3 + [798] * 3 + [756] + [714] + [630] * 7 + [588] * 3 + [546] * 6
         + [504] + [462] * 6 + [420] + [378] * 4 + [336] * 8 + [294] * 3
     )
+
+    def test_form_equivalence_is_the_full_grid_maximum(self):
+        # The suite compares the forms only from SERIES_SWITCH_T on; below it
+        # both forms of a pair are one series, and their residual is 0.
+        residuals = []
+        for i in range(200):
+            t = 10.0 ** (-3.0 + 4.7 * i / 199.0)
+            b13, m19 = binet_integrand(t, 13), malmsten_integrand(t, 19)
+            r = max(
+                abs(binet_integrand(t, 12) - b13) / max(1.0, abs(b13)),
+                abs(malmsten_integrand(t, 18) - m19) / max(1.0, abs(m19)),
+            )
+            assert t >= SERIES_SWITCH_T or r == 0.0
+            residuals.append(r)
+        suites = {s["suite"]: s for s in identity_suites(1e-10)}
+        assert suites["form_equivalence"]["max_residual"] == max(residuals)
 
     def test_special_function_evaluations(self):
         evals = []
