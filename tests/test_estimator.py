@@ -180,9 +180,14 @@ class TestLimitSequence:
         assert estimator._SEQ_CORRECTIONS == derived
 
     def test_converged_honours_tol(self):
-        # The bar at n = 5 is ~4.8e-9.
-        assert ln_a_limit_sequence(5, tol=1e-8).converged
-        assert not ln_a_limit_sequence(5, tol=1e-9).converged
+        # The bar at n = 5 is ~4.8e-9: tol 1e-8 needs n = 5, and 1e-9 more
+        # than the cap n_max = 5 allows.
+        est = ln_a_limit_sequence(5, tol=1e-8)
+        assert est.converged
+        assert est == ln_a_limit_sequence(tol=1e-8)
+        capped = ln_a_limit_sequence(5, tol=1e-9)
+        assert capped.evaluations == 5
+        assert not capped.converged
         for tol in (TOL_MIN / 2, TOL_MAX * 2):
             with pytest.raises(ValueError):
                 ln_a_limit_sequence(1000, tol)
@@ -193,7 +198,9 @@ class TestLimitSequence:
         assert est.converged
 
     # The n the bar needs at five tols across the accepted range.
-    @pytest.mark.parametrize("tol, n", [(1e-3, 2), (1e-6, 3), (1e-10, 9), (1e-12, 15), (1e-13, 20)])
+    @pytest.mark.parametrize(
+        "tol, n", [(1e-3, 2), (1e-6, 3), (1e-10, 9), (1e-12, 15), (1e-13, 20)]
+    )
     def test_n_from_tol(self, tol, n):
         est = ln_a_limit_sequence(tol=tol)
         assert est.evaluations == n
@@ -206,13 +213,6 @@ class TestLimitSequence:
             n = est.evaluations
             assert est.discretization_error <= tol
             assert n == 1 or _limit_sequence_at(n - 1, tol).discretization_error > tol
-
-    def test_n_max_caps_n(self):
-        # The bar at n = 5 is ~4.8e-9, so tol 1e-9 needs more than 5.
-        est = ln_a_limit_sequence(5, tol=1e-9)
-        assert est.evaluations == 5
-        assert not est.converged
-        assert ln_a_limit_sequence(20, tol=1e-13) == ln_a_limit_sequence(tol=1e-13)
 
     def test_one_term_per_call(self, monkeypatch):
         calls = []
