@@ -32,7 +32,7 @@ def lib_grid_lines():
 
 def test_cli_grid_runs_every_command():
     lines = _run("cli_grid.py")
-    assert len(lines) == 984
+    assert len(lines) == 995
     assert all("argv" in json.loads(line) for line in lines)
 
 

@@ -83,6 +83,17 @@ ERRORS = [
     ["convergence", "--T-list", "25,50", "--budgets", "64,128", "--output", OUT],
 ]
 
+# Each side of every --budget floor and cap: one panel (21) on a route, and
+# [1, N_MAX] on the limit sequence, in both spellings.
+BUDGET_EDGES = [
+    ["eval", "--method", "classical", "--budget", "20"],
+    ["eval", "--method", "classical", "--budget", "21"],
+    *(["eval", "--method", method, "--budget", budget]
+      for method in ("limit-sequence", "limit_sequence")
+      for budget in ("0", "1", "100000", "100001")),
+    ["compare", "--budget", "20"],
+]
+
 
 def commands():
     for tol in TOLS:
@@ -102,6 +113,7 @@ def commands():
         for sweep in SWEEPS:
             yield ["convergence", "--tol", tol, *sweep]
     yield from ERRORS
+    yield from BUDGET_EDGES
 
 
 def run(main, argv, tmp):
