@@ -18,7 +18,9 @@ count as a changed result.  The calls are
   * identity_residual_eq4 over tol, and construct_reference once;
   * bench.sweep_truncation (binet, malmsten) and bench.sweep_nodes (every
     route) over tol x a list of T or budgets: nested, never nested,
-    repeated and seeded ones.
+    repeated and seeded ones;
+  * ln_a('limit_sequence', ...) over {default, n_max} x tol, with n_max
+    passed as max_evals.
 
 It is the library twin of tools/cli_grid.py: a refactor that should change
 no number is checked by running the grid on both checkouts and diffing:
@@ -54,10 +56,12 @@ SEEDED_LISTS = 2
 def calls(glaisher, rng):
     """(label, thunk) for every call of the grid, in a fixed order."""
 
+    estimator, specfun, bench = glaisher.estimator, glaisher.specfun, glaisher.bench
+
     def ln_a(route, tol, truncate_at, budget):
         kw = {} if budget is None else {"max_evals": budget}
         label = f"ln_a({route!r}, {tol!r}, {truncate_at!r}, {kw!r})"
-        return label, lambda: glaisher.ln_a(route, tol, truncate_at, **kw)
+        return label, lambda: estimator.ln_a(route, tol, truncate_at, **kw)
 
     for route in ROUTES:
         for tol in TOLS:
@@ -72,20 +76,19 @@ def calls(glaisher, rng):
         budget = rng.choice(BUDGETS)
         yield ln_a(route, tol, truncate_at, budget)
     for n in SEQUENCE_NS:
-        yield f"ln_a_limit_sequence({n!r})", lambda n=n: glaisher.ln_a_limit_sequence(n)
-    for n_max in (*SEQUENCE_N_MAXES, glaisher.estimator.N_MAX):
+        yield f"ln_a_limit_sequence({n!r})", lambda n=n: estimator.ln_a_limit_sequence(n)
+    for n_max in (*SEQUENCE_N_MAXES, estimator.N_MAX):
         for tol in TOLS:
             yield (f"ln_a_limit_sequence({n_max!r}, {tol!r})",
-                   lambda n=n_max, t=tol: glaisher.ln_a_limit_sequence(n, t))
-    for fn in (glaisher.binet_theta, glaisher.malmsten_log_gamma):
+                   lambda n=n_max, t=tol: estimator.ln_a_limit_sequence(n, t))
+    for fn in (specfun.binet_theta, specfun.malmsten_log_gamma):
         xs = SPECFUN_XS + [rng.uniform(0.05, 20.0) for _ in range(10)]
         for x in xs:
             for tol in SPECFUN_TOLS:
                 yield f"{fn.__name__}({x!r}, {tol!r})", lambda f=fn, x=x, t=tol: f(x, t)
     for tol in TOLS:
-        yield f"identity_residual_eq4({tol!r})", lambda t=tol: glaisher.identity_residual_eq4(t)
-    yield "construct_reference()", glaisher.construct_reference
-    bench = glaisher.bench
+        yield f"identity_residual_eq4({tol!r})", lambda t=tol: estimator.identity_residual_eq4(t)
+    yield "construct_reference()", estimator.construct_reference
     t_lists = T_LISTS + [sorted(rng.uniform(5.0, 500.0) for _ in range(4))
                          for _ in range(SEEDED_LISTS)]
     budget_lists = BUDGET_LISTS + [sorted(rng.randrange(21, 2000) for _ in range(5))
@@ -99,6 +102,9 @@ def calls(glaisher, rng):
             for budgets in budget_lists:
                 yield (f"sweep_nodes({route!r}, {budgets!r}, {tol!r})",
                        lambda r=route, b=budgets, t=tol: bench.sweep_nodes(r, b, t))
+    for n_max in (None, *SEQUENCE_N_MAXES, estimator.N_MAX):
+        for tol in TOLS:
+            yield ln_a("limit_sequence", tol, None, n_max)
 
 
 def main() -> int:
