@@ -71,10 +71,11 @@ METHODS = (*ROUTES, "limit_sequence")
 # Accepted tolerance range of every route, the identity suites and the CLI.
 TOL_MIN, TOL_MAX = 1e-13, 1e-3
 
-# Largest n of the limit sequence: the default and the top of n_max and of the
-# CLI's --budget.  It caps the n that tol selects, which is at most 20 on
-# [TOL_MIN, TOL_MAX], so it is a bound, not a working point.
-N_MAX = 100_000
+# Largest n of the limit sequence, specfun's bound on its term: the default and
+# the top of n_max and of the CLI's --budget.  It caps the n that tol selects,
+# which is at most 20 on [TOL_MIN, TOL_MAX], so it is a bound, not a working
+# point.
+N_MAX = specfun.N_MAX
 
 # ln A = term(n) + sum_k c_k / n^(2k) asymptotically, with c_k =
 # B_{2k+2} / (4k(k+1)) (the Barnes G expansion, DLMF 5.17.5).  For real n > 0

@@ -34,6 +34,7 @@ __all__ = [
     "binet_theta",
     "malmsten_log_gamma",
     "glaisher_seq_log_term",
+    "N_MAX",
 ]
 
 
@@ -113,6 +114,10 @@ def malmsten_log_gamma(z: float, tol: float = 1e-10) -> QuadratureResult:
 # the ln p of the factors of p - 1.
 _BITS = 160
 _GUARD = 32
+
+# Largest n of glaisher_seq_log_term: its half-ulp claim is proved up to here,
+# and a larger n would grow the table (and numpy's sieve) to fit.
+N_MAX = 100_000
 
 # ln 2 pi as the integer nearest 2^_BITS times it; tests/test_specfun.py
 # rederives it in mpmath.
@@ -237,16 +242,16 @@ def glaisher_seq_log_term(n: int) -> float:
 
     The term is (n/2) ln 2 pi + (n^2/2 - 1/12) ln n - 3n^2/4 + 1/12 -
     ln G(n+1), with ln G(n+1) from _ln_barnes_g.  24 times the term is then
-    one integer scaled by 2^_BITS, within 2^-110 of exact for n <= 10^5
+    one integer scaled by 2^_BITS, within 2^-110 of exact for n <= N_MAX
     (each table entry is within half a unit), and Python's int / int rounds
-    it correctly.
+    it correctly.  n must be an integer in [1, N_MAX].
     """
     try:
         n = operator.index(n)
     except TypeError:
         raise ValueError(f"glaisher_seq_log_term requires an integer n, got {n!r}") from None
-    if n < 1:
-        raise ValueError(f"glaisher_seq_log_term requires n >= 1, got {n}")
+    if not 1 <= n <= N_MAX:
+        raise ValueError(f"glaisher_seq_log_term requires n in [1, {N_MAX}], got {n}")
     _, keys, psi, psi1, factor = _table(n)
     ln_g = _ln_barnes_g(n, keys, psi, psi1)
     ln_n, m = 0, n

@@ -167,6 +167,13 @@ class TestGlaisherSequence:
         with pytest.raises(ValueError):
             glaisher_seq_log_term(0)
 
+    @pytest.mark.parametrize("n", [100_001, 10**9])
+    def test_rejects_n_above_n_max_before_any_table(self, n, monkeypatch):
+        monkeypatch.setattr(specfun, "_TABLE", None)
+        with pytest.raises(ValueError):
+            glaisher_seq_log_term(n)
+        assert specfun._TABLE is None
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 1000, 1024, 4096, 77777, 99991, 100000])
     def test_within_one_ulp_of_mpmath(self, n):
         mpmath = pytest.importorskip("mpmath")
