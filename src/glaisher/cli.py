@@ -19,8 +19,8 @@ import json
 import sys
 
 from . import bench, estimator
-from .estimator import N_MAX, TOL_MAX, TOL_MIN, ConstantEstimate
-from .quadrature import PANEL_EVALS, EvaluationFailedError
+from .estimator import TOL_MAX, TOL_MIN, ConstantEstimate
+from .quadrature import EvaluationFailedError
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -107,16 +107,24 @@ def _parse_list(parser, text, cast, what, default):
 
 
 def _validate(parser: _Parser, args) -> None:
-    """Reject arguments outside the estimator's and the sweeps' ranges; parse lists."""
+    """Reject arguments outside the estimator's and the sweeps' ranges; parse lists.
+
+    eval's --method is normalised to the estimator's spelling here.
+    """
     if not TOL_MIN <= args.tol <= TOL_MAX:
         parser.error(f"--tol must lie in [{TOL_MIN}, {TOL_MAX}], got {args.tol}")
+    if args.command == "eval":
+        args.method = args.method.replace("-", "_")
     budget = getattr(args, "budget", None)
-    is_sequence = getattr(args, "method", None) in ("limit_sequence", "limit-sequence")
-    floor = 1 if is_sequence else PANEL_EVALS  # one panel on an integral route
-    if budget is not None and budget < floor:
-        parser.error(f"--budget must be at least {floor}, got {budget}")
-    if budget is not None and is_sequence and budget > N_MAX:
-        parser.error(f"--budget of limit-sequence must be at most {N_MAX}, got {budget}")
+    if budget is not None:
+        # eval runs its method, compare every route
+        for method in [args.method] if args.command == "eval" else estimator.ROUTES:
+            floor, cap = estimator.BUDGET_RANGE[method]
+            if budget < floor:
+                parser.error(f"--budget must be at least {floor}, got {budget}")
+            if cap is not None and budget > cap:
+                name = method.replace("_", "-")
+                parser.error(f"--budget of {name} must be at most {cap}, got {budget}")
     if args.command == "convergence":
         args.T_list = _parse_list(parser, args.T_list, float, "T", DEFAULT_T_LIST)
         args.budgets = _parse_list(parser, args.budgets, int, "budget", DEFAULT_BUDGETS)
@@ -150,18 +158,8 @@ def _emit(text: str, output: str | None) -> None:
         raise SystemExit(EXIT_IO)
 
 
-def _run_estimate(method: str, tol: float, budget: int | None) -> ConstantEstimate:
-    if method == "limit_sequence":
-        if budget is None:
-            return estimator.ln_a_limit_sequence(tol=tol)
-        return estimator.ln_a_limit_sequence(budget, tol)
-    if budget is None:
-        return estimator.ln_a(method, tol)
-    return estimator.ln_a(method, tol, max_evals=budget)
-
-
 def _cmd_eval(args) -> int:
-    est = _run_estimate(args.method.replace("-", "_"), args.tol, args.budget)
+    est = estimator.ln_a(args.method, args.tol, max_evals=args.budget)
     payload = _estimate_dict(est)
     if not est.converged:
         payload["warning"] = "did not converge within the evaluation budget"
@@ -174,7 +172,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    estimates = [_run_estimate(m, args.tol, args.budget) for m in estimator.ROUTES]
+    estimates = [estimator.ln_a(m, args.tol, max_evals=args.budget) for m in estimator.ROUTES]
     values = [e.ln_A for e in estimates]
     spread = max(values) - min(values)
     ok = spread <= 4.0 * args.tol and all(e.converged for e in estimates)

@@ -24,7 +24,7 @@ from collections import namedtuple
 
 from . import specfun
 from .integrands import SERIES_SWITCH_T, binet_integrand, get_integrand, malmsten_integrand
-from .quadrature import DEFAULT_MAX_EVALS, integrate
+from .quadrature import DEFAULT_MAX_EVALS, PANEL_EVALS, integrate
 
 __all__ = [
     "ConstantEstimate",
@@ -34,6 +34,7 @@ __all__ = [
     "TOL_MIN",
     "TOL_MAX",
     "N_MAX",
+    "BUDGET_RANGE",
     "MALMSTEN_PREFIX",
     "ln_a",
     "ln_a_limit_sequence",
@@ -76,6 +77,10 @@ TOL_MIN, TOL_MAX = 1e-13, 1e-3
 # which is at most 20 on [TOL_MIN, TOL_MAX], so it is a bound, not a working
 # point.
 N_MAX = specfun.N_MAX
+
+# Per method, the smallest and the largest max_evals of ln_a (None: no cap).
+# A route needs one panel; the limit sequence's max_evals caps its n.
+BUDGET_RANGE = {**dict.fromkeys(ROUTES, (PANEL_EVALS, None)), "limit_sequence": (1, N_MAX)}
 
 # ln A = term(n) + sum_k c_k / n^(2k) asymptotically, with c_k =
 # B_{2k+2} / (4k(k+1)) (the Barnes G expansion, DLMF 5.17.5).  For real n > 0
@@ -123,27 +128,34 @@ def ln_a(
     method: str,
     tol: float = 1e-10,
     truncate_at: float | None = None,
-    max_evals: int = DEFAULT_MAX_EVALS,
+    max_evals: int | None = None,
     *,
     panels: dict | None = None,
 ) -> ConstantEstimate:
-    """ln A by one integral route of ROUTES, with its error budget.
+    """ln A by one method of METHODS, with its error budget.
 
-    truncate_at forces a semi-infinite route's truncation point T, in
-    [5, 500]; None leaves the tail to the automatic rule, and the
-    finite-interval route rejects any T.  max_evals is a hard cap, an
-    integer of at least one panel (PANEL_EVALS evaluations).  panels is
-    quadrature.integrate's panel memo, shared by a series of calls; the
-    result is the same without it.  The discretization error includes the
-    rounding of offset + scale * integral.  The limit sequence is
-    ln_a_limit_sequence.
+    max_evals is a hard cap, an integer in BUDGET_RANGE[method]: the
+    integrand evaluations of a route, at least one panel (PANEL_EVALS), or
+    the limit sequence's n (see ln_a_limit_sequence).  None means each
+    method's default, DEFAULT_MAX_EVALS for a route and N_MAX for the
+    sequence.  truncate_at forces a semi-infinite route's truncation point
+    T, in [5, 500]; None leaves the tail to the automatic rule, and the
+    finite-interval route rejects any T.  panels is quadrature.integrate's
+    panel memo, shared by a series of calls; the result is the same without
+    it.  The limit sequence takes neither.  A route's discretization error
+    includes the rounding of offset + scale * integral.
     """
+    if method == "limit_sequence":
+        if truncate_at is not None or panels is not None:
+            raise ValueError("the limit sequence takes no truncate_at or panels")
+        return ln_a_limit_sequence(N_MAX if max_evals is None else max_evals, tol)
     if method not in ROUTES:
-        raise ValueError(f"unknown route {method!r}; known: {', '.join(ROUTES)}")
+        raise ValueError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
     _check_tol(tol)
     integrand_id, scale, offset = ROUTES[method]
     s = abs(scale)
-    res = integrate(get_integrand(integrand_id), tol / s, truncate_at, max_evals, panels=panels)
+    budget = DEFAULT_MAX_EVALS if max_evals is None else max_evals
+    res = integrate(get_integrand(integrand_id), tol / s, truncate_at, budget, panels=panels)
     scaled = scale * res.value
     rounding = sys.float_info.epsilon * (abs(offset) + abs(scaled))
     disc = s * (res.error_estimate - res.truncation_error) + rounding
@@ -203,18 +215,20 @@ def ln_a_limit_sequence(n_max: int = N_MAX, tol: float = 1e-10) -> ConstantEstim
 
     The corrected term at the smallest n whose bar (_seq_bar) is at most tol,
     found before any term is evaluated: n = 2 / 3 / 9 / 15 / 20 at tol 1e-3
-    / 1e-6 / 1e-10 / 1e-12 / 1e-13.  n_max, an integer in [1, N_MAX], is a
-    hard cap on that n.  evaluations is the n used (the term's work is
-    O(sqrt n) steps), and converged means the bar is at most tol, which must
-    lie in [TOL_MIN, TOL_MAX] as for ln_a; it is False only when n_max is
-    below the n that tol needs.
+    / 1e-6 / 1e-10 / 1e-12 / 1e-13.  n_max, an integer in [1, N_MAX]
+    (BUDGET_RANGE), is a hard cap on that n; ln_a("limit_sequence", tol,
+    max_evals=n_max) calls this.  evaluations is the n used (the term's
+    work is O(sqrt n) steps), and converged means the bar is at most tol,
+    which must lie in [TOL_MIN, TOL_MAX] as for ln_a; it is False only when
+    n_max is below the n that tol needs.
     """
     try:
         n_max = operator.index(n_max)
     except TypeError:
         raise ValueError(f"n_max must be an integer, got {n_max!r}") from None
-    if not 1 <= n_max <= N_MAX:
-        raise ValueError(f"n_max {n_max} outside [1, {N_MAX}]")
+    floor, cap = BUDGET_RANGE["limit_sequence"]
+    if not floor <= n_max <= cap:
+        raise ValueError(f"n_max {n_max} outside [{floor}, {cap}]")
     _check_tol(tol)
     n = 1
     while n < n_max and _seq_bar(n) > tol:

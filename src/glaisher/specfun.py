@@ -13,8 +13,9 @@ The sequence term cancels ~n^2-sized pieces down to an O(1) answer, so it
 is computed exactly and rounded once: ln G(n+1) is an integer combination of
 von Mangoldt's function, summed in O(sqrt n) steps from prefix sums held as
 integers scaled by 2^160 in a table that each process builds once (numpy
-sieves its primes) and grows on demand.  estimator.ln_a_limit_sequence adds
-the Barnes G asymptotic corrections to one such term.
+sieves its primes) and grows on demand, up to n = N_MAX.  estimator.ln_a
+adds the Barnes G asymptotic corrections to one such term when its method is
+limit_sequence.
 """
 
 from __future__ import annotations

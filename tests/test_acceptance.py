@@ -8,22 +8,12 @@ import math
 
 import pytest
 
-from glaisher import (
-    LN_A_REFERENCE,
-    binet_integrand,
-    binet_theta,
-    construct_reference,
-    identity_residual_eq4,
-    integrate,
-    integrate_finite,
-    ln_a,
-    log_gamma_plus_one,
-    malmsten_integrand,
-    malmsten_log_gamma,
-)
 from glaisher.bench import sweep_truncation
 from glaisher.cli import main
-from glaisher.integrands import IntegrandSpec
+from glaisher.estimator import LN_A_REFERENCE, construct_reference, identity_residual_eq4, ln_a
+from glaisher.integrands import IntegrandSpec, binet_integrand, malmsten_integrand
+from glaisher.quadrature import integrate, integrate_finite
+from glaisher.specfun import binet_theta, log_gamma_plus_one, malmsten_log_gamma
 
 PASS = "PASS"
 FAIL = "FAIL"

@@ -4,6 +4,7 @@ import pytest
 
 from glaisher import estimator
 from glaisher.estimator import (
+    BUDGET_RANGE,
     EQ4_CONSTANT,
     LN_A_REFERENCE,
     MALMSTEN_PREFIX,
@@ -112,10 +113,27 @@ class TestRoutes:
 
     def test_route_table(self):
         assert METHODS == (*ROUTES, "limit_sequence")
-        with pytest.raises(ValueError):
-            ln_a("limit_sequence")
+        assert set(BUDGET_RANGE) == set(METHODS)
         with pytest.raises(ValueError):
             ln_a("direct_lgamma", 1e-9, 5.0)
+
+    # lib_grid's n_max and tols
+    @pytest.mark.parametrize("n_max", [1, 5, 20, 1000, N_MAX])
+    @pytest.mark.parametrize(
+        "tol", [1e-13, 3e-13, 1e-12, 1e-11, 1e-10, 1e-9, 3e-8, 1e-6, 1e-4, 1e-3]
+    )
+    def test_limit_sequence_is_a_method(self, n_max, tol):
+        est = ln_a("limit_sequence", tol, max_evals=n_max)
+        assert est == ln_a_limit_sequence(n_max, tol)
+        assert est.ln_A.hex() == ln_a_limit_sequence(n_max, tol).ln_A.hex()
+
+    def test_limit_sequence_defaults_to_n_max(self):
+        assert ln_a("limit_sequence", 1e-12) == ln_a_limit_sequence(N_MAX, 1e-12)
+
+    @pytest.mark.parametrize("option", [{"truncate_at": 10.0}, {"panels": {}}])
+    def test_limit_sequence_takes_no_route_option(self, option):
+        with pytest.raises(ValueError):
+            ln_a("limit_sequence", 1e-10, **option)
 
     @pytest.mark.parametrize(
         "method, truncate_at",
