@@ -72,10 +72,9 @@ METHODS = (*ROUTES, "limit_sequence")
 # Accepted tolerance range of every route, the identity suites and the CLI.
 TOL_MIN, TOL_MAX = 1e-13, 1e-3
 
-# Largest n of the limit sequence, specfun's bound on its term: the default and
-# the top of n_max and of the CLI's --budget.  It caps the n that tol selects,
-# which is at most 20 on [TOL_MIN, TOL_MAX], so it is a bound, not a working
-# point.
+# Largest n of the limit sequence (specfun's bound on its term), its default
+# cap.  The n that tol selects is at most 20 on [TOL_MIN, TOL_MAX], so N_MAX
+# is a bound, not a working point.
 N_MAX = specfun.N_MAX
 
 # Per method, the smallest and the largest max_evals of ln_a (None: no cap).

@@ -117,18 +117,16 @@ class TestRoutes:
         with pytest.raises(ValueError):
             ln_a("direct_lgamma", 1e-9, 5.0)
 
-    # lib_grid's n_max and tols
-    @pytest.mark.parametrize("n_max", [1, 5, 20, 1000, N_MAX])
+    # lib_grid's n_max (None: the default cap, N_MAX) and tols
+    @pytest.mark.parametrize("n_max", [None, 1, 5, 20, 1000, N_MAX])
     @pytest.mark.parametrize(
         "tol", [1e-13, 3e-13, 1e-12, 1e-11, 1e-10, 1e-9, 3e-8, 1e-6, 1e-4, 1e-3]
     )
     def test_limit_sequence_is_a_method(self, n_max, tol):
         est = ln_a("limit_sequence", tol, max_evals=n_max)
-        assert est == ln_a_limit_sequence(n_max, tol)
-        assert est.ln_A.hex() == ln_a_limit_sequence(n_max, tol).ln_A.hex()
-
-    def test_limit_sequence_defaults_to_n_max(self):
-        assert ln_a("limit_sequence", 1e-12) == ln_a_limit_sequence(N_MAX, 1e-12)
+        expected = ln_a_limit_sequence(N_MAX if n_max is None else n_max, tol)
+        assert est == expected
+        assert est.ln_A.hex() == expected.ln_A.hex()
 
     @pytest.mark.parametrize("option", [{"truncate_at": 10.0}, {"panels": {}}])
     def test_limit_sequence_takes_no_route_option(self, option):
