@@ -20,7 +20,10 @@ count as a changed result.  The calls are
     route) over tol x a list of T or budgets: nested, never nested,
     repeated and seeded ones;
   * ln_a('limit_sequence', ...) over {default, n_max} x tol, with n_max
-    passed as max_evals.
+    passed as max_evals;
+  * ln_a_limit_sequence(N_MAX, tol) at each bar that lies in the accepted
+    tol range (_seq_bar(n), n = 2..19) and at its two float neighbours, so
+    the tie rule (a tol equal to a bar selects that n) is pinned.
 
 It is the library twin of tools/cli_grid.py: a refactor that should change
 no number is checked by running the grid on both checkouts and diffing:
@@ -32,6 +35,7 @@ no number is checked by running the grid on both checkouts and diffing:
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from pathlib import Path
@@ -51,6 +55,7 @@ T_LISTS = [[5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0], [7.0, 11.0, 13.0, 17.0],
 BUDGET_LISTS = [[64, 128, 256, 512, 1024], list(range(21, 211, 21)), [63, 63, 126],
                 [21, 22, 41, 42, 43, 300]]
 SEEDED_LISTS = 2
+TIE_NS = range(2, 20)  # the n whose bar lies in [TOL_MIN, TOL_MAX]
 
 
 def calls(glaisher, rng):
@@ -105,6 +110,11 @@ def calls(glaisher, rng):
     for n_max in (None, *SEQUENCE_N_MAXES, estimator.N_MAX):
         for tol in TOLS:
             yield ln_a("limit_sequence", tol, None, n_max)
+    for n in TIE_NS:
+        bar = estimator._seq_bar(n)
+        for tol in (math.nextafter(bar, 0.0), bar, math.nextafter(bar, 1.0)):
+            yield (f"ln_a_limit_sequence({estimator.N_MAX!r}, {tol!r})",
+                   lambda t=tol: estimator.ln_a_limit_sequence(estimator.N_MAX, t))
 
 
 def main() -> int:
