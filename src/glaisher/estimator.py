@@ -17,6 +17,8 @@ which construct_reference() reruns, and against mpmath in the tests.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import operator
 import sys
@@ -88,6 +90,8 @@ BUDGET_RANGE = {**dict.fromkeys(ROUTES, (PANEL_EVALS, None)), "limit_sequence": 
 # _SEQ_ORDER of them and bounds the rest by the next.
 _SEQ_CORRECTIONS = (-1.0 / 240.0, 1.0 / 1008.0, -1.0 / 1440.0, 1.0 / 1056.0)
 _SEQ_ORDER = 3
+# The added corrections in Horner order, highest k first.
+_SEQ_HORNER = tuple(reversed(_SEQ_CORRECTIONS[:_SEQ_ORDER]))
 # Rounding of the corrections' Horner sum at x = 1/n^2 <= 1, per unit of x:
 # 2K - 1 operations, k roundings in x^k and one in c_k make at most 3K
 # half-ulps of sum_k |c_k| x^k <= x sum_k |c_k|, and one more covers the
@@ -187,6 +191,14 @@ def _seq_bar(n: int) -> float:
     )
 
 
+# -_seq_bar(n) for n = 1, 2, ..., ascending, up to the first n whose bar is
+# at most TOL_MIN (n = 20): every accepted tol is met within the table, so
+# one bisection of it finds the smallest n whose bar is at most tol, and a
+# longer table would hold only bars that no accepted tol selects.
+_N_AT_TOL_MIN = next(n for n in itertools.count(1) if _seq_bar(n) <= TOL_MIN)
+_NEG_SEQ_BARS = tuple(-_seq_bar(n) for n in range(1, _N_AT_TOL_MIN + 1))
+
+
 def _limit_sequence_at(n: int, tol: float) -> ConstantEstimate:
     """The corrected limit-sequence term at n, with its bar _seq_bar(n).
 
@@ -196,30 +208,25 @@ def _limit_sequence_at(n: int, tol: float) -> ConstantEstimate:
     term = specfun.glaisher_seq_log_term(n)
     x = 1.0 / (n * n)
     correction = 0.0
-    for c in reversed(_SEQ_CORRECTIONS[:_SEQ_ORDER]):
+    for c in _SEQ_HORNER:
         correction = (correction + c) * x
     err = _seq_bar(n)
-    return ConstantEstimate(
-        method="limit_sequence",
-        ln_A=term + correction,
-        discretization_error=err,
-        truncation_error=0.0,
-        evaluations=n,
-        converged=err <= tol,
-    )
+    # method ln_A discretization_error truncation_error evaluations converged
+    return ConstantEstimate("limit_sequence", term + correction, err, 0.0, n, err <= tol)
 
 
 def ln_a_limit_sequence(n_max: int = N_MAX, tol: float = 1e-10) -> ConstantEstimate:
     """ln A from the defining limit sequence; no quadrature code involved.
 
     The corrected term at the smallest n whose bar (_seq_bar) is at most tol,
-    found before any term is evaluated: n = 2 / 3 / 9 / 15 / 20 at tol 1e-3
-    / 1e-6 / 1e-10 / 1e-12 / 1e-13.  n_max, an integer in [1, N_MAX]
-    (BUDGET_RANGE), is a hard cap on that n; ln_a("limit_sequence", tol,
-    max_evals=n_max) calls this.  evaluations is the n used (the term's
-    work is O(sqrt n) steps), and converged means the bar is at most tol,
-    which must lie in [TOL_MIN, TOL_MAX] as for ln_a; it is False only when
-    n_max is below the n that tol needs.
+    found before any term is evaluated by one bisection of the bars for
+    n = 1..20, built at import: n = 2 / 3 / 9 / 15 / 20 at tol 1e-3 / 1e-6
+    / 1e-10 / 1e-12 / 1e-13, and a tol equal to a bar selects that n.
+    n_max, an integer in [1, N_MAX] (BUDGET_RANGE), is a hard cap on that
+    n; ln_a("limit_sequence", tol, max_evals=n_max) calls this.  evaluations
+    is the n used (the term's work is O(sqrt n) steps), and converged means
+    the bar is at most tol, which must lie in [TOL_MIN, TOL_MAX] as for
+    ln_a; it is False only when n_max is below the n that tol needs.
     """
     try:
         n_max = operator.index(n_max)
@@ -229,9 +236,7 @@ def ln_a_limit_sequence(n_max: int = N_MAX, tol: float = 1e-10) -> ConstantEstim
     if not floor <= n_max <= cap:
         raise ValueError(f"n_max {n_max} outside [{floor}, {cap}]")
     _check_tol(tol)
-    n = 1
-    while n < n_max and _seq_bar(n) > tol:
-        n += 1
+    n = min(bisect.bisect_left(_NEG_SEQ_BARS, -tol) + 1, n_max)
     return _limit_sequence_at(n, tol)
 
 
