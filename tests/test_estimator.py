@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from glaisher.estimator import (
     TOL_MAX,
     TOL_MIN,
     _limit_sequence_at,
+    _seq_bar,
     construct_reference,
     identity_residual_eq4,
     identity_suites,
@@ -162,6 +164,16 @@ class TestRoutes:
 
 # 201 log-spaced tols over the accepted range, both ends included.
 SEQUENCE_TOLS = [10.0 ** (-13 + i / 20) for i in range(201)]
+# Each bar in the accepted range (n = 2..19) and its two float neighbours.
+TIE_TOLS = [
+    tol
+    for bar in map(_seq_bar, range(2, 20))
+    for tol in (math.nextafter(bar, 0.0), bar, math.nextafter(bar, 1.0))
+]
+
+
+def _smallest_n_meeting(tol):
+    return next(n for n in itertools.count(1) if _seq_bar(n) <= tol)
 
 
 class TestLimitSequence:
@@ -224,11 +236,23 @@ class TestLimitSequence:
         assert est == _limit_sequence_at(n, tol)
 
     def test_n_is_the_smallest_whose_bar_meets_tol(self):
-        for tol in SEQUENCE_TOLS:
+        assert len(TIE_TOLS) == 54
+        assert all(TOL_MIN <= tol <= TOL_MAX for tol in TIE_TOLS)
+        for tol in SEQUENCE_TOLS + TIE_TOLS:
+            n = _smallest_n_meeting(tol)
             est = ln_a_limit_sequence(tol=tol)
-            n = est.evaluations
+            assert est.evaluations == n
             assert est.discretization_error <= tol
             assert n == 1 or _limit_sequence_at(n - 1, tol).discretization_error > tol
+            for n_max in {1, max(n - 1, 1), n, N_MAX}:
+                assert ln_a_limit_sequence(n_max, tol).evaluations == min(n, n_max)
+
+    def test_bar_table(self):
+        table = estimator._NEG_SEQ_BARS
+        assert len(table) == 20
+        assert [b.hex() for b in table] == [(-_seq_bar(n)).hex() for n in range(1, 21)]
+        assert all(a < b for a, b in itertools.pairwise(table))
+        assert -table[-1] <= TOL_MIN < -table[-2]
 
     def test_one_term_per_call(self, monkeypatch):
         calls = []
