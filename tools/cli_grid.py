@@ -81,6 +81,16 @@ ERRORS = [
     ["eval", "--method", "malmsten", "--format", "json", "--output", OUT],
     ["compare", "--format", "csv", "--output", OUT],
     ["convergence", "--T-list", "25,50", "--budgets", "64,128", "--output", OUT],
+    # Shapes where the top-level parser takes part in parsing a command:
+    # leftovers, abbreviations, "=" values, help, "--", options before it.
+    ["eval", "--method", "binet", "extra"],
+    ["compare", "--budget", "100", "check"],
+    ["eval", "--meth", "binet", "--form", "json"],
+    ["eval", "--method=binet", "--tol=1e-6"],
+    ["eval", "-h"],
+    ["eval", "--", "--method", "binet"],
+    ["--tol", "1e-6", "eval", "--method", "binet"],
+    ["-h", "eval"],
 ]
 
 # Each side of every --budget floor and cap: one panel (21) on a route, and
