@@ -52,8 +52,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and each command's own, built once per process.
+
+    Parsing leaves them unchanged.  main hands a command's arguments straight
+    to its parser; the top-level one parses only an argv that does not start
+    with a command, and reports what a command's parser left over.
+    """
     p = _Parser(prog="glaisher", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -85,7 +90,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--budgets", default=None,
                     help="comma-separated evaluation budgets")
     sp.add_argument("--output", default=None, help="write the CSV here")
-    return p
+    return p, sub.choices
 
 
 def _parse_list(parser, text, cast, what, default):
@@ -227,9 +232,18 @@ def _cmd_convergence(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            # What the top-level parser would do, without scanning argv first.
+            args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
         _validate(parser, args)
         return args.run(args)
     except SystemExit as exc:

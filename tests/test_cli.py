@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import glaisher
-from glaisher import integrands, quadrature
+from glaisher import cli, integrands, quadrature
 from glaisher.bench import CSV_HEADER
 from glaisher.cli import main
 from glaisher.estimator import LN_A_REFERENCE, N_MAX
@@ -288,6 +288,41 @@ class TestDeterminism:
         first = run_cli(capsys, *argv)
         assert run_cli(capsys, "eval", "--method", "zeta")[0] == 64
         assert run_cli(capsys, *argv) == first
+
+
+class TestDispatch:
+    """A command's arguments go straight to its own parser, parsed once."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["eval", "--method", "binet", "--tol", "1e-6"], 0),
+            (["eval", "--method", "binet", "extra"], 64),
+            (["eval", "-h"], 0),
+        ],
+    )
+    def test_a_command_skips_the_top_level_parse(self, capsys, monkeypatch, argv, code):
+        parser, _ = cli._build_parser()
+
+        def parse_args(args=None, namespace=None):
+            raise AssertionError(f"top-level parse_args({args})")
+
+        monkeypatch.setattr(parser, "parse_args", parse_args)
+        assert run_cli(capsys, *argv)[0] == code
+
+    @pytest.mark.parametrize("argv, code", [([], 64), (["--help"], 0), (["frobnicate"], 64)])
+    def test_no_command_goes_to_the_top_level_parser(self, capsys, monkeypatch, argv, code):
+        parser, _ = cli._build_parser()
+        seen = []
+        real = parser.parse_args
+
+        def parse_args(args=None, namespace=None):
+            seen.append(args)
+            return real(args, namespace)
+
+        monkeypatch.setattr(parser, "parse_args", parse_args)
+        assert run_cli(capsys, *argv)[0] == code
+        assert seen == [argv]
 
 
 class TestUsageErrors:
