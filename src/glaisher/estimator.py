@@ -163,15 +163,11 @@ def ln_a(
     rounding = sys.float_info.epsilon * (abs(offset) + abs(scaled))
     disc = s * (res.error_estimate - res.truncation_error) + rounding
     trunc = s * res.truncation_error
+    # method ln_A discretization_error truncation_error evaluations converged
+    # truncation_T truncation_mode
     return ConstantEstimate(
-        method=method,
-        ln_A=offset + scaled,
-        discretization_error=disc,
-        truncation_error=trunc,
-        evaluations=res.evaluations,
-        converged=res.converged and disc + trunc <= tol,
-        truncation_T=res.truncation_T,
-        truncation_mode=res.truncation_mode,
+        method, offset + scaled, disc, trunc, res.evaluations,
+        res.converged and disc + trunc <= tol, res.truncation_T, res.truncation_mode,
     )
 
 

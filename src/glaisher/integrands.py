@@ -168,8 +168,9 @@ def malmsten_integrand(t: float, form: int = 19) -> float:
         return bracket * math.exp(-t) / t
     # form 19 with e^{-t} factored through:
     # (8-3t) - 8 e^{-t/2} - t e^{-t}  ==  -8 expm1(-t/2) - t (3 + e^{-t})
-    num = -8.0 * math.expm1(-t / 2.0) - t * (3.0 + math.exp(-t))
-    return num * math.exp(-t) / (8.0 * t * t * (-math.expm1(-t)))
+    e = math.exp(-t)
+    num = -8.0 * math.expm1(-t / 2.0) - t * (3.0 + e)
+    return num * e / (8.0 * t * t * (-math.expm1(-t)))
 
 
 def lngamma_direct_integrand(x: float) -> float:

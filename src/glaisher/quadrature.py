@@ -15,6 +15,8 @@ integrand and the panel's endpoints.  Both entries take an optional memo,
 panels, a dict a caller passes to a series of runs (bench's sweeps) so that
 each distinct panel is evaluated once; a panel taken from it still counts
 toward evaluations and the budget, so results are the same with or without.
+Without one, each panel is evaluated directly: a single run never bisects
+into the same panel twice, so a memo of its own would only miss.
 
 integrate(spec, tol, truncate_at) is the one entry that reads an
 IntegrandSpec, and it makes exactly one integrate_finite call:
@@ -41,6 +43,7 @@ IntegrandSpec, and it makes exactly one integrate_finite call:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
@@ -168,9 +171,7 @@ def _check_tol(tol: float) -> None:
 def _memoized(f, panels):
     """_panel of f as a function of (a, b), through the memo panels keyed by (a, b).
 
-    Without a caller's memo the run keeps its own, whose entries are all
-    misses: a run never bisects into the same panel twice.  A panel whose
-    integrand raised is not stored.
+    A panel whose integrand raised is not stored.
     """
 
     def panel(a, b):
@@ -206,7 +207,7 @@ def integrate_finite(
         raise ValueError(f"max_evals must be an integer, got {max_evals!r}") from None
     if max_evals < PANEL_EVALS:
         raise ValueError(f"max_evals {max_evals} is below one panel ({PANEL_EVALS})")
-    panel = _memoized(f, {} if panels is None else panels)
+    panel = functools.partial(_panel, f) if panels is None else _memoized(f, panels)
     value, err = panel(a, b)
     evals = PANEL_EVALS
     # heap entries: (-error, insertion order, a, b, value, error)
@@ -224,14 +225,10 @@ def integrate_finite(
         heapq.heappush(heap, (-e1, seq, pa, pm, v1, e1))
         seq += 1
         heapq.heappush(heap, (-e2, seq, pm, pb, v2, e2))
-    value = math.fsum(p[4] for p in heap)
-    total_err = math.fsum(p[5] for p in heap)
-    return QuadratureResult(
-        value=value,
-        error_estimate=total_err,
-        evaluations=evals,
-        converged=total_err <= tol,
-    )
+    value = math.fsum(map(operator.itemgetter(4), heap))
+    total_err = math.fsum(map(operator.itemgetter(5), heap))
+    # value error_estimate evaluations converged
+    return QuadratureResult(value, total_err, evals, total_err <= tol)
 
 
 # Truncation points of the automatic rule: T = 5 * 1.25^k up to the first
@@ -318,12 +315,8 @@ def integrate(
     memo = None if panels is None else panels.setdefault((spec.eval, compact_T, graded_b), {})
     res = integrate_finite(f, 0.0, b, disc_tol, max_evals, panels=memo)
     err = res.error_estimate + trunc
+    # value error_estimate evaluations converged truncation_error
+    # truncation_T truncation_mode
     return QuadratureResult(
-        value=res.value,
-        error_estimate=err,
-        evaluations=res.evaluations,
-        converged=res.converged and err <= tol,
-        truncation_error=trunc,
-        truncation_T=T,
-        truncation_mode=mode,
+        res.value, err, res.evaluations, res.converged and err <= tol, trunc, T, mode
     )
