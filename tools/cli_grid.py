@@ -104,6 +104,14 @@ BUDGET_EDGES = [
     ["compare", "--budget", "20"],
 ]
 
+# Budgets on each side of 43 and 87 evaluations, and 129, for two routes that
+# spend more than one panel at tol 1e-12.
+LEVEL_EDGES = [
+    ["eval", "--method", method, "--tol", "1e-12", "--budget", budget]
+    for method in ("classical", "malmsten")
+    for budget in ("42", "43", "86", "87", "129")
+]
+
 
 def commands():
     for tol in TOLS:
@@ -124,6 +132,7 @@ def commands():
             yield ["convergence", "--tol", tol, *sweep]
     yield from ERRORS
     yield from BUDGET_EDGES
+    yield from LEVEL_EDGES
 
 
 def run(main, argv, tmp):
