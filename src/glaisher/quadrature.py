@@ -3,20 +3,30 @@
 Each panel is evaluated at the 21 nodes of the Gauss-Kronrod rule K21,
 which include the nodes of the 10-point Gauss-Legendre rule G10.  The panel
 value is K21, and its error estimate is QUADPACK qk21's rescaling of
-|K21 - G10| (see _panel).  Panels are refined by bisection, worst first,
-until the summed estimate meets the tolerance or the evaluation budget, a
-hard cap of at least one panel, runs out.  The rule uses interior nodes
-only, so integrands never get evaluated at interval endpoints (removable
+|K21 - G10| (see _panel).  A first panel whose estimate misses the
+tolerance, and is not saturated (below resasc, the most qk21 reports), is
+raised as in QUADPACK's qng to Patterson's (1968) nested 43-point rule and
+then to his 87-point rule: each level reuses every value of the one before,
+and its estimate is the same rescaling of its difference from it.  Only if
+the 87-point level still misses the tolerance (or K21 was saturated) does
+the run bisect: the first panel is replaced by two K21 panels, and panels
+are refined by bisection, worst first, until the summed estimate meets the
+tolerance or the evaluation budget runs out.  The budget is a hard cap of at
+least one panel: a level is taken only if its 43 or 87 evaluations fit, and
+a bisection only if its 42 more do.  The rules use interior nodes only, so
+integrands never get evaluated at interval endpoints (removable
 singularities at 0 are safe).  integrate_finite(f, a, b, tol) is that
 engine on [a, b].
 
 Bisection is deterministic, so a panel's (value, error) depends only on the
 integrand and the panel's endpoints.  Both entries take an optional memo,
 panels, a dict a caller passes to a series of runs (bench's sweeps) so that
-each distinct panel is evaluated once; a panel taken from it still counts
-toward evaluations and the budget, so results are the same with or without.
-Without one, each panel is evaluated directly: a single run never bisects
-into the same panel twice, so a memo of its own would only miss.
+no integrand value is computed twice: it holds each panel's K21 result and
+its node values, to which a first panel's levels append theirs.  A panel
+taken from it still counts toward evaluations and the budget, so results
+are the same with or without.  Without one, each panel is evaluated
+directly: a single run never bisects into the same panel twice, so a memo
+of its own would only miss.
 
 integrate(spec, tol, truncate_at) is the one entry that reads an
 IntegrandSpec, and it makes exactly one integrate_finite call:
@@ -115,6 +125,90 @@ _GAUSS = slice(1, None, 2)
 # Integrand evaluations of one panel: G10 reuses ten of the Kronrod values.
 PANEL_EVALS = len(_XK)
 
+# Patterson's (1968) nested extensions of K21, as in QUADPACK's qng, frozen
+# as floats.  The 43-point rule adds the 22 roots of the even F22 orthogonal
+# to P10 E11 x^k for k < 22, and the 87-point rule the 44 roots of the even
+# G44 orthogonal to P10 E11 F22 x^k for k < 44; the weights solve the moment
+# equations, and the rules are exact to degree 64 and 130.  _W43 weights the
+# values at _XK then _X43, and _W87 those at _XK, _X43 then _X87.
+# tests/test_quadrature.py rederives every constant in mpmath.
+_X43 = (
+    -0.999333360901932, -0.9874334029080889, -0.9548079348142663,
+    -0.9001486957483283, -0.8251983149831141, -0.732148388989305,
+    -0.6228479705377252, -0.4994795740710565, -0.36490166134658075,
+    -0.2222549197766013, -0.07465061746138332, 0.07465061746138332,
+    0.2222549197766013, 0.36490166134658075, 0.4994795740710565,
+    0.6228479705377252, 0.732148388989305, 0.8251983149831141,
+    0.9001486957483283, 0.9548079348142663, 0.9874334029080889,
+    0.999333360901932,
+)
+_W43 = (
+    0.005768556059769796, 0.016296734289666565, 0.027371890593248842,
+    0.0375228761208695, 0.04656082691042883, 0.05469490205825544,
+    0.06174499520144257, 0.06735541460947808, 0.07138726726869339,
+    0.07387019963239395, 0.07472214751740301, 0.07387019963239395,
+    0.07138726726869339, 0.06735541460947808, 0.06174499520144257,
+    0.05469490205825544, 0.04656082691042883, 0.0375228761208695,
+    0.027371890593248842, 0.016296734289666565, 0.005768556059769796,
+    0.001844477640212414, 0.010798689585891651, 0.021895363867795427,
+    0.032597463975345686, 0.04216313793519181, 0.050741939600184575,
+    0.05837939554261925, 0.06474640495144589, 0.06956619791235648,
+    0.07282444147183322, 0.07450775101417512, 0.07450775101417512,
+    0.07282444147183322, 0.06956619791235648, 0.06474640495144589,
+    0.05837939554261925, 0.050741939600184575, 0.04216313793519181,
+    0.032597463975345686, 0.021895363867795427, 0.010798689585891651,
+    0.001844477640212414,
+)
+_X87 = (
+    -0.9999029772627293, -0.9979898959866788, -0.9921754978606873,
+    -0.9813581635727128, -0.9650576238583847, -0.9431676131336706,
+    -0.9158064146855072, -0.8832216577713164, -0.8457107484624157,
+    -0.8035576580352309, -0.7570057306854956, -0.7062732097873218,
+    -0.6515894665011779, -0.5932233740579611, -0.531493605970832,
+    -0.46676362304202285, -0.3994248478592188, -0.3298748771061883,
+    -0.25850355920216156, -0.18569539656834666, -0.11184221317990747,
+    -0.03735212339461987, 0.03735212339461987, 0.11184221317990747,
+    0.18569539656834666, 0.25850355920216156, 0.3298748771061883,
+    0.3994248478592188, 0.46676362304202285, 0.531493605970832,
+    0.5932233740579611, 0.6515894665011779, 0.7062732097873218,
+    0.7570057306854956, 0.8035576580352309, 0.8457107484624157,
+    0.8832216577713164, 0.9158064146855072, 0.9431676131336706,
+    0.9650576238583847, 0.9813581635727128, 0.9921754978606873,
+    0.9979898959866788, 0.9999029772627293,
+)
+_W87 = (
+    0.0028848724302115306, 0.008148377384149173, 0.013685946022712702,
+    0.018761438201562824, 0.02328041350288831, 0.027347451050052287,
+    0.03087249761171336, 0.03367770731163793, 0.03569363363941877,
+    0.036935099820427905, 0.037361073762679026, 0.036935099820427905,
+    0.03569363363941877, 0.03367770731163793, 0.03087249761171336,
+    0.027347451050052287, 0.02328041350288831, 0.018761438201562824,
+    0.013685946022712702, 0.008148377384149173, 0.0028848724302115306,
+    0.0009152833452022414, 0.005399280219300471, 0.01094767960111893,
+    0.016298731696787336, 0.021081568889203834, 0.025370969769253827,
+    0.029189697756475754, 0.03237320246720279, 0.034783098950365146,
+    0.03641222073135179, 0.037253875503047706, 0.037253875503047706,
+    0.03641222073135179, 0.034783098950365146, 0.03237320246720279,
+    0.029189697756475754, 0.025370969769253827, 0.021081568889203834,
+    0.016298731696787336, 0.01094767960111893, 0.005399280219300471,
+    0.0009152833452022414, 0.00027414556376207234, 0.0018071241550579428,
+    0.0040968692827591646, 0.006758290051847379, 0.009549957672201646,
+    0.012329447652244854, 0.015010447346388952, 0.01754896798624319,
+    0.019938037786440887, 0.022194935961012286, 0.024339147126000805,
+    0.026374505414839208, 0.0282869107887712, 0.030052581128092695,
+    0.03164675137143993, 0.033050413419978504, 0.034255099704226064,
+    0.03526241266015668, 0.0360769896228887, 0.03669860449845609,
+    0.037120549269832576, 0.03733422875193504, 0.03733422875193504,
+    0.037120549269832576, 0.03669860449845609, 0.0360769896228887,
+    0.03526241266015668, 0.034255099704226064, 0.033050413419978504,
+    0.03164675137143993, 0.030052581128092695, 0.0282869107887712,
+    0.026374505414839208, 0.024339147126000805, 0.022194935961012286,
+    0.019938037786440887, 0.01754896798624319, 0.015010447346388952,
+    0.012329447652244854, 0.009549957672201646, 0.006758290051847379,
+    0.0040968692827591646, 0.0018071241550579428, 0.00027414556376207234,
+)
+_LEVELS = ((_X43, _W43), (_X87, _W87))
+
 # QUADPACK's floor on a panel's error estimate: 50 eps times int |f|.
 _ROUNDING_FLOOR = 50.0 * sys.float_info.epsilon
 
@@ -132,14 +226,11 @@ QuadratureResult = namedtuple(
 
 
 def _panel(f: Callable[[float], float], a: float, b: float):
-    """Return (K21 value, error estimate) for one panel, as QUADPACK's qk21.
+    """Return (K21 value, error estimate, y, resabs, resasc) for one panel, as QUADPACK's qk21.
 
-    The raw estimate |K21 - G10| is rescaled by resasc, the rule's
-    integral of |f - mean f|: resasc * min(1, (200 |K21 - G10| / resasc)^1.5).
-    On an under-resolved panel |K21 - G10| is a sizable share of resasc and
-    the estimate grows to resasc itself; on a resolved one the power 1.5
-    credits K21 with its higher order.  The estimate is floored at 50 eps
-    times the rule's integral of |f|, the rounding of the sum itself.
+    y is the list of the 21 node values, resabs the rule's integral of |f|
+    and resasc its integral of |f - mean f|.  The raw estimate |K21 - G10|
+    is rescaled by _error.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -149,18 +240,63 @@ def _panel(f: Callable[[float], float], a: float, b: float):
     # makes this sum non-finite, and only then is y scanned for the culprit.
     abs_sum = sum(map(abs, wy))
     if not math.isfinite(abs_sum):
-        for v in y:
-            if not math.isfinite(v):
-                raise EvaluationFailedError(f"integrand returned {v} on [{a}, {b}]")
+        _scan(y, a, b)
     k21 = math.fsum(wy)
     g10 = math.fsum(map(operator.mul, _WG, y[_GAUSS]))
     mean = 0.5 * k21
     resabs = half * abs_sum
     resasc = half * sum(map(operator.mul, _WK, map(abs, map(operator.sub, y, repeat(mean)))))
-    err = half * abs(k21 - g10)
+    return half * k21, _error(half * abs(k21 - g10), resabs, resasc), y, resabs, resasc
+
+
+def _error(err: float, resabs: float, resasc: float) -> float:
+    """QUADPACK's error estimate from a raw one, err = |R - R_coarser|.
+
+    It is rescaled by resasc: resasc * min(1, (200 err / resasc)^1.5).  On an
+    under-resolved panel err is a sizable share of resasc and the estimate
+    grows to resasc itself; on a resolved one the power 1.5 credits the finer
+    rule with its higher order.  The estimate is floored at 50 eps times
+    resabs, the rounding of the sum itself.
+    """
     if resasc and err:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return half * k21, max(err, _ROUNDING_FLOOR * resabs)
+    return max(err, _ROUNDING_FLOOR * resabs)
+
+
+def _scan(y, a: float, b: float) -> None:
+    """Raise EvaluationFailedError at the first non-finite value in y."""
+    for v in y:
+        if not math.isfinite(v):
+            raise EvaluationFailedError(f"integrand returned {v} on [{a}, {b}]")
+
+
+def _raised(f, a, b, y, resabs, resasc, tol, max_evals):
+    """Raise the panel [a, b] through Patterson's levels while its estimate misses tol.
+
+    y holds the panel's node values, K21's first; each level appends its new
+    ones, unless y holds them already (from a memo).  A level is taken only
+    if its evaluations fit in max_evals, and at least the 43-point one must.
+    Each level's raw estimate is |R - R_coarser|; resabs and resasc are
+    K21's.  Returns (value, error estimate, evaluations) of the last level
+    taken.
+    """
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    coarser = math.fsum(map(operator.mul, _WK, y))
+    for xs, ws in _LEVELS:
+        if len(ws) > max_evals:
+            break
+        if len(y) < len(ws):
+            new = [f(mid + half * x) for x in xs]
+            if not math.isfinite(sum(map(abs, new))):
+                _scan(new, a, b)
+            y += new
+        r = math.fsum(map(operator.mul, ws, y))
+        value, err = half * r, _error(half * abs(r - coarser), resabs, resasc)
+        evals, coarser = len(ws), r
+        if err <= tol:
+            break
+    return value, err, evals
 
 
 def _check_tol(tol: float) -> None:
@@ -171,7 +307,9 @@ def _check_tol(tol: float) -> None:
 def _memoized(f, panels):
     """_panel of f as a function of (a, b), through the memo panels keyed by (a, b).
 
-    A panel whose integrand raised is not stored.
+    A panel whose integrand raised is not stored; its y is the list that
+    _raised appends a level's values to, which a level that raised leaves
+    as it was.
     """
 
     def panel(a, b):
@@ -208,8 +346,13 @@ def integrate_finite(
     if max_evals < PANEL_EVALS:
         raise ValueError(f"max_evals {max_evals} is below one panel ({PANEL_EVALS})")
     panel = functools.partial(_panel, f) if panels is None else _memoized(f, panels)
-    value, err = panel(a, b)
+    value, err, y, resabs, resasc = panel(a, b)
     evals = PANEL_EVALS
+    if tol < err < resasc and max_evals >= len(_W43):
+        value, err, evals = _raised(f, a, b, y, resabs, resasc, tol, max_evals)
+        if evals < len(_W87):
+            # value error_estimate evaluations converged
+            return QuadratureResult(value, err, evals, err <= tol)
     # heap entries: (-error, insertion order, a, b, value, error)
     seq = 0
     heap = [(-err, seq, a, b, value, err)]
@@ -217,8 +360,8 @@ def integrate_finite(
     while total_err > tol and evals + 2 * PANEL_EVALS <= max_evals:
         neg, _, pa, pb, pv, pe = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
-        v1, e1 = panel(pa, pm)
-        v2, e2 = panel(pm, pb)
+        v1, e1 = panel(pa, pm)[:2]
+        v2, e2 = panel(pm, pb)[:2]
         evals += 2 * PANEL_EVALS
         total_err += e1 + e2 - pe
         seq += 1

@@ -51,6 +51,29 @@ def panel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def node_calls(monkeypatch):
+    """(memo, x) of every integrand value quadrature computes, in order.
+
+    The memo is the panel memo of the integrand the engine sees, kept alive
+    so that its id names it, and x the node in that integrand's variable.
+    """
+    calls, memos = [], []
+    finite = quadrature.integrate_finite
+
+    def counting(f, a, b, tol, max_evals, *, panels=None):
+        memos.append(panels)
+
+        def g(x):
+            calls.append((id(panels), x))
+            return f(x)
+
+        return finite(g, a, b, tol, max_evals, panels=panels)
+
+    monkeypatch.setattr(quadrature, "integrate_finite", counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def binet_truncation():
     return sweep_truncation("binet", T_GRID, tol=1e-12)
@@ -137,19 +160,20 @@ class TestNodeSweep:
         )
 
     @pytest.mark.parametrize("method", list(ROUTES))
-    def test_settled_run_is_reused(self, panel_calls, method):
-        # At tol 1e-12 classical hits the cap at budgets 32, 64 and 128 and
-        # needs 189 evaluations.  A run retraces every smaller budget's run,
-        # and a run that settled is retraced whole, so the sweep costs the
-        # panels of the run at 2048 alone.
+    def test_settled_run_is_reused(self, node_calls, method):
+        # At tol 1e-12 classical hits the cap at budgets 32 (K21) and 64 (the
+        # 43-point level) and settles at 87 evaluations.  A run retraces every
+        # smaller budget's run, its levels included, and a run that settled
+        # is retraced whole, so the sweep costs the values of the run at 2048
+        # alone.
         budgets = [32, 64, 128, 256, 512, 1024, 2048]
         alone = [_alone(ln_a(method, 1e-12, max_evals=b), b) for b in budgets]
         if method == "classical":
-            assert [r.evaluations_used for r in alone[:3]] == [21, 63, 105]
-        panel_calls.clear()
+            assert [r.evaluations_used for r in alone[:3]] == [21, 43, 87]
+        node_calls.clear()
         assert sweep_nodes(method, budgets, tol=1e-12) == alone
-        assert len(panel_calls) * PANEL_EVALS == alone[-1].evaluations_used
-        assert len(set(panel_calls)) == len(panel_calls)
+        assert len(node_calls) == alone[-1].evaluations_used
+        assert len(set(node_calls)) == len(node_calls)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -180,27 +204,35 @@ class TestPanelMemo:
             alone = [_alone(ln_a(method, tol, max_evals=b), b) for b in budgets]
             assert sweep_nodes(method, budgets, tol) == alone
 
-    def test_nested_truncation_shares_panels(self, panel_calls):
-        # The run at T = 50 bisects [0, 50] into [0, 25], the first panel of
-        # the run at T = 25.
-        sweep_truncation("binet", [25.0], 1e-11)
-        at_25 = set(panel_calls)
+    def test_nested_truncation_shares_panels(self, panel_calls, node_calls):
+        # The run at T = 200 raises [0, 200] to the 87-point level, misses and
+        # bisects it into [0, 100], the first panel of the run at T = 100,
+        # whose K21 values it takes from the memo.  A run at T = 50 would not
+        # share: at this tol its 87-point level meets tol, so it never bisects.
+        sweep_truncation("binet", [100.0], 1e-11)
+        at_100, values_at_100 = set(panel_calls), len(node_calls)
         panel_calls.clear()
-        sweep_truncation("binet", [25.0, 50.0], 1e-11)
-        assert (0.0, 25.0) in at_25
+        node_calls.clear()
+        (_, at_200) = sweep_truncation("binet", [100.0, 200.0], 1e-11)
+        assert at_100 == {(0.0, 100.0)}
+        assert (0.0, 200.0) in panel_calls and (100.0, 200.0) in panel_calls
         assert len(panel_calls) == len(set(panel_calls))
-        assert at_25 <= set(panel_calls)
+        assert len(node_calls) == len(set(node_calls))
+        assert len(node_calls) == values_at_100 + at_200.evaluations_used - PANEL_EVALS
 
-    def test_classical_graded_maps_at_two_T_do_not_share(self, panel_calls):
+    def test_classical_graded_maps_at_two_T_do_not_share(self, node_calls):
         # Classical's graded map x = T u^5 depends on T, so each T has its
-        # own entry of the memo; a repeated T evaluates nothing.
+        # own entry of the memo; a repeated T evaluates nothing, its levels
+        # included.
         panels = {}
         shared = [ln_a("classical", 1e-10, T, panels=panels) for T in (25.0, 50.0)]
+        n = len(node_calls)
+        assert n == sum(est.evaluations for est in shared)
         assert shared == [ln_a("classical", 1e-10, T) for T in (25.0, 50.0)]
         assert len(panels) == 2
-        n = len(panel_calls)
+        n = len(node_calls)
         assert ln_a("classical", 1e-10, 25.0, panels=panels) == shared[0]
-        assert len(panel_calls) == n
+        assert len(node_calls) == n
 
 
 class TestCsv:

@@ -61,7 +61,7 @@ class TestEval:
     def test_non_convergence_exit_2_with_warning(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--method", "classical", "--tol", "1e-12",
-            "--budget", "93", "--format", "json",
+            "--budget", "64", "--format", "json",
         )
         assert code == 2
         payload = json.loads(out)
@@ -143,7 +143,7 @@ class TestCompare:
 
     def test_budget_cap_exit_2(self, capsys):
         code, _, _ = run_cli(
-            capsys, "compare", "--tol", "1e-12", "--budget", "100",
+            capsys, "compare", "--tol", "1e-12", "--budget", "64",
             "--format", "json",
         )
         assert code == 2
@@ -248,24 +248,32 @@ class TestConvergence:
         )
         assert code == 74
 
-    def test_each_panel_is_evaluated_once(self, capsys, monkeypatch):
-        # Each sweep shares one panel memo: 38 distinct panels at tol 1e-10
-        # (99 without it).  No memo outlives its sweep, so a second command
-        # evaluates them all again.
-        calls = []
-        panel = quadrature._panel
+    def test_each_node_is_evaluated_once(self, capsys, monkeypatch):
+        # Each sweep shares one panel memo, which holds node values, so no
+        # integrand value is computed twice within a sweep: 920 values at tol
+        # 1e-10 (38 K21 panels, 798 values, before the first panel was raised
+        # to Patterson's levels).  No memo outlives its sweep, so a second
+        # command evaluates them all again.
+        calls, memos = [], []
+        finite = quadrature.integrate_finite
 
-        def counting(f, a, b):
-            calls.append(a)
-            return panel(f, a, b)
+        def counting(f, a, b, tol, max_evals, *, panels=None):
+            memos.append(panels)  # alive, so its id names one memo
 
-        monkeypatch.setattr(quadrature, "_panel", counting)
+            def g(x):
+                calls.append((id(panels), x))
+                return f(x)
+
+            return finite(g, a, b, tol, max_evals, panels=panels)
+
+        monkeypatch.setattr(quadrature, "integrate_finite", counting)
         counts = []
         for _ in range(2):
             calls.clear()
             assert run_cli(capsys, "convergence", "--tol", "1e-10")[0] == 0
+            assert len(set(calls)) == len(calls)
             counts.append(len(calls))
-        assert counts == [38, 38]
+        assert counts == [920, 920]
 
 
 class TestDeterminism:

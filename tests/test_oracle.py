@@ -110,10 +110,13 @@ def test_error_budget_holds_classical_graded(T):
 
 
 # Classical evaluations of the automatic rule at each tol of TOLS, pinned so
-# that a change in cost shows up as an edit here.  The second column is what
-# the map x = b e^{-s} on s in [0, 45], which the graded map x = b u^5
-# replaced, took: the graded map is never dearer.
-CLASSICAL_EVALS = list(
+# that a change in cost shows up as an edit here: the first panel is raised
+# to Patterson's 43- or 87-point rule and never bisected.  The second column
+# is what the engine took when it bisected K21 panels only, and the third
+# what the map x = b e^{-s} on s in [0, 45], which the graded map x = b u^5
+# replaced, took: each change was never dearer.
+CLASSICAL_EVALS = dict(zip(TOLS, [87] * 16 + [43] * 15, strict=True))
+CLASSICAL_K21_EVALS = list(
     zip(
         TOLS,
         [189] * 4 + [147] * 5 + [105] * 12 + [63] * 10,
@@ -123,10 +126,11 @@ CLASSICAL_EVALS = list(
 )
 
 
-@pytest.mark.parametrize("tol, evals, exp_map_evals", CLASSICAL_EVALS)
-def test_classical_evaluation_count(tol, evals, exp_map_evals):
-    assert ln_a("classical", tol).evaluations == evals
-    assert evals <= exp_map_evals
+@pytest.mark.parametrize("tol, k21_evals, exp_map_evals", CLASSICAL_K21_EVALS)
+def test_classical_evaluation_count(tol, k21_evals, exp_map_evals):
+    evals = ln_a("classical", tol).evaluations
+    assert evals == CLASSICAL_EVALS[tol]
+    assert evals <= k21_evals <= exp_map_evals
 
 
 # Every tol the engine accepts, 1e-2 down to 1e-14, one per decade.
@@ -260,6 +264,40 @@ def test_limit_sequence_remainder_is_bounded_by_the_next_term(order):
             if not 0 < remainder / nxt <= 1:
                 bad.append(n)
     assert not bad
+
+
+# Budgets on each side of the first panel's levels: 42 and 43 around the
+# 43-point rule, 86 and 87 around the 87-point one, and 128 and 129 around
+# its first bisection.
+LEVEL_EDGE_BUDGETS = [None, 42, 43, 86, 87, 128, 129]
+# 5 log-spaced tols per decade over the accepted range, both ends included.
+LEVEL_EDGE_TOLS = [
+    min(TOL_MAX, max(TOL_MIN, 10.0 ** (-14 + i / 5))) for i in range(61)
+]
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_error_budget_holds_at_the_level_edges(route):
+    # Every route, forced T in {auto, 5, 25, 500} where the domain is
+    # (0, inf), at every budget edge and tol: the budget is a hard cap, the
+    # bar covers the error and a converged bar is within tol.
+    Ts = [None, 5.0, 25.0, 500.0] if route in SEMI_INFINITE else [None]
+    misses, worst = [], 0.0
+    for T in Ts:
+        for max_evals in LEVEL_EDGE_BUDGETS:
+            for tol in LEVEL_EDGE_TOLS:
+                est = ln_a(route, tol, T, max_evals)
+                bar = est.discretization_error + est.truncation_error
+                error = abs(est.ln_A - LN_A)
+                if max_evals is not None and est.evaluations > max_evals:
+                    misses.append(("budget", T, max_evals, tol))
+                if not error <= bar or (est.converged and bar > tol):
+                    misses.append(("bar", T, max_evals, tol))
+                elif error:
+                    worst = max(worst, error / bar)
+    assert not misses
+    # Binet truncated at T = 500 meets its bar's 1/(2 t^2) tail bound to 0.2%.
+    assert worst <= (1.0 if route == "binet" else 0.5)
 
 
 @st.composite

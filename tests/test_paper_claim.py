@@ -32,10 +32,11 @@ def test_truncated_binet_errs_by_its_two_term_tail():
 
 # 101 log-spaced tols over the accepted range [1e-13, 1e-3], and the
 # evaluations each route's automatic rule takes at each, pinned so that a
-# change in either route's cost shows up as an edit here.
+# change in either route's cost shows up as an edit here.  Both routes meet
+# every tol on their first panel, K21 or its 43-point extension.
 TOLS = [10.0 ** (-13 + i / 10) for i in range(101)]
-BINET_EVALS = [63] * 40 + [21] * 61
-MALMSTEN_EVALS = [105] * 21 + [63] * 31 + [21] * 49
+BINET_EVALS = [43] * 40 + [21] * 61
+MALMSTEN_EVALS = [43] * 52 + [21] * 49
 
 
 def test_compactified_binet_is_never_dearer_than_malmsten():

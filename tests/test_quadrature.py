@@ -25,17 +25,54 @@ def _log_spec():
     return IntegrandSpec(eval=math.log, log_singular_at_zero=True, domain_upper=1.0)
 
 
+def _moment(k):
+    """int x^k on [-1, 1], exactly (an mpmath mpf or 0)."""
+    mpmath = pytest.importorskip("mpmath")
+    return 0 if k % 2 else mpmath.mpf(2) / (k + 1)
+
+
+def _times(p, q):
+    """The product of two polynomials, coefficients c_0 first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _orthogonal(weight, n):
+    """The monic x^n + sum c_m x^m orthogonal to weight(x) x^k on [-1, 1] for k < n.
+
+    weight has a parity (P10, P10 E11, ...), and so has the result: m runs
+    over n's parity and k over the parity that leaves weight x^(k+n) even,
+    the conditions that do not hold by symmetry alone.  Coefficients c_0
+    first.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    parity = (len(weight) - 1 + n) % 2
+
+    def inner(k):  # int weight x^k on [-1, 1]
+        return mpmath.fsum(c * _moment(k + j) for j, c in enumerate(weight))
+
+    ks, ms = range(parity, n, 2), range(n % 2, n, 2)
+    c = mpmath.lu_solve(
+        mpmath.matrix([[inner(k + m) for m in ms] for k in ks]),
+        mpmath.matrix([-inner(k + n) for k in ks]),
+    )
+    coeffs = [mpmath.mpf(0)] * n + [mpmath.mpf(1)]
+    for m, cm in zip(ms, c):
+        coeffs[m] = cm
+    return coeffs
+
+
 def test_kronrod_constants_match_an_mpmath_derivation():
     """Rederive the G10/K21 rule at 60 digits; the frozen floats are its rounding."""
     mpmath = pytest.importorskip("mpmath")
 
-    def moment(k):  # int x^k on [-1, 1]
-        return 0 if k % 2 else mpmath.mpf(2) / (k + 1)
-
     def solve_moments(xs):
         """Weights integrating x^k exactly on [-1, 1] for k < len(xs)."""
         vandermonde = mpmath.matrix([[x**k for x in xs] for k in range(len(xs))])
-        moments = mpmath.matrix([moment(k) for k in range(len(xs))])
+        moments = mpmath.matrix([_moment(k) for k in range(len(xs))])
         return list(mpmath.lu_solve(vandermonde, moments))
 
     def real_roots(coeffs):
@@ -47,19 +84,9 @@ def test_kronrod_constants_match_an_mpmath_derivation():
         p10 = mpmath.taylor(lambda x: mpmath.legendre(10, x), 0, 10)
         gauss = sorted(real_roots(p10))
         wg = solve_moments(gauss)
-        # The Stieltjes polynomial E11 = x^11 + sum c_m x^m over odd m is
-        # orthogonal to P10 x^k for odd k <= 9 (even k hold by parity).
-        odd = range(1, 11, 2)
-
-        def inner(k):  # int P10 x^k on [-1, 1]
-            return mpmath.fsum(c * moment(k + j) for j, c in enumerate(p10))
-
-        c = mpmath.lu_solve(
-            mpmath.matrix([[inner(k + m) for m in odd] for k in odd]),
-            mpmath.matrix([-inner(k + 11) for k in odd]),
-        )
-        # E11 = x q(x^2): its roots are 0 and the square roots of q's.
-        ys = real_roots([*c, 1])
+        # The Stieltjes polynomial E11, orthogonal to P10 x^k for k <= 10, is
+        # x q(x^2): its roots are 0 and the square roots of q's.
+        ys = real_roots(_orthogonal(p10, 11)[1::2])
         stieltjes = [mpmath.mpf(0)] + [s * mpmath.sqrt(y) for y in ys for s in (-1, 1)]
         xk = sorted(gauss + stieltjes)
         wk = solve_moments(xk)
@@ -72,6 +99,85 @@ def test_kronrod_constants_match_an_mpmath_derivation():
     assert quadrature._XK[-1] == 0.9956571630258081
     assert quadrature._WK[-1] == 0.011694638867371874
     assert PANEL_EVALS == 21
+
+
+def test_patterson_constants_match_an_mpmath_derivation():
+    """Rederive the 43- and 87-point rules at 100 digits; the frozen floats are their rounding.
+
+    The new nodes of each level are the roots of an even polynomial, F22
+    orthogonal to P10 E11 x^k and then G44 to P10 E11 F22 x^k.  Each frozen
+    node (K21's too) is Newton-refined to a root of its polynomial, and the
+    refined roots are distinct, so they are all of its roots; polyroots
+    would find the same in seconds.  The weights solve the moment equations
+    in the Legendre basis, which stays well conditioned at 87 nodes where a
+    monomial Vandermonde does not.
+    """
+    mpmath = pytest.importorskip("mpmath")
+
+    def newton(coeffs, x):
+        """The root of the even sum c_k x^k that Newton's method finds from x > 0."""
+        q = coeffs[::-2]  # q(z), z = x^2, highest power first
+        z = mpmath.mpf(x) ** 2
+        for _ in range(100):
+            value, slope = mpmath.polyval(q, z, derivative=True)
+            step = value / slope
+            z -= step
+            if abs(step) <= abs(z) * mpmath.mpf(10) ** -50:
+                return mpmath.sqrt(z)
+        raise AssertionError(f"no convergence from {x}")
+
+    def legendre_sums(nodes, weights, n):
+        """sum w P_k(x) over the symmetric rule of the given x >= 0, for k < n."""
+        sums = [mpmath.mpf(0)] * n
+        for x, w in zip(nodes, weights):
+            scale = w if x == 0 else 2 * w
+            prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+            for k in range(n):
+                sums[k] += scale * cur
+                prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+        return sums
+
+    def symmetric_weights(nodes):
+        """Weights of 0 and the x > 0 in nodes, exact for P_0, P_2, ... of the right count."""
+        rows = [legendre_sums([x], [1], 2 * len(nodes))[::2] for x in nodes]
+        a = mpmath.matrix([[row[k] for row in rows] for k in range(len(nodes))])
+        return list(mpmath.lu_solve(a, mpmath.matrix([2] + [0] * (len(nodes) - 1))))
+
+    levels = ((quadrature._X43, quadrature._W43, 64), (quadrature._X87, quadrature._W87, 130))
+    with mpmath.workdps(100):
+        p10 = mpmath.taylor(lambda x: mpmath.legendre(10, x), 0, 10)
+        e11 = _orthogonal(p10, 11)
+        weight = _times(p10, e11)
+        # K21's nodes: 0, the roots of P10 and those of the even E11 / x.
+        gauss = quadrature._XK[quadrature._GAUSS]
+        nodes = [mpmath.mpf(0)] + [
+            newton(p10 if x in gauss else e11[1:], x) for x in quadrature._XK if x > 0
+        ]
+        assert tuple(map(float, nodes)) == quadrature._XK[10:]
+        order = list(quadrature._XK)  # the node of each weight of a level
+        for xs, ws, degree in levels:
+            extension = _orthogonal(weight, len(xs))
+            roots = [newton(extension, x) for x in xs if x > 0]
+            assert len(set(roots)) == len(xs) // 2
+            assert tuple(sorted(map(float, roots))) == tuple(x for x in xs if x > 0)
+            nodes += roots
+            order += xs
+            w = symmetric_weights(nodes)
+            assert all(v > 0 for v in w)
+            # Exact for P_k up to the rule's degree: odd k by symmetry, even k
+            # below 2 len(nodes) by the equations, and the even k above them
+            # only because the new nodes are the extension's roots.
+            sums = legendre_sums(nodes, w, degree + 1)[::2]
+            assert abs(sums[0] - 2) < mpmath.mpf(10) ** -40
+            assert all(abs(v) < mpmath.mpf(10) ** -40 for v in sums[1:])
+            of = {float(x): float(v) for x, v in zip(nodes, w)}
+            assert ws == tuple(of[abs(x)] for x in order)
+            weight = _times(weight, extension)
+    # 66 new nodes, none of them K21's: 87 distinct values at most per panel.
+    assert len({*quadrature._XK, *quadrature._X43, *quadrature._X87}) == 87
+    # QUADPACK qng's published x3(1) and x4(1).
+    assert max(quadrature._X43) == 0.999333360901932
+    assert max(quadrature._X87) == 0.9999029772627293
 
 
 @pytest.mark.parametrize("k", range(9))
@@ -164,9 +270,43 @@ def test_semi_infinite_examples():
 
 def test_budget_exhaustion_flags_not_raises():
     spec = get_integrand("classical")
-    res = integrate(spec, 1e-12, max_evals=93)
+    # Classical needs the 87-point level at tol 1e-12; 64 affords the 43.
+    res = integrate(spec, 1e-12, max_evals=64)
     assert not res.converged
     assert res.evaluations > 0
+
+
+def test_one_panel_run_is_the_k21_panel():
+    res = integrate_finite(math.exp, 0.0, 1.0, 1e-10)
+    value, err = quadrature._panel(math.exp, 0.0, 1.0)[:2]
+    assert (res.value, res.error_estimate, res.evaluations, res.converged) == (
+        value, err, PANEL_EVALS, True
+    )
+
+
+def test_first_panel_is_raised_through_the_levels_before_bisecting():
+    # sqrt misses tol 1e-12 on K21 and on both of Patterson's levels.  A
+    # level is taken only if all of its evaluations fit, and the run bisects
+    # into K21 panels only after the 87-point level.
+    runs = [
+        integrate_finite(math.sqrt, 0.0, 1.0, 1e-12, b) for b in (42, 43, 86, 87, 128, 129)
+    ]
+    assert [r.evaluations for r in runs] == [21, 43, 43, 87, 87, 129]
+    assert not any(r.converged for r in runs)
+    errors = [runs[i].error_estimate for i in (0, 1, 3)]
+    assert errors == sorted(errors, reverse=True)
+    assert runs[0].error_estimate == quadrature._panel(math.sqrt, 0.0, 1.0)[1]
+
+
+def test_saturated_first_panel_is_bisected_without_levels():
+    # K21 does not resolve sin(50 x) on [0, 1]: its estimate is resasc.
+    def f(x):
+        return math.sin(50.0 * x)
+
+    _, err, _, _, resasc = quadrature._panel(f, 0.0, 1.0)
+    assert err == resasc
+    runs = [integrate_finite(f, 0.0, 1.0, 1e-10, b).evaluations for b in (43, 87, 105)]
+    assert runs == [21, 63, 105]
 
 
 def test_budget_below_one_panel_is_rejected():
@@ -244,7 +384,9 @@ def test_infinite_value_is_an_error(value):
 
 
 def test_panel_memo_keeps_no_failed_panel():
-    # The root panel's smallest node is 0.0022; the left child's is 0.0011.
+    # The root panel's smallest K21 node is 0.0022; its 43-point level's is
+    # 0.00033.  The root's K21 values are stored, and the failed level
+    # appends none of its own.
     def f(x):
         return math.nan if x < 0.002 else math.sqrt(x)
 
@@ -253,6 +395,7 @@ def test_panel_memo_keeps_no_failed_panel():
         with pytest.raises(EvaluationFailedError):
             integrate_finite(f, 0.0, 1.0, 1e-10, panels=panels)
         assert list(panels) == [(0.0, 1.0)]
+        assert len(panels[0.0, 1.0][2]) == PANEL_EVALS
 
 
 def test_panel_memo_changes_no_result():
