@@ -31,7 +31,8 @@ EXIT_IO = 74
 # Defaults, in one place:
 #   tol        1e-10 (comfortably inside every route's supported range)
 #   T_list     the grid used for the published truncation comparison
-#   budgets    evaluation budgets doubling from 64, room for three panels (63)
+#   budgets    evaluation budgets doubling from 64, room for the first panel's
+#              43-point level (three K21 panels, 63, where K21 is saturated)
 DEFAULT_TOL = 1e-10
 DEFAULT_T_LIST = [25.0, 50.0, 100.0, 200.0]
 DEFAULT_BUDGETS = [64, 128, 256, 512, 1024]

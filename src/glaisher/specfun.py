@@ -70,8 +70,9 @@ def binet_theta(x: float, tol: float = 1e-10) -> QuadratureResult:
 
     Its tail, which has no bound here, is compactified.  Outside the domain
     the bar can fail: below x = 0.1, where the integrand (~e^{-xt}/(2t))
-    spreads out to t ~ 1/x, theta(1.6e-4) at tol 1e-4 errs by 3e-2 against a
-    bar of 2e-6; above, from x ~ 150, the first panel misses the peak at 0.
+    spreads out to t ~ 1/x, it fails up to x ~ 0.012, and theta(4.1e-5) at
+    tol 1e-2 errs by 3.3e-3 against a bar of 2.0e-6; above, from x ~ 150,
+    the first panel misses the peak at 0.
     """
     if not 0.1 <= x <= 100.0:
         raise ValueError(f"binet_theta requires 0.1 <= x <= 100, got {x}")
