@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import glaisher
-from glaisher import cli, integrands, quadrature
+from glaisher import cli, integrands
 from glaisher.bench import CSV_HEADER
 from glaisher.cli import main
 from glaisher.estimator import LN_A_REFERENCE, N_MAX
@@ -248,31 +248,18 @@ class TestConvergence:
         )
         assert code == 74
 
-    def test_each_node_is_evaluated_once(self, capsys, monkeypatch):
+    def test_each_node_is_evaluated_once(self, capsys, node_calls):
         # Each sweep shares one panel memo, which holds node values, so no
         # integrand value is computed twice within a sweep: 920 values at tol
         # 1e-10 (38 K21 panels, 798 values, before the first panel was raised
         # to Patterson's levels).  No memo outlives its sweep, so a second
         # command evaluates them all again.
-        calls, memos = [], []
-        finite = quadrature.integrate_finite
-
-        def counting(f, a, b, tol, max_evals, *, panels=None):
-            memos.append(panels)  # alive, so its id names one memo
-
-            def g(x):
-                calls.append((id(panels), x))
-                return f(x)
-
-            return finite(g, a, b, tol, max_evals, panels=panels)
-
-        monkeypatch.setattr(quadrature, "integrate_finite", counting)
         counts = []
         for _ in range(2):
-            calls.clear()
+            node_calls.clear()
             assert run_cli(capsys, "convergence", "--tol", "1e-10")[0] == 0
-            assert len(set(calls)) == len(calls)
-            counts.append(len(calls))
+            assert len(set(node_calls)) == len(node_calls)
+            counts.append(len(node_calls))
         assert counts == [920, 920]
 
 

@@ -271,9 +271,7 @@ def test_limit_sequence_remainder_is_bounded_by_the_next_term(order):
 # its first bisection.
 LEVEL_EDGE_BUDGETS = [None, 42, 43, 86, 87, 128, 129]
 # 5 log-spaced tols per decade over the accepted range, both ends included.
-LEVEL_EDGE_TOLS = [
-    min(TOL_MAX, max(TOL_MIN, 10.0 ** (-14 + i / 5))) for i in range(61)
-]
+LEVEL_EDGE_TOLS = [min(TOL_MAX, max(TOL_MIN, 10.0 ** (-13 + i / 5))) for i in range(51)]
 
 
 @pytest.mark.parametrize("route", list(ROUTES))
