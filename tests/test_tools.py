@@ -21,7 +21,7 @@ _spec.loader.exec_module(grid_digests)
 @pytest.fixture(scope="module")
 def lib_grid_lines():
     lines = grid_digests.run_grid("lib_grid.py")
-    assert lines
+    assert len(lines) == 7053
     return lines
 
 
