@@ -32,6 +32,9 @@ series below t = 0.2, where the rewritten direct forms are still good to
 
 The registry holds the four route integrands, with Binet form 13 and
 Malmsten form 19; forms 12 and 18 are reached through the form argument.
+Its evaluators are bodies without checks, since quadrature evaluates only
+interior points of the domain; the public functions check their inputs
+(the domain, and the form) and then run the same bodies.
 """
 
 from __future__ import annotations
@@ -110,16 +113,20 @@ IntegrandSpec = namedtuple(
 )
 
 
-def classical_integrand(x: float) -> float:
-    """x ln x / (e^{2 pi x} - 1); log-singular (but integrable) at 0."""
-    if x <= 0.0:
-        raise ValueError(f"classical integrand requires x > 0, got {x}")
+def _classical(x: float) -> float:
     u = _TWO_PI * x
     if u > 35.0:
         # e^{-u} underflows harmlessly to 0 for very large x.
         eu = math.exp(-u)
         return x * math.log(x) * eu / (1.0 - eu)
     return x * math.log(x) / math.expm1(u)
+
+
+def classical_integrand(x: float) -> float:
+    """x ln x / (e^{2 pi x} - 1); log-singular (but integrable) at 0."""
+    if x <= 0.0:
+        raise ValueError(f"classical integrand requires x > 0, got {x}")
+    return _classical(x)
 
 
 def _binet_kernel(t: float) -> float:
@@ -136,19 +143,33 @@ def _binet_kernel(t: float) -> float:
     return (t - em) / (t * em) + 0.5
 
 
+def _binet13(t: float) -> float:
+    if t < SERIES_SWITCH_T:
+        return _horner(_BINET_SERIES, t)
+    th = math.tanh(t / 2.0)
+    bracket = (t - 2.0 * th) / th  # t coth(t/2) - 2
+    return (-math.expm1(-t / 2.0)) * bracket / (2.0 * t * t * t)
+
+
 def binet_integrand(t: float, form: int = 13) -> float:
     """Either printed form of the Binet-route integrand; limit 1/24 at 0."""
     if t <= 0.0:
         raise ValueError(f"binet integrand requires t > 0, got {t}")
     if form not in (12, 13):
         raise ValueError(f"form must be 12 or 13, got {form}")
-    if t < SERIES_SWITCH_T:
-        return _horner(_BINET_SERIES, t)
-    if form == 12:
+    if form == 12 and t >= SERIES_SWITCH_T:
         return _binet_kernel(t) * (-math.expm1(-t / 2.0)) / (t * t)
-    th = math.tanh(t / 2.0)
-    bracket = (t - 2.0 * th) / th  # t coth(t/2) - 2
-    return (-math.expm1(-t / 2.0)) * bracket / (2.0 * t * t * t)
+    return _binet13(t)
+
+
+def _malmsten19(t: float) -> float:
+    if t < SERIES_SWITCH_T:
+        return _horner(_MALMSTEN_SERIES, t)
+    # form 19 with e^{-t} factored through:
+    # (8-3t) - 8 e^{-t/2} - t e^{-t}  ==  -8 expm1(-t/2) - t (3 + e^{-t})
+    e = math.exp(-t)
+    num = -8.0 * math.expm1(-t / 2.0) - t * (3.0 + e)
+    return num * e / (8.0 * t * t * (-math.expm1(-t)))
 
 
 def malmsten_integrand(t: float, form: int = 19) -> float:
@@ -157,27 +178,25 @@ def malmsten_integrand(t: float, form: int = 19) -> float:
         raise ValueError(f"malmsten integrand requires t > 0, got {t}")
     if form not in (18, 19):
         raise ValueError(f"form must be 18 or 19, got {form}")
-    if t < SERIES_SWITCH_T:
-        return _horner(_MALMSTEN_SERIES, t)
-    if form == 18:
+    if form == 18 and t >= SERIES_SWITCH_T:
         bracket = (
             0.125
             - 1.0 / (2.0 * (-math.expm1(-t)))
             + 1.0 / (t * (1.0 + math.exp(-t / 2.0)))
         )
         return bracket * math.exp(-t) / t
-    # form 19 with e^{-t} factored through:
-    # (8-3t) - 8 e^{-t/2} - t e^{-t}  ==  -8 expm1(-t/2) - t (3 + e^{-t})
-    e = math.exp(-t)
-    num = -8.0 * math.expm1(-t / 2.0) - t * (3.0 + e)
-    return num * e / (8.0 * t * t * (-math.expm1(-t)))
+    return _malmsten19(t)
+
+
+def _lngamma_direct(x: float) -> float:
+    return math.lgamma(x + 1.0)
 
 
 def lngamma_direct_integrand(x: float) -> float:
     """ln Gamma(x+1) on [0, 1/2]; smooth on the closed interval."""
     if not 0.0 <= x <= 0.5:
         raise ValueError(f"lngamma integrand requires x in [0, 1/2], got {x}")
-    return math.lgamma(x + 1.0)
+    return _lngamma_direct(x)
 
 
 # --- rigorous tail bounds ---------------------------------------------------
@@ -205,17 +224,15 @@ def _malmsten_tail_bound(T: float) -> float:
     return _MALMSTEN_TAIL_SCALE * (3.0 * T + 16.0) / (T * T) * math.exp(-T)
 
 
+# Each eval is a body without checks: quadrature evaluates interior points
+# of the domain only.
 _SPECS = {
     "classical": IntegrandSpec(
-        eval=classical_integrand,
-        tail_bound=_classical_tail_bound,
-        log_singular_at_zero=True,
+        eval=_classical, tail_bound=_classical_tail_bound, log_singular_at_zero=True
     ),
-    "binet_form13": IntegrandSpec(eval=binet_integrand, tail_bound=_binet_tail_bound),
-    "malmsten_form19": IntegrandSpec(
-        eval=malmsten_integrand, tail_bound=_malmsten_tail_bound
-    ),
-    "lngamma_direct": IntegrandSpec(eval=lngamma_direct_integrand, domain_upper=0.5),
+    "binet_form13": IntegrandSpec(eval=_binet13, tail_bound=_binet_tail_bound),
+    "malmsten_form19": IntegrandSpec(eval=_malmsten19, tail_bound=_malmsten_tail_bound),
+    "lngamma_direct": IntegrandSpec(eval=_lngamma_direct, domain_upper=0.5),
 }
 INTEGRAND_IDS = tuple(sorted(_SPECS))
 

@@ -60,7 +60,6 @@ import operator
 import sys
 from collections import namedtuple
 from collections.abc import Callable
-from itertools import repeat
 
 from .integrands import IntegrandSpec
 
@@ -226,11 +225,12 @@ QuadratureResult = namedtuple(
 
 
 def _panel(f: Callable[[float], float], a: float, b: float):
-    """Return (K21 value, error estimate, y, resabs, resasc) for one panel, as QUADPACK's qk21.
+    """Return (K21 value, error estimate, y, resabs, resasc, K21 sum) for one panel, as QUADPACK's qk21.
 
     y is the list of the 21 node values, resabs the rule's integral of |f|
-    and resasc its integral of |f - mean f|.  The raw estimate |K21 - G10|
-    is rescaled by _error.
+    and resasc its integral of |f - mean f|; the K21 sum is the rule on
+    [-1, 1], unscaled, from which _raised starts.  The raw estimate
+    |K21 - G10| is rescaled by _error.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -244,9 +244,11 @@ def _panel(f: Callable[[float], float], a: float, b: float):
     k21 = math.fsum(wy)
     g10 = math.fsum(map(operator.mul, _WG, y[_GAUSS]))
     mean = 0.5 * k21
-    resabs = half * abs_sum
-    resasc = half * sum(map(operator.mul, _WK, map(abs, map(operator.sub, y, repeat(mean)))))
-    return half * k21, _error(half * abs(k21 - g10), resabs, resasc), y, resabs, resasc
+    asc = 0.0
+    for w, v in zip(_WK, y):
+        asc += w * abs(v - mean)
+    resabs, resasc = half * abs_sum, half * asc
+    return half * k21, _error(half * abs(k21 - g10), resabs, resasc), y, resabs, resasc, k21
 
 
 def _error(err: float, resabs: float, resasc: float) -> float:
@@ -270,19 +272,18 @@ def _scan(y, a: float, b: float) -> None:
             raise EvaluationFailedError(f"integrand returned {v} on [{a}, {b}]")
 
 
-def _raised(f, a, b, y, resabs, resasc, tol, max_evals):
+def _raised(f, a, b, y, resabs, resasc, coarser, tol, max_evals):
     """Raise the panel [a, b] through Patterson's levels while its estimate misses tol.
 
     y holds the panel's node values, K21's first; each level appends its new
     ones, unless y holds them already (from a memo).  A level is taken only
     if its evaluations fit in max_evals, and at least the 43-point one must.
-    Each level's raw estimate is |R - R_coarser|; resabs and resasc are
-    K21's.  Returns (value, error estimate, evaluations) of the last level
-    taken.
+    Each level's raw estimate is |R - R_coarser|, starting from coarser, the
+    K21 sum; resabs and resasc are K21's.  Returns (value, error estimate,
+    evaluations) of the last level taken.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    coarser = math.fsum(map(operator.mul, _WK, y))
     for xs, ws in _LEVELS:
         if len(ws) > max_evals:
             break
@@ -346,13 +347,14 @@ def integrate_finite(
     if max_evals < PANEL_EVALS:
         raise ValueError(f"max_evals {max_evals} is below one panel ({PANEL_EVALS})")
     panel = functools.partial(_panel, f) if panels is None else _memoized(f, panels)
-    value, err, y, resabs, resasc = panel(a, b)
+    value, err, y, resabs, resasc, k21 = panel(a, b)
     evals = PANEL_EVALS
     if tol < err < resasc and max_evals >= len(_W43):
-        value, err, evals = _raised(f, a, b, y, resabs, resasc, tol, max_evals)
-        if evals < len(_W87):
-            # value error_estimate evaluations converged
-            return QuadratureResult(value, err, evals, err <= tol)
+        value, err, evals = _raised(f, a, b, y, resabs, resasc, k21, tol, max_evals)
+    if err <= tol or evals == len(_W43):
+        # Met tol on the first panel, or stopped at the 43-point level: no
+        # bisection.  value error_estimate evaluations converged
+        return QuadratureResult(value, err, evals, err <= tol)
     # heap entries: (-error, insertion order, a, b, value, error)
     seq = 0
     heap = [(-err, seq, a, b, value, err)]

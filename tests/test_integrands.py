@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from glaisher import estimator, integrands
 from glaisher.integrands import (
     INTEGRAND_IDS,
     IntegrandSpec,
@@ -189,3 +190,60 @@ class TestTailBounds:
         finite = IntegrandSpec(eval=lngamma_direct_integrand, domain_upper=0.5)
         assert finite.tail_bound is None
         assert integrate(finite, 1e-10).converged
+
+
+# registered id -> the public function that checks its inputs, then runs the body
+_PUBLIC = {
+    "classical": classical_integrand,
+    "binet_form13": binet_integrand,
+    "malmsten_form19": malmsten_integrand,
+    "lngamma_direct": lngamma_direct_integrand,
+}
+
+
+@pytest.mark.parametrize("iid", INTEGRAND_IDS)
+def test_registered_body_is_the_public_function_bit_for_bit(iid):
+    body = get_integrand(iid).eval
+    if iid == "lngamma_direct":
+        points = [0.5 * i / 1000 for i in range(1001)]
+    else:
+        # each side of the series switch, of classical's u = 2 pi x > 35 and
+        # of the t > 30 of Binet's kernel, on a log grid over [1e-8, 700]
+        edges = [SERIES_SWITCH_T, 35.0 / (2.0 * math.pi), 30.0]
+        points = _log_grid(1e-8, 700.0, 2000) + [
+            math.nextafter(e, d) for e in edges for d in (0.0, math.inf)
+        ] + edges
+    assert body is not _PUBLIC[iid]
+    for x in points:
+        assert body(x).hex() == _PUBLIC[iid](x).hex(), x
+
+
+def test_routes_evaluate_the_bodies_inside_their_domains(monkeypatch):
+    # The bodies check nothing, so the routes must only ever pass t > 0, or
+    # x in (0, 1/2] for lngamma_direct.
+    calls = dict.fromkeys(INTEGRAND_IDS, 0)
+
+    def checked(iid, body, inside):
+        def f(x):
+            assert inside(x), f"{iid} evaluated at {x!r}"
+            calls[iid] += 1
+            return body(x)
+
+        return f
+
+    for iid in INTEGRAND_IDS:
+        spec = get_integrand(iid)
+        if spec.domain_upper == 0.5:
+            inside = lambda x: 0.0 < x <= 0.5  # noqa: E731
+        else:
+            inside = lambda t: 0.0 < t < math.inf  # noqa: E731
+        monkeypatch.setitem(
+            integrands._SPECS, iid, spec._replace(eval=checked(iid, spec.eval, inside))
+        )
+    for route in estimator.ROUTES:
+        ts = [None] if route == "direct_lgamma" else [None, 5.0, 25.0, 500.0]
+        for k in range(11):
+            for truncate_at in ts:
+                for budget in (None, 42, 129):
+                    estimator.ln_a(route, 10.0 ** (-13 + k), truncate_at, budget)
+    assert all(calls.values())

@@ -303,7 +303,7 @@ def test_saturated_first_panel_is_bisected_without_levels():
     def f(x):
         return math.sin(50.0 * x)
 
-    _, err, _, _, resasc = quadrature._panel(f, 0.0, 1.0)
+    _, err, _, _, resasc, _ = quadrature._panel(f, 0.0, 1.0)
     assert err == resasc
     runs = [integrate_finite(f, 0.0, 1.0, 1e-10, b).evaluations for b in (43, 87, 105)]
     assert runs == [21, 63, 105]
