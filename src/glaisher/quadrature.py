@@ -11,12 +11,14 @@ and its estimate is the same rescaling of its difference from it.  Only if
 the 87-point level still misses the tolerance (or K21 was saturated) does
 the run bisect: the first panel is replaced by two K21 panels, and panels
 are refined by bisection, worst first, until the summed estimate meets the
-tolerance or the evaluation budget runs out.  The budget is a hard cap of at
-least one panel: a level is taken only if its 43 or 87 evaluations fit, and
-a bisection only if its 42 more do.  The rules use interior nodes only, so
-integrands never get evaluated at interval endpoints (removable
-singularities at 0 are safe).  integrate_finite(f, a, b, tol) is that
-engine on [a, b].
+tolerance or the evaluation budget runs out.  A run whose summed estimate
+ends above the first panel's own (K21's or its last level's) reports that
+panel instead, with every evaluation it spent, so a larger budget never
+reports a larger error.  The budget is a hard cap of at least one panel: a
+level is taken only if its 43 or 87 evaluations fit, and a bisection only
+if its 42 more do.  The rules use interior nodes only, so integrands never
+get evaluated at interval endpoints (removable singularities at 0 are
+safe).  integrate_finite(f, a, b, tol) is that engine on [a, b].
 
 Bisection is deterministic, so a panel's (value, error) depends only on the
 integrand and the panel's endpoints.  Both entries take an optional memo,
@@ -370,8 +372,14 @@ def integrate_finite(
         heapq.heappush(heap, (-e1, seq, pa, pm, v1, e1))
         seq += 1
         heapq.heappush(heap, (-e2, seq, pm, pb, v2, e2))
-    value = math.fsum(map(operator.itemgetter(4), heap))
     total_err = math.fsum(map(operator.itemgetter(5), heap))
+    if total_err > err:
+        # The bisected panels ended worse than the first panel (K21 or its
+        # last level), whose err > tol: report that panel, so a larger budget
+        # never reports a larger error.  value error_estimate evaluations
+        # converged
+        return QuadratureResult(value, err, evals, False)
+    value = math.fsum(map(operator.itemgetter(4), heap))
     # value error_estimate evaluations converged
     return QuadratureResult(value, total_err, evals, total_err <= tol)
 

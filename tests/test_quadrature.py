@@ -298,6 +298,23 @@ def test_first_panel_is_raised_through_the_levels_before_bisecting():
     assert runs[0].error_estimate == quadrature._panel(math.sqrt, 0.0, 1.0)[1]
 
 
+def test_a_larger_budget_never_reports_a_larger_error_than_the_87_point_level():
+    # Bisecting after the 87-point level can leave a summed estimate above
+    # the level's own; the run then reports the level, with the evaluations
+    # it spent.
+    binet = get_integrand("binet_form13")
+    for run in (
+        lambda b: integrate_finite(math.sqrt, 0.0, 1.0, 1e-12, b),
+        lambda b: integrate(binet, 1e-12, 200.0, b),
+    ):
+        level = run(87)
+        assert level.evaluations == 87 and not level.converged
+        budgets = range(87, 301)
+        runs = [run(b) for b in budgets]
+        assert all(r.error_estimate <= level.error_estimate for r in runs)
+        assert [r.evaluations for r in runs] == [87 + (b - 87) // 42 * 42 for b in budgets]
+
+
 def test_saturated_first_panel_is_bisected_without_levels():
     # K21 does not resolve sin(50 x) on [0, 1]: its estimate is resasc.
     def f(x):
