@@ -219,27 +219,20 @@ def test_registered_body_is_the_public_function_bit_for_bit(iid):
 
 
 def test_routes_evaluate_the_bodies_inside_their_domains(monkeypatch):
-    # The bodies check nothing, so the routes must only ever pass t > 0, or
-    # x in (0, 1/2] for lngamma_direct.
+    # The bodies check nothing, so the routes must only ever pass finite
+    # t > 0, or x in (0, 1/2] for lngamma_direct.
     calls = dict.fromkeys(INTEGRAND_IDS, 0)
 
-    def checked(iid, body, inside):
+    def checked(iid, spec):
         def f(x):
-            assert inside(x), f"{iid} evaluated at {x!r}"
+            assert 0.0 < x <= spec.domain_upper and math.isfinite(x), f"{iid} at {x!r}"
             calls[iid] += 1
-            return body(x)
+            return spec.eval(x)
 
-        return f
+        return spec._replace(eval=f)
 
     for iid in INTEGRAND_IDS:
-        spec = get_integrand(iid)
-        if spec.domain_upper == 0.5:
-            inside = lambda x: 0.0 < x <= 0.5  # noqa: E731
-        else:
-            inside = lambda t: 0.0 < t < math.inf  # noqa: E731
-        monkeypatch.setitem(
-            integrands._SPECS, iid, spec._replace(eval=checked(iid, spec.eval, inside))
-        )
+        monkeypatch.setitem(integrands._SPECS, iid, checked(iid, get_integrand(iid)))
     for route in estimator.ROUTES:
         ts = [None] if route == "direct_lgamma" else [None, 5.0, 25.0, 500.0]
         for k in range(11):
