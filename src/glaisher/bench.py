@@ -43,19 +43,11 @@ def sweep_truncation(
 
     The discretization tolerance is pinned at tol, so abs_error isolates the
     truncation term.  Non-converged runs are recorded flagged, not dropped.
-    The runs share one panel memo: truncation leaves the integrand as it
-    is, so a panel that two runs bisect to ([0, 25] of T = 25 and of T = 50)
-    is evaluated once.  evaluations_used is what the run at that T would
-    spend alone.
     """
     if method not in ("binet", "malmsten"):
         raise ValueError(f"truncation sweep supports binet|malmsten, got {method!r}")
     check_T_list(T_list)
-    panels = {}
-    return [
-        _record(ln_a(method, tol, truncate_at=float(T), panels=panels), DEFAULT_MAX_EVALS)
-        for T in T_list
-    ]
+    return [_record(ln_a(method, tol, truncate_at=float(T)), DEFAULT_MAX_EVALS) for T in T_list]
 
 
 def sweep_nodes(
@@ -63,14 +55,17 @@ def sweep_nodes(
 ) -> list[ConvergenceRecord]:
     """One record per evaluation budget, automatic truncation rule.
 
-    The runs share one panel memo: the run at a budget retraces every
-    smaller budget's run, so the sweep evaluates the panels of its largest
-    run once.  evaluations_used is what the run at that budget would spend
-    alone.
+    The budgets run from the largest down.  A run that spent n evaluations
+    is the same at every budget of at least n, so each result is reused at
+    every smaller budget down to n.
     """
     check_budgets(budgets)
-    panels = {}
-    return [_record(ln_a(method, tol, max_evals=b, panels=panels), b) for b in budgets]
+    records, est = [], None
+    for b in reversed(budgets):
+        if est is None or b < est.evaluations:
+            est = ln_a(method, tol, max_evals=b)
+        records.append(_record(est, b))
+    return records[::-1]
 
 
 def check_T_list(T_list: Sequence[float]) -> None:

@@ -132,8 +132,6 @@ def ln_a(
     tol: float = 1e-10,
     truncate_at: float | None = None,
     max_evals: int | None = None,
-    *,
-    panels: dict | None = None,
 ) -> ConstantEstimate:
     """ln A by one method of METHODS, with its error budget.
 
@@ -143,14 +141,14 @@ def ln_a(
     method's default, DEFAULT_MAX_EVALS for a route and N_MAX for the
     sequence.  truncate_at forces a semi-infinite route's truncation point
     T, in [5, 500]; None leaves the tail to the automatic rule, and the
-    finite-interval route rejects any T.  panels is quadrature.integrate's
-    panel memo, shared by a series of calls; the result is the same without
-    it.  The limit sequence takes neither.  A route's discretization error
-    includes the rounding of offset + scale * integral.
+    finite-interval route rejects any T, as does the limit sequence.  A
+    route ends on the first level of its quadrature that meets tol, so any
+    budget of 87 or more gives the same result.  A route's discretization
+    error includes the rounding of offset + scale * integral.
     """
     if method == "limit_sequence":
-        if truncate_at is not None or panels is not None:
-            raise ValueError("the limit sequence takes no truncate_at or panels")
+        if truncate_at is not None:
+            raise ValueError("the limit sequence takes no truncate_at")
         return ln_a_limit_sequence(N_MAX if max_evals is None else max_evals, tol)
     if method not in ROUTES:
         raise ValueError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
@@ -158,7 +156,7 @@ def ln_a(
     integrand_id, scale, offset = ROUTES[method]
     s = abs(scale)
     budget = DEFAULT_MAX_EVALS if max_evals is None else max_evals
-    res = integrate(get_integrand(integrand_id), tol / s, truncate_at, budget, panels=panels)
+    res = integrate(get_integrand(integrand_id), tol / s, truncate_at, budget)
     scaled = scale * res.value
     rounding = sys.float_info.epsilon * (abs(offset) + abs(scaled))
     disc = s * (res.error_estimate - res.truncation_error) + rounding

@@ -1,62 +1,54 @@
-"""Adaptive Gauss-Kronrod quadrature with embedded error estimates.
+"""QUADPACK's QNG: one Gauss-Kronrod panel raised through Patterson's levels.
 
-Each panel is evaluated at the 21 nodes of the Gauss-Kronrod rule K21,
-which include the nodes of the 10-point Gauss-Legendre rule G10.  The panel
+The integral is first evaluated at the 21 nodes of the Gauss-Kronrod rule
+K21, which include the nodes of the 10-point Gauss-Legendre rule G10.  Its
 value is K21, and its error estimate is QUADPACK qk21's rescaling of
-|K21 - G10| (see _panel).  A first panel whose estimate misses the
-tolerance, and is not saturated (below resasc, the most qk21 reports), is
-raised as in QUADPACK's qng to Patterson's (1968) nested 43-point rule and
-then to his 87-point rule: each level reuses every value of the one before,
-and its estimate is the same rescaling of its difference from it.  Only if
-the 87-point level still misses the tolerance (or K21 was saturated) does
-the run bisect: the first panel is replaced by two K21 panels, and panels
-are refined by bisection, worst first, until the summed estimate meets the
-tolerance or the evaluation budget runs out.  A run whose summed estimate
-ends above the first panel's own (K21's or its last level's) reports that
-panel instead, with every evaluation it spent, so a larger budget never
-reports a larger error.  The budget is a hard cap of at least one panel: a
-level is taken only if its 43 or 87 evaluations fit, and a bisection only
-if its 42 more do.  The rules use interior nodes only, so integrands never
-get evaluated at interval endpoints (removable singularities at 0 are
-safe).  integrate_finite(f, a, b, tol) is that engine on [a, b].
+|K21 - G10| (see _error).  While the estimate misses the tolerance, the rule
+is raised as in QUADPACK's qng to Patterson's (1968) nested 43-point rule
+and then to his 87-point rule: each level reuses every value of the one
+before, and its estimate is the same rescaling of its difference from it.
+The run reports the last level it took, converged only if that level's
+estimate meets the tolerance.  The budget is a hard cap of at least K21's
+21 evaluations: a level is taken only if its 43 or 87 evaluations fit, so
+a budget above 87 changes nothing.  The rules use interior nodes only, so
+integrands never get evaluated at interval endpoints (removable
+singularities at 0 are safe).
 
-Bisection is deterministic, so a panel's (value, error) depends only on the
-integrand and the panel's endpoints.  Both entries take an optional memo,
-panels, a dict a caller passes to a series of runs (bench's sweeps) so that
-no integrand value is computed twice: it holds each panel's K21 result and
-its node values, to which a first panel's levels append theirs.  A panel
-taken from it still counts toward evaluations and the budget, so results
-are the same with or without.  Without one, each panel is evaluated
-directly: a single run never bisects into the same panel twice, so a memo
-of its own would only miss.
+integrate_finite(f, a, b, tol) is that engine on [a, b], optionally under a
+change of variables: graded, x = b u^5 on u in (0, 1] (a = 0), and tail,
+t = 5 x/(1 - x) on [a, b] within [0, 1].  The nodes and Jacobians of a map
+are computed once per map and interval, when its node table is built, so
+the engine evaluates f(t) * j at each node and nothing more.
 
 integrate(spec, tol, truncate_at) is the one entry that reads an
-IntegrandSpec, and it makes exactly one integrate_finite call:
+IntegrandSpec, and it makes exactly one integrate_finite call, on spec.eval:
 
   1. A finite domain [0, domain_upper] is integrated as it is.
-  2. On (0, inf) the tail is truncated at T, with tail_bound(T) as the
-     truncation error, or compactified as in QUADPACK's QAGI: t = T s/(1-s)
-     maps s in [0, 1) onto [0, inf), so int_0^inf f dt = int_0^1 f(t(s))
-     T/(1-s)^2 ds with T the scale (t(1/2) = T); a tail like c/t^2 becomes
-     the finite limit c/T at s = 1, a node never evaluated.  A caller may
-     force truncation at any T in [TRUNCATE_AT_MIN, TRUNCATE_AT_MAX].
-     Otherwise the automatic rule decides: a bound that drops below a
-     tenth of the tolerance at some T of a fixed ladder up to ~850 (an
-     exponential tail) is truncated at the first such T, and any other
-     tail (an algebraic one, or one without a bound) is compactified at
-     T = 10.  The automatic rule relies on bounds that do not increase with
-     T: it reads the top of the ladder first.
-  3. A log singularity at 0 on the interval (0, b] that steps 1-2 produced
-     is graded away by x = b u^5 on u in (0, 1] (Davis & Rabinowitz, 1984):
-     f(x) ~ ln x becomes f(b u^5) 5 b u^4 ~ u^4 ln u, which tends to 0 at
-     u = 0, a node never evaluated.  The map covers (0, b] exactly, so
-     nothing is dropped.
+  2. A tail on (0, inf) goes through the map of QUADPACK's QAGI (Piessens
+     et al., 1983): t = 5 s/(1-s) takes s in [0, 1) onto [0, inf), so
+     int_0^T f dt = int_0^{T/(T+5)} f(t(s)) 5/(1-s)^2 ds.  The tail is
+     either truncated at T, with tail_bound(T) as the truncation error and s
+     on [0, T/(T+5)], or compactified, with s on [0, 1): a tail like c/t^2
+     becomes the finite limit c/5 at s = 1, a node never evaluated.  Either
+     way half of the nodes lie where t < 5, near the peak of every route's
+     integrand, whatever T is.  A caller may force truncation at any T in
+     [TRUNCATE_AT_MIN, TRUNCATE_AT_MAX].  Otherwise the automatic rule
+     decides: a bound that drops below a tenth of the tolerance at some T of
+     a fixed ladder up to ~850 (an exponential tail) is truncated at the
+     first such T, and any other tail (an algebraic one, or one without a
+     bound) is compactified, reported as T = 5, the map's t(1/2).  The
+     automatic rule relies on bounds that do not increase with T: it reads
+     the top of the ladder first.
+  3. A log singularity at 0 is graded away by x = b u^5 on u in (0, 1]
+     (Davis & Rabinowitz, 1984), where (0, b] is the interval of steps 1-2,
+     and composed with step 2's map if there is one: f(x) ~ ln x becomes
+     f(b u^5) 5 b u^4 ~ u^4 ln u, which tends to 0 at u = 0, a node never
+     evaluated.  The map covers (0, b] exactly, so nothing is dropped.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import operator
 import sys
@@ -86,8 +78,7 @@ _TOL_MIN, _TOL_MAX = 1e-14, 1e-2
 
 # Accepted range of a forced truncation point, where every reported bar
 # holds: from the ladder's first rung (the classical and Malmsten tail bounds
-# need T >= 1) to well below T ~ 3000, where every node of the first panel
-# can sit where f is 0 to rounding, so K21 = G10 misses the integral.
+# need T >= 1) to 500, past every T that the convergence sweeps use.
 TRUNCATE_AT_MIN, TRUNCATE_AT_MAX = 5.0, 500.0
 
 # The 21-point Gauss-Kronrod rule on [-1, 1] extending the 10-point
@@ -208,7 +199,6 @@ _W87 = (
     0.012329447652244854, 0.009549957672201646, 0.006758290051847379,
     0.0040968692827591646, 0.0018071241550579428, 0.00027414556376207234,
 )
-_LEVELS = ((_X43, _W43), (_X87, _W87))
 
 # QUADPACK's floor on a panel's error estimate: 50 eps times int |f|.
 _ROUNDING_FLOOR = 50.0 * sys.float_info.epsilon
@@ -225,32 +215,11 @@ QuadratureResult = namedtuple(
     defaults=(0.0, 0.0, "none"),
 )
 
-
-def _panel(f: Callable[[float], float], a: float, b: float):
-    """Return (K21 value, error estimate, y, resabs, resasc, K21 sum) for one panel, as QUADPACK's qk21.
-
-    y is the list of the 21 node values, resabs the rule's integral of |f|
-    and resasc its integral of |f - mean f|; the K21 sum is the rule on
-    [-1, 1], unscaled, from which _raised starts.  The raw estimate
-    |K21 - G10| is rescaled by _error.
-    """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y = [f(mid + half * x) for x in _XK]
-    wy = list(map(operator.mul, _WK, y))
-    # The weights are positive, so |w y| = w |y| exactly; a NaN or inf in y
-    # makes this sum non-finite, and only then is y scanned for the culprit.
-    abs_sum = sum(map(abs, wy))
-    if not math.isfinite(abs_sum):
-        _scan(y, a, b)
-    k21 = math.fsum(wy)
-    g10 = math.fsum(map(operator.mul, _WG, y[_GAUSS]))
-    mean = 0.5 * k21
-    asc = 0.0
-    for w, v in zip(_WK, y):
-        asc += w * abs(v - mean)
-    resabs, resasc = half * abs_sum, half * asc
-    return half * k21, _error(half * abs(k21 - g10), resabs, resasc), y, resabs, resasc, k21
+# The scale c of the tail map t = c s/(1-s), where t(1/2) = c; one constant
+# serves both tail modes.  Over 101 log-spaced tols in [1e-13, 1e-3], the
+# automatic rule takes 21.4 evaluations of Malmsten's integrand on average
+# at c = 5 and 25.4 at c = 10; Binet's compactified tail takes 29.9 and 29.7.
+_TAIL_SCALE = 5.0
 
 
 def _error(err: float, resabs: float, resasc: float) -> float:
@@ -274,55 +243,39 @@ def _scan(y, a: float, b: float) -> None:
             raise EvaluationFailedError(f"integrand returned {v} on [{a}, {b}]")
 
 
-def _raised(f, a, b, y, resabs, resasc, coarser, tol, max_evals):
-    """Raise the panel [a, b] through Patterson's levels while its estimate misses tol.
-
-    y holds the panel's node values, K21's first; each level appends its new
-    ones, unless y holds them already (from a memo).  A level is taken only
-    if its evaluations fit in max_evals, and at least the 43-point one must.
-    Each level's raw estimate is |R - R_coarser|, starting from coarser, the
-    K21 sum; resabs and resasc are K21's.  Returns (value, error estimate,
-    evaluations) of the last level taken.
-    """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    for xs, ws in _LEVELS:
-        if len(ws) > max_evals:
-            break
-        if len(y) < len(ws):
-            new = [f(mid + half * x) for x in xs]
-            if not math.isfinite(sum(map(abs, new))):
-                _scan(new, a, b)
-            y += new
-        r = math.fsum(map(operator.mul, ws, y))
-        value, err = half * r, _error(half * abs(r - coarser), resabs, resasc)
-        evals, coarser = len(ws), r
-        if err <= tol:
-            break
-    return value, err, evals
-
-
 def _check_tol(tol: float) -> None:
     if not _TOL_MIN <= tol <= _TOL_MAX:
         raise ValueError(f"tol {tol} outside [{_TOL_MIN}, {_TOL_MAX}]")
 
 
-def _memoized(f, panels):
-    """_panel of f as a function of (a, b), through the memo panels keyed by (a, b).
+@functools.lru_cache(maxsize=64)
+def _nodes(a: float, b: float, graded: bool, tail: bool):
+    """(half, tables): the node table of integrate_finite's map on [a, b].
 
-    A panel whose integrand raised is not stored; its y is the list that
-    _raised appends a level's values to, which a level that raised leaves
-    as it was.
+    tables holds, for K21 and then for each of Patterson's levels, the new
+    nodes t in f's variable and their Jacobians (None for the identity map),
+    so that the rule's values are f(t) * j; half is the half-width of the
+    interval the rules run on, [0, 1] when graded.
     """
-
-    def panel(a, b):
-        key = (a, b)
-        hit = panels.get(key)
-        if hit is None:
-            hit = panels[key] = _panel(f, a, b)
-        return hit
-
-    return panel
+    end = b
+    if graded:
+        a, b = 0.0, 1.0
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    tables = []
+    for xs in (_XK, _X43, _X87):
+        ts, js = [], []
+        for x in xs:
+            t, j = mid + half * x, 1.0
+            if graded:
+                u4 = t * t * t * t
+                t, j = end * u4 * t, 5.0 * end * u4
+            if tail:
+                r = 1.0 / (1.0 - t)
+                t, j = _TAIL_SCALE * t * r, j * _TAIL_SCALE * r * r
+            ts.append(t)
+            js.append(j)
+        tables.append((tuple(ts), tuple(js) if graded or tail else None))
+    return half, tuple(tables)
 
 
 def integrate_finite(
@@ -332,15 +285,19 @@ def integrate_finite(
     tol: float,
     max_evals: int = DEFAULT_MAX_EVALS,
     *,
-    panels: dict | None = None,
+    graded: bool = False,
+    tail: bool = False,
 ) -> QuadratureResult:
     """Integrate f over [a, b] to absolute tolerance tol, at most max_evals calls.
 
-    panels, if given, is f's panel memo (module docstring): a dict that only
-    runs on this f may share.
+    graded integrates over x = b u^5 in u on (0, 1] instead, and needs a = 0;
+    tail integrates f(t) dt over t = 5 x/(1 - x) for x in [a, b], and needs
+    0 <= a < b <= 1.  Both together grade first (module docstring).
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"require finite a < b, got [{a}, {b}]")
+    if (graded and a != 0.0) or (tail and not 0.0 <= a < b <= 1.0):
+        raise ValueError(f"[{a}, {b}] is outside the map's domain")
     _check_tol(tol)
     try:
         max_evals = operator.index(max_evals)
@@ -348,40 +305,37 @@ def integrate_finite(
         raise ValueError(f"max_evals must be an integer, got {max_evals!r}") from None
     if max_evals < PANEL_EVALS:
         raise ValueError(f"max_evals {max_evals} is below one panel ({PANEL_EVALS})")
-    panel = functools.partial(_panel, f) if panels is None else _memoized(f, panels)
-    value, err, y, resabs, resasc, k21 = panel(a, b)
-    evals = PANEL_EVALS
-    if tol < err < resasc and max_evals >= len(_W43):
-        value, err, evals = _raised(f, a, b, y, resabs, resasc, k21, tol, max_evals)
-    if err <= tol or evals == len(_W43):
-        # Met tol on the first panel, or stopped at the 43-point level: no
-        # bisection.  value error_estimate evaluations converged
-        return QuadratureResult(value, err, evals, err <= tol)
-    # heap entries: (-error, insertion order, a, b, value, error)
-    seq = 0
-    heap = [(-err, seq, a, b, value, err)]
-    total_err = err
-    while total_err > tol and evals + 2 * PANEL_EVALS <= max_evals:
-        neg, _, pa, pb, pv, pe = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        v1, e1 = panel(pa, pm)[:2]
-        v2, e2 = panel(pm, pb)[:2]
-        evals += 2 * PANEL_EVALS
-        total_err += e1 + e2 - pe
-        seq += 1
-        heapq.heappush(heap, (-e1, seq, pa, pm, v1, e1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, pm, pb, v2, e2))
-    total_err = math.fsum(map(operator.itemgetter(5), heap))
-    if total_err > err:
-        # The bisected panels ended worse than the first panel (K21 or its
-        # last level), whose err > tol: report that panel, so a larger budget
-        # never reports a larger error.  value error_estimate evaluations
-        # converged
-        return QuadratureResult(value, err, evals, False)
-    value = math.fsum(map(operator.itemgetter(4), heap))
+    half, tables = _nodes(a, b, graded, tail)
+    ts, js = tables[0]
+    y = list(map(f, ts)) if js is None else list(map(operator.mul, map(f, ts), js))
+    wy = list(map(operator.mul, _WK, y))
+    # The weights are positive, so |w y| = w |y| exactly; a NaN or inf in y
+    # makes this sum non-finite, and only then is y scanned for the culprit.
+    abs_sum = sum(map(abs, wy))
+    if not math.isfinite(abs_sum):
+        _scan(y, a, b)
+    k21 = math.fsum(wy)
+    g10 = math.fsum(map(operator.mul, _WG, y[_GAUSS]))
+    mean = 0.5 * k21
+    asc = 0.0
+    for w, v in zip(_WK, y):
+        asc += w * abs(v - mean)
+    resabs, resasc = half * abs_sum, half * asc
+    value, err = half * k21, _error(half * abs(k21 - g10), resabs, resasc)
+    evals, coarser = PANEL_EVALS, k21
+    # Each level's raw estimate is |R - R_coarser|; resabs and resasc are K21's.
+    for (ts, js), ws in zip(tables[1:], (_W43, _W87)):
+        if err <= tol or len(ws) > max_evals:
+            break
+        new = list(map(f, ts)) if js is None else list(map(operator.mul, map(f, ts), js))
+        if not math.isfinite(sum(map(abs, new))):
+            _scan(new, a, b)
+        y += new
+        r = math.fsum(map(operator.mul, ws, y))
+        value, err = half * r, _error(half * abs(r - coarser), resabs, resasc)
+        evals, coarser = len(ws), r
     # value error_estimate evaluations converged
-    return QuadratureResult(value, total_err, evals, total_err <= tol)
+    return QuadratureResult(value, err, evals, err <= tol)
 
 
 # Truncation points of the automatic rule: T = 5 * 1.25^k up to the first
@@ -391,39 +345,11 @@ while _LADDER[-1] < 800.0:
     _LADDER.append(_LADDER[-1] * 1.25)
 
 
-def _compactified(f, T):
-    """f(t) dt on [0, inf) as a function of s in [0, 1), t = T s/(1-s)."""
-
-    def g(s):
-        r = 1.0 / (1.0 - s)
-        return f(T * s * r) * T * r * r
-
-    return g
-
-
-def _graded(f, b):
-    """f(x) dx on (0, b] as a function of u in (0, 1], x = b u^5.
-
-    Of the exponents k = 4 ... 12 of x = b u^k, 5 took the fewest evaluations
-    of the classical integral on average over a log grid of tol in
-    [1e-13, 1e-3].
-    """
-    scale = 5.0 * b
-
-    def g(u):
-        u4 = u * u * u * u
-        return f(b * u4 * u) * scale * u4
-
-    return g
-
-
 def integrate(
     spec: IntegrandSpec,
     tol: float,
     truncate_at: float | None = None,
     max_evals: int = DEFAULT_MAX_EVALS,
-    *,
-    panels: dict | None = None,
 ) -> QuadratureResult:
     """Integrate spec over (0, spec.domain_upper) to absolute tolerance tol.
 
@@ -433,24 +359,17 @@ def integrate(
     the engine's smallest tol); a forced truncation whose bound exceeds tol
     (the slow-convergence pathology of an algebraic tail) is returned with
     that bound as truncation_error and converged=False.
-
-    panels, if given, is a panel memo (module docstring) that any runs may
-    share: its entries are keyed by the integrand integrate_finite sees,
-    (spec.eval, compactify scale T or None, graded map's b or None), and
-    each holds that integrand's panels.  Truncation keeps spec.eval as it
-    is, so runs truncated at different T share panels.
     """
     _check_tol(tol)
-    f, b, bound, disc_tol = spec.eval, spec.domain_upper, spec.tail_bound, tol
+    b, bound, disc_tol = spec.domain_upper, spec.tail_bound, tol
     mode, T, trunc = "none", 0.0, 0.0
-    compact_T = graded_b = None
-    if math.isfinite(b):
+    tail = not math.isfinite(b)
+    if not tail:
         if truncate_at is not None:
             raise ValueError(f"the domain [0, {b}] is finite; it takes no truncate_at")
     elif truncate_at is None and (bound is None or not bound(_LADDER[-1]) <= tol / TAIL_SAFETY):
         # "not <=" so that a NaN bound is compactified, never truncated.
-        mode, T = "compactify", 10.0
-        f, b, compact_T = _compactified(f, T), 1.0, T
+        mode, T, b = "compactify", _TAIL_SCALE, 1.0
     else:
         if truncate_at is None:
             T = next(t for t in _LADDER if bound(t) <= tol / TAIL_SAFETY)
@@ -462,11 +381,10 @@ def integrate(
             raise ValueError(f"truncate_at {truncate_at} outside [{TRUNCATE_AT_MIN}, {TRUNCATE_AT_MAX}]")
         mode, trunc = "truncate", bound(T)
         disc_tol = max(tol - trunc, 0.1 * tol, _TOL_MIN)
-        b = T
-    if spec.log_singular_at_zero:
-        f, b, graded_b = _graded(f, b), 1.0, b
-    memo = None if panels is None else panels.setdefault((spec.eval, compact_T, graded_b), {})
-    res = integrate_finite(f, 0.0, b, disc_tol, max_evals, panels=memo)
+        b = T / (T + _TAIL_SCALE)
+    res = integrate_finite(
+        spec.eval, 0.0, b, disc_tol, max_evals, graded=spec.log_singular_at_zero, tail=tail
+    )
     err = res.error_estimate + trunc
     # value error_estimate evaluations converged truncation_error
     # truncation_T truncation_mode

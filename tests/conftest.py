@@ -7,22 +7,20 @@ from glaisher import quadrature
 
 @pytest.fixture
 def node_calls(monkeypatch):
-    """(memo, x) of every integrand value quadrature computes, in order.
+    """The node t of every integrand value quadrature computes, in order.
 
-    The memo is the panel memo of the integrand the engine sees, kept alive
-    so that its id names it, and x the node in that integrand's variable.
+    t is in the integrand's own variable: integrate_finite applies its map
+    when it builds the node table, so f sees the mapped nodes.
     """
-    calls, memos = [], []
+    calls = []
     finite = quadrature.integrate_finite
 
-    def counting(f, a, b, tol, max_evals, *, panels=None):
-        memos.append(panels)
+    def counting(f, *args, **kwargs):
+        def g(t):
+            calls.append(t)
+            return f(t)
 
-        def g(x):
-            calls.append((id(panels), x))
-            return f(x)
-
-        return finite(g, a, b, tol, max_evals, panels=panels)
+        return finite(g, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "integrate_finite", counting)
     return calls

@@ -14,7 +14,7 @@ from glaisher.bench import (
     sweep_truncation,
 )
 from glaisher.estimator import LN_A_REFERENCE, ROUTES, ln_a
-from glaisher.quadrature import DEFAULT_MAX_EVALS, PANEL_EVALS
+from glaisher.quadrature import DEFAULT_MAX_EVALS
 
 T_GRID = [25.0, 50.0, 100.0, 200.0]
 MEMO_TOLS = [1e-13, 1e-10, 1e-6, 1e-3]
@@ -25,7 +25,7 @@ MEMO_LADDERS = [[64, 128, 256, 512, 1024], list(range(21, 211, 21)), [63, 63, 12
 
 
 def _alone(est, node_budget):
-    """The record of one ln_a run that shares no panel memo."""
+    """The record of one ln_a run, made on its own."""
     return ConvergenceRecord(
         method=est.method,
         truncation_mode=est.truncation_mode,
@@ -35,20 +35,6 @@ def _alone(est, node_budget):
         abs_error=abs(est.ln_A - LN_A_REFERENCE),
         converged=est.converged,
     )
-
-
-@pytest.fixture
-def panel_calls(monkeypatch):
-    """The (a, b) of every panel quadrature evaluates, in order."""
-    calls = []
-    panel = quadrature._panel
-
-    def counting(f, a, b):
-        calls.append((a, b))
-        return panel(f, a, b)
-
-    monkeypatch.setattr(quadrature, "_panel", counting)
-    return calls
 
 
 @pytest.fixture(scope="module")
@@ -139,18 +125,16 @@ class TestNodeSweep:
     @pytest.mark.parametrize("method", list(ROUTES))
     def test_settled_run_is_reused(self, node_calls, method):
         # At tol 1e-12 classical hits the cap at budgets 32 (K21) and 64 (the
-        # 43-point level) and settles at 87 evaluations.  A run retraces every
-        # smaller budget's run, its levels included, and a run that settled
-        # is retraced whole, so the sweep costs the values of the run at 2048
-        # alone.
+        # 43-point level) and settles at 87 evaluations.  The run at 2048 is
+        # reused down to 128, and only 64 and 32 run again, so the sweep
+        # costs one run per distinct evaluation count.
         budgets = [32, 64, 128, 256, 512, 1024, 2048]
         alone = [_alone(ln_a(method, 1e-12, max_evals=b), b) for b in budgets]
         if method == "classical":
             assert [r.evaluations_used for r in alone[:3]] == [21, 43, 87]
         node_calls.clear()
         assert sweep_nodes(method, budgets, tol=1e-12) == alone
-        assert len(node_calls) == alone[-1].evaluations_used
-        assert len(set(node_calls)) == len(node_calls)
+        assert len(node_calls) == sum({r.evaluations_used for r in alone})
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -165,7 +149,7 @@ class TestNodeSweep:
 
 
 class TestPanelMemo:
-    """Each sweep shares one panel memo; its records are those of runs alone."""
+    """A sweep's records are those of its runs made one by one."""
 
     @pytest.mark.parametrize("tol", MEMO_TOLS)
     @pytest.mark.parametrize("method", ["binet", "malmsten"])
@@ -181,35 +165,21 @@ class TestPanelMemo:
             alone = [_alone(ln_a(method, tol, max_evals=b), b) for b in budgets]
             assert sweep_nodes(method, budgets, tol) == alone
 
-    def test_nested_truncation_shares_panels(self, panel_calls, node_calls):
-        # The run at T = 200 raises [0, 200] to the 87-point level, misses and
-        # bisects it into [0, 100], the first panel of the run at T = 100,
-        # whose K21 values it takes from the memo.  A run at T = 50 would not
-        # share: at this tol its 87-point level meets tol, so it never bisects.
-        sweep_truncation("binet", [100.0], 1e-11)
-        at_100, values_at_100 = set(panel_calls), len(node_calls)
-        panel_calls.clear()
-        node_calls.clear()
-        (_, at_200) = sweep_truncation("binet", [100.0, 200.0], 1e-11)
-        assert at_100 == {(0.0, 100.0)}
-        assert (0.0, 200.0) in panel_calls and (100.0, 200.0) in panel_calls
-        assert len(panel_calls) == len(set(panel_calls))
-        assert len(node_calls) == len(set(node_calls))
-        assert len(node_calls) == values_at_100 + at_200.evaluations_used - PANEL_EVALS
+    def test_a_truncation_sweep_costs_its_runs(self, node_calls):
+        # Each T runs once, on the first panel of its own tail map: the
+        # sweep computes the values of its runs and no more.
+        records = sweep_truncation("binet", [100.0, 200.0], 1e-11)
+        assert len(node_calls) == sum(r.evaluations_used for r in records)
+        assert all(r.evaluations_used in (21, 43, 87) for r in records)
 
-    def test_classical_graded_maps_at_two_T_do_not_share(self, node_calls):
-        # Classical's graded map x = T u^5 depends on T, so each T has its
-        # own entry of the memo; a repeated T evaluates nothing, its levels
-        # included.
-        panels = {}
-        shared = [ln_a("classical", 1e-10, T, panels=panels) for T in (25.0, 50.0)]
-        n = len(node_calls)
-        assert n == sum(est.evaluations for est in shared)
-        assert shared == [ln_a("classical", 1e-10, T) for T in (25.0, 50.0)]
-        assert len(panels) == 2
-        n = len(node_calls)
-        assert ln_a("classical", 1e-10, 25.0, panels=panels) == shared[0]
-        assert len(node_calls) == n
+    def test_classical_graded_maps_at_two_T_do_not_share(self):
+        # Classical's graded tail map depends on T through its end T/(T+5),
+        # so each T builds a node table of its own; a repeated T reuses it.
+        quadrature._nodes.cache_clear()
+        runs = [ln_a("classical", 1e-10, T) for T in (25.0, 50.0)]
+        assert quadrature._nodes.cache_info().misses == 2
+        assert ln_a("classical", 1e-10, 25.0) == runs[0]
+        assert quadrature._nodes.cache_info()[:2] == (1, 2)
 
 
 class TestCsv:

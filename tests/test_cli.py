@@ -248,19 +248,18 @@ class TestConvergence:
         )
         assert code == 74
 
-    def test_each_node_is_evaluated_once(self, capsys, node_calls):
-        # Each sweep shares one panel memo, which holds node values, so no
-        # integrand value is computed twice within a sweep: 920 values at tol
-        # 1e-10 (38 K21 panels, 798 values, before the first panel was raised
-        # to Patterson's levels).  No memo outlives its sweep, so a second
-        # command evaluates them all again.
+    def test_convergence_counts_its_integrand_values(self, capsys, node_calls):
+        # Each truncation point runs on the first panel of its own tail map,
+        # and each node sweep reuses a run at every smaller budget down to
+        # its evaluations: 537 values at tol 1e-10, where the bisecting
+        # engine with a panel memo per sweep computed 920.  Nothing outlives
+        # a command, so a second one computes as many.
         counts = []
         for _ in range(2):
             node_calls.clear()
             assert run_cli(capsys, "convergence", "--tol", "1e-10")[0] == 0
-            assert len(set(node_calls)) == len(node_calls)
             counts.append(len(node_calls))
-        assert counts == [920, 920]
+        assert counts == [537, 537]
 
 
 class TestDeterminism:

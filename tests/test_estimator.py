@@ -130,10 +130,12 @@ class TestRoutes:
         assert est == expected
         assert est.ln_A.hex() == expected.ln_A.hex()
 
-    @pytest.mark.parametrize("option", [{"truncate_at": 10.0}, {"panels": {}}])
+    @pytest.mark.parametrize("option", [{"truncate_at": 10.0}])
     def test_limit_sequence_takes_no_route_option(self, option):
         with pytest.raises(ValueError):
             ln_a("limit_sequence", 1e-10, **option)
+        with pytest.raises(TypeError):
+            ln_a("limit_sequence", 1e-10, panels={})
 
     @pytest.mark.parametrize(
         "method, truncate_at",
@@ -163,6 +165,30 @@ class TestRoutes:
 
 
 # 201 log-spaced tols over the accepted range, both ends included.
+# 4 log-spaced tols per decade over the accepted range, both ends included.
+SCAN_TOLS = [min(TOL_MAX, 10.0 ** (-13 + i / 4)) for i in range(41)]
+
+
+class TestFirstPanel:
+    """Every route's quadrature is K21, raised at most to the 87-point level."""
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_every_run_ends_within_the_87_point_level(self, route):
+        # The automatic rule, and each forced T from the bottom of the range
+        # to its top, at every tol: the tail map keeps each run on one panel.
+        semi_infinite = math.isinf(get_integrand(ROUTES[route][0]).domain_upper)
+        Ts = [None, 5.0, 25.0, 500.0] if semi_infinite else [None]
+        evals = {ln_a(route, tol, T).evaluations for T in Ts for tol in SCAN_TOLS}
+        assert evals <= {21, 43, 87}
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    @pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-6, 1e-3])
+    def test_a_budget_past_the_last_level_changes_nothing(self, route, tol):
+        runs = [ln_a(route, tol, max_evals=b) for b in (87, 88, 10_000, None)]
+        assert all(run == runs[0] for run in runs)
+        assert ln_a(route, tol, max_evals=21).evaluations == 21
+
+
 SEQUENCE_TOLS = [10.0 ** (-13 + i / 20) for i in range(201)]
 # Each bar in the accepted range (n = 2..19) and its two float neighbours.
 TIE_TOLS = [
@@ -338,11 +364,13 @@ class TestIdentitySuites:
     # engine took when it bisected K21 panels only, before the first panel
     # was raised to Patterson's levels, and the third what the hand-derived
     # tail bounds, which the compactified tails replaced, took: each change
-    # was never dearer.
+    # was never dearer.  Moving the tail map's scale from 10 to 5 (and
+    # theta's to 10/max(1, x)) then saved up to 44 at 38 tols and cost 22 at
+    # the 7 tols in [2.5e-8, 1e-7]: 413.4 evaluations on average, now 404.3.
     TOLS = [10.0 ** (-13 + i / 10) for i in range(101)]
     EVALS = (
-        [516] * 20 + [472] * 34 + [450] + [428] * 11 + [384] + [362] * 2 + [318] * 2
-        + [296] * 12 + [274] * 18
+        [516] * 20 + [472] * 36 + [450] * 5 + [428] * 2 + [384] + [362] * 2 + [296] * 5
+        + [274] * 12 + [252] * 18
     )
     K21_EVALS = (
         [1008] * 11 + [966] + [924] + [882] * 3 + [840] * 9 + [798] * 11 + [756] * 3

@@ -183,7 +183,7 @@ class TestTailBounds:
         # Without a bound the automatic rule compactifies the tail, as it does
         # Binet's, whose bound never meets tol/10 on the ladder.
         bare = integrate(IntegrandSpec(eval=binet_integrand), 1e-10)
-        assert (bare.truncation_mode, bare.truncation_T) == ("compactify", 10.0)
+        assert (bare.truncation_mode, bare.truncation_T) == ("compactify", 5.0)
         assert bare == integrate(get_integrand("binet_form13"), 1e-10)
         with pytest.raises(ValueError, match="tail_bound"):
             integrate(IntegrandSpec(eval=binet_integrand), 1e-10, 10.0)

@@ -5,7 +5,8 @@ constant at 40 digits); it is a test-only dependency.  A hypothesis test
 checks over (route, tol, truncate_at, budget) that every evaluation budget
 is a hard cap and that every reported bound holds.  The engine's bar is also
 checked on the two mapped integrands, Binet's compactified tail and the
-classical log singularity graded by x = T u^5, and on specfun's Binet theta
+classical route's truncated tail map with its log singularity graded, and on
+specfun's Binet theta
 and Malmsten ln Gamma, whose tails have no bound; the limit sequence's
 bound, and the Barnes G remainder bound it rests on, are checked at every n
 up to 1000 and on a grid up to N_MAX.
@@ -32,8 +33,6 @@ from glaisher.quadrature import (
     PANEL_EVALS,
     TRUNCATE_AT_MAX,
     TRUNCATE_AT_MIN,
-    _compactified,
-    _graded,
     integrate_finite,
 )
 from glaisher.specfun import binet_theta, malmsten_log_gamma
@@ -86,10 +85,10 @@ def test_error_budget_holds(route, tol):
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("T", [1.0, 3.0, 10.0, 30.0, 100.0])
 def test_error_budget_holds_binet_compactified(T, tol):
-    # The automatic rule compactifies Binet's tail at T = 10; the engine's
-    # bar on the mapped integrand must hold at every scale T.
-    f = _compactified(get_integrand(ROUTES["binet"][0]).eval, T)
-    res = integrate_finite(f, 0.0, 1.0, tol)
+    # The automatic rule compactifies Binet's tail at the map's scale, 5;
+    # the engine's bar must hold at every scale T, which t = (T/5) u gives.
+    f, c = get_integrand(ROUTES["binet"][0]).eval, T / 5.0
+    res = integrate_finite(lambda u: f(c * u) * c, 0.0, 1.0, tol, tail=True)
     assert abs(res.value - I_BINET) <= res.error_estimate
     if res.converged:
         assert res.error_estimate <= tol
@@ -97,25 +96,27 @@ def test_error_budget_holds_binet_compactified(T, tol):
 
 @pytest.mark.parametrize("T", [5.0, 6.25, 25.0, 100.0, 500.0])
 def test_error_budget_holds_classical_graded(T):
-    # The classical route maps its log singularity away by x = T u^5 on the
-    # truncated domain (0, T]; the engine's bar on the mapped integrand must
-    # hold at every T a caller may force and at every tol.
+    # The classical route truncates its tail map at s = T/(T+5) and grades
+    # its log singularity away by s = (T/(T+5)) u^5; the engine's bar on the
+    # mapped integrand must hold at every T a caller may force and at every
+    # tol.
     exact = _classical_integral_to(T)
-    f = _graded(get_integrand("classical").eval, T)
+    f = get_integrand("classical").eval
     for tol in TOLS:
-        res = integrate_finite(f, 0.0, 1.0, tol)
+        res = integrate_finite(f, 0.0, T / (T + 5.0), tol, graded=True, tail=True)
         assert abs(res.value - exact) <= res.error_estimate, tol
         if res.converged:
             assert res.error_estimate <= tol
 
 
 # Classical evaluations of the automatic rule at each tol of TOLS, pinned so
-# that a change in cost shows up as an edit here: the first panel is raised
-# to Patterson's 43- or 87-point rule and never bisected.  The second column
-# is what the engine took when it bisected K21 panels only, and the third
-# what the map x = b e^{-s} on s in [0, 45], which the graded map x = b u^5
-# replaced, took: each change was never dearer.
-CLASSICAL_EVALS = dict(zip(TOLS, [87] * 16 + [43] * 15, strict=True))
+# that a change in cost shows up as an edit here: K21 is raised to
+# Patterson's 43- or 87-point rule.  The tail map with its grading takes 43
+# at tol 5e-9 and 1e-8, where the grading x = T u^5 of the truncated domain
+# took 87.  The second column is what the engine took when it bisected K21
+# panels only, and the third what the map x = b e^{-s} on s in [0, 45], which
+# the grading replaced, took: each change was never dearer.
+CLASSICAL_EVALS = dict(zip(TOLS, [87] * 14 + [43] * 17, strict=True))
 CLASSICAL_K21_EVALS = list(
     zip(
         TOLS,
@@ -266,9 +267,8 @@ def test_limit_sequence_remainder_is_bounded_by_the_next_term(order):
     assert not bad
 
 
-# Budgets on each side of the first panel's levels: 42 and 43 around the
-# 43-point rule, 86 and 87 around the 87-point one, and 128 and 129 around
-# its first bisection.
+# Budgets on each side of the levels: 42 and 43 around the 43-point rule, 86
+# and 87 around the 87-point one, and 128 and 129, where no level is left.
 LEVEL_EDGE_BUDGETS = [None, 42, 43, 86, 87, 128, 129]
 # 5 log-spaced tols per decade over the accepted range, both ends included.
 LEVEL_EDGE_TOLS = [min(TOL_MAX, max(TOL_MIN, 10.0 ** (-13 + i / 5))) for i in range(51)]

@@ -4,8 +4,10 @@ the Binet one, measured in the two regimes this library can run.
 Truncated at T, the Binet route errs by its tail, which the integrand's
 (t - 2)/(2 t^3) decay fixes at (2/3)(1/(2T) - 1/(2T^2)) = 1/(3T) - 1/(3T^2)
 up to e^{-T/2} terms, while the Malmsten route's e^{-t} tail is gone by
-T = 25: there the claim holds.  Under the automatic rule, which compactifies
-Binet's tail instead, Binet never takes more evaluations than Malmsten.
+T = 25: there the claim holds.  It holds under the automatic rule too, which
+compactifies Binet's tail and truncates Malmsten's, both through the same
+tail map: Malmsten never takes more evaluations than Binet, and fewer at 39
+of 101 tols.
 """
 
 import pytest
@@ -33,15 +35,17 @@ def test_truncated_binet_errs_by_its_two_term_tail():
 # 101 log-spaced tols over the accepted range [1e-13, 1e-3], and the
 # evaluations each route's automatic rule takes at each, pinned so that a
 # change in either route's cost shows up as an edit here.  Both routes meet
-# every tol on their first panel, K21 or its 43-point extension.
+# every tol with K21 or its 43-point extension.  Binet takes 43 from 1e-13 up
+# to 1e-9 and Malmsten only at 1e-13 and 1.26e-13.
 TOLS = [10.0 ** (-13 + i / 10) for i in range(101)]
-BINET_EVALS = [43] * 40 + [21] * 61
-MALMSTEN_EVALS = [43] * 52 + [21] * 49
+BINET_EVALS = [43] * 41 + [21] * 60
+MALMSTEN_EVALS = [43] * 2 + [21] * 99
 
 
-def test_compactified_binet_is_never_dearer_than_malmsten():
+def test_malmsten_is_never_dearer_than_compactified_binet():
     binet = [ln_a("binet", tol).evaluations for tol in TOLS]
     malmsten = [ln_a("malmsten", tol).evaluations for tol in TOLS]
     assert binet == BINET_EVALS
     assert malmsten == MALMSTEN_EVALS
-    assert all(b <= m for b, m in zip(binet, malmsten, strict=True))
+    assert all(m <= b for b, m in zip(binet, malmsten, strict=True))
+    assert sum(m < b for b, m in zip(binet, malmsten, strict=True)) == 39

@@ -232,13 +232,14 @@ def test_monotone_cost():
 
 
 def test_automatic_rule_reads_the_tail_bound():
-    # A bound of 1/T misses tol/10 on the whole ladder: compactified at T = 10.
+    # A bound of 1/T misses tol/10 on the whole ladder: compactified, and
+    # reported at the tail map's scale, T = 5.
     algebraic = IntegrandSpec(
         eval=lambda t: 1.0 / (1.0 + t) ** 2,
         tail_bound=lambda T: 1.0 / T,
     )
     res = integrate(algebraic, 1e-8)
-    assert (res.truncation_mode, res.truncation_T) == ("compactify", 10.0)
+    assert (res.truncation_mode, res.truncation_T) == ("compactify", 5.0)
     assert res.truncation_error == 0.0
     assert res.converged and abs(res.value - 1.0) <= 1e-8
     # A bound of e^{-T} first meets 1e-9 on the ladder 5 * 1.25^k at k = 7.
@@ -249,12 +250,15 @@ def test_automatic_rule_reads_the_tail_bound():
 
 
 def test_compactification_agreement():
-    # The automatic rule maps Binet's tail at T = 10; any other scale agrees.
+    # The automatic rule maps Binet's tail at scale 5; t = c u moves the
+    # scale to 5 c, and any scale agrees.
     f = get_integrand("binet_form13").eval
     a, b = (
-        integrate_finite(quadrature._compactified(f, T), 0.0, 1.0, 1e-11) for T in (10.0, 50.0)
+        integrate_finite(lambda u: f(c * u) * c, 0.0, 1.0, 1e-11, tail=True) for c in (1.0, 10.0)
     )
+    assert a.converged and b.converged
     assert abs(a.value - b.value) <= 1e-10
+    assert a[:4] == integrate(get_integrand("binet_form13"), 1e-11)[:4]
 
 
 def test_semi_infinite_examples():
@@ -276,54 +280,68 @@ def test_budget_exhaustion_flags_not_raises():
     assert res.evaluations > 0
 
 
+def _k21(f, a, b):
+    """(value, error estimate, resasc) of the K21 rule on [a, b], summed as the engine does."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    y = [f(mid + half * x) for x in quadrature._XK]
+    wy = [w * v for w, v in zip(quadrature._WK, y)]
+    k21 = math.fsum(wy)
+    g10 = math.fsum(w * v for w, v in zip(quadrature._WG, y[1::2]))
+    asc = 0.0
+    for w, v in zip(quadrature._WK, y):
+        asc += w * abs(v - 0.5 * k21)
+    resabs, resasc = half * sum(map(abs, wy)), half * asc
+    return half * k21, quadrature._error(half * abs(k21 - g10), resabs, resasc), resasc
+
+
 def test_one_panel_run_is_the_k21_panel():
     res = integrate_finite(math.exp, 0.0, 1.0, 1e-10)
-    value, err = quadrature._panel(math.exp, 0.0, 1.0)[:2]
-    assert (res.value, res.error_estimate, res.evaluations, res.converged) == (
-        value, err, PANEL_EVALS, True
-    )
+    value, err, _ = _k21(math.exp, 0.0, 1.0)
+    assert tuple(res) == (value, err, PANEL_EVALS, True, 0.0, 0.0, "none")
 
 
-def test_first_panel_is_raised_through_the_levels_before_bisecting():
+def test_first_panel_is_raised_through_the_levels_within_the_budget():
     # sqrt misses tol 1e-12 on K21 and on both of Patterson's levels.  A
-    # level is taken only if all of its evaluations fit, and the run bisects
-    # into K21 panels only after the 87-point level.
+    # level is taken only if all of its evaluations fit, and after the
+    # 87-point level the run stops, unconverged, whatever the budget.
     runs = [
-        integrate_finite(math.sqrt, 0.0, 1.0, 1e-12, b) for b in (42, 43, 86, 87, 128, 129)
+        integrate_finite(math.sqrt, 0.0, 1.0, 1e-12, b) for b in (21, 42, 43, 86, 87, 88, 10_000)
     ]
-    assert [r.evaluations for r in runs] == [21, 43, 43, 87, 87, 129]
+    assert [r.evaluations for r in runs] == [21, 21, 43, 43, 87, 87, 87]
     assert not any(r.converged for r in runs)
-    errors = [runs[i].error_estimate for i in (0, 1, 3)]
+    errors = [runs[i].error_estimate for i in (0, 2, 4)]
     assert errors == sorted(errors, reverse=True)
-    assert runs[0].error_estimate == quadrature._panel(math.sqrt, 0.0, 1.0)[1]
+    assert runs[0].error_estimate == _k21(math.sqrt, 0.0, 1.0)[1]
+    assert runs[4] == runs[5] == runs[6]
 
 
 def test_a_larger_budget_never_reports_a_larger_error_than_the_87_point_level():
-    # Bisecting after the 87-point level can leave a summed estimate above
-    # the level's own; the run then reports the level, with the evaluations
-    # it spent.
-    binet = get_integrand("binet_form13")
+    # A larger budget takes the same levels or more, and every budget from
+    # 87 on ends on the 87-point level itself.
+    classical = get_integrand("classical")
     for run in (
         lambda b: integrate_finite(math.sqrt, 0.0, 1.0, 1e-12, b),
-        lambda b: integrate(binet, 1e-12, 200.0, b),
+        lambda b: integrate(classical, 1e-12, 200.0, b),
     ):
         level = run(87)
-        assert level.evaluations == 87 and not level.converged
-        budgets = range(87, 301)
-        runs = [run(b) for b in budgets]
-        assert all(r.error_estimate <= level.error_estimate for r in runs)
-        assert [r.evaluations for r in runs] == [87 + (b - 87) // 42 * 42 for b in budgets]
+        assert level.evaluations == 87
+        runs = [run(b) for b in range(21, 301)]
+        errors = [r.error_estimate for r in runs]
+        assert errors == sorted(errors, reverse=True)
+        assert all(r == level for r in runs[87 - 21 :])
 
 
-def test_saturated_first_panel_is_bisected_without_levels():
-    # K21 does not resolve sin(50 x) on [0, 1]: its estimate is resasc.
+def test_saturated_first_panel_is_raised_through_the_levels():
+    # K21 does not resolve sin(50 x) on [0, 1]: its estimate is resasc, and
+    # the levels are taken as for any other K21 that misses tol.
     def f(x):
         return math.sin(50.0 * x)
 
-    _, err, _, _, resasc, _ = quadrature._panel(f, 0.0, 1.0)
+    _, err, resasc = _k21(f, 0.0, 1.0)
     assert err == resasc
-    runs = [integrate_finite(f, 0.0, 1.0, 1e-10, b).evaluations for b in (43, 87, 105)]
-    assert runs == [21, 63, 105]
+    runs = [integrate_finite(f, 0.0, 1.0, 1e-10, b) for b in (42, 43, 87, 105)]
+    assert [r.evaluations for r in runs] == [21, 43, 87, 87]
+    assert runs[0].error_estimate == err
 
 
 def test_budget_below_one_panel_is_rejected():
@@ -345,21 +363,23 @@ def test_one_finite_integral(monkeypatch, spec_id, truncate_at):
     real = quadrature.integrate_finite
 
     def counting(*args, **kwargs):
-        calls.append(args[1:3])
+        calls.append((*args[:3], kwargs))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "integrate_finite", counting)
     spec = get_integrand(spec_id)
     res = integrate(spec, 1e-10, truncate_at)
-    if spec.log_singular_at_zero:
-        upper = 1.0  # x = b u^5 on u in (0, 1]
-    elif res.truncation_mode == "compactify":
+    # The raw evaluator goes first: the map is the engine's, in its node table.
+    if res.truncation_mode == "compactify":
         upper = 1.0
     elif res.truncation_mode == "truncate":
-        upper = res.truncation_T
+        upper = res.truncation_T / (res.truncation_T + 5.0)
     else:
         upper = spec.domain_upper
-    assert calls == [(0.0, upper)]
+    tail = res.truncation_mode != "none"
+    assert calls == [
+        (spec.eval, 0.0, upper, {"graded": spec.log_singular_at_zero, "tail": tail})
+    ]
 
 
 def test_finite_domain_spec():
@@ -385,7 +405,7 @@ def test_algebraic_bound_is_read_once_before_compactifying():
 
     spec = IntegrandSpec(eval=lambda t: 1.0 / (1.0 + t) ** 2, tail_bound=bound)
     res = integrate(spec, 1e-8)
-    assert (res.truncation_mode, res.truncation_T) == ("compactify", 10.0)
+    assert (res.truncation_mode, res.truncation_T) == ("compactify", 5.0)
     assert len(reads) == 1
 
 
@@ -400,31 +420,39 @@ def test_infinite_value_is_an_error(value):
         integrate_finite(lambda x: value, 0.0, 1.0, 1e-8)
 
 
-def test_panel_memo_keeps_no_failed_panel():
-    # The root panel's smallest K21 node is 0.0022; its 43-point level's is
-    # 0.00033.  The root's K21 values are stored, and the failed level
-    # appends none of its own.
+def test_a_non_finite_value_at_a_level_is_an_error():
+    # K21's smallest node on [0, 1] is 0.0022 and the 43-point level's is
+    # 0.00033: the value there raises once the level is taken, and a budget
+    # that stops at K21 never evaluates it.
     def f(x):
         return math.nan if x < 0.002 else math.sqrt(x)
 
-    panels = {}
-    for _ in range(2):
-        with pytest.raises(EvaluationFailedError):
-            integrate_finite(f, 0.0, 1.0, 1e-10, panels=panels)
-        assert list(panels) == [(0.0, 1.0)]
-        assert len(panels[0.0, 1.0][2]) == PANEL_EVALS
+    with pytest.raises(EvaluationFailedError):
+        integrate_finite(f, 0.0, 1.0, 1e-10)
+    res = integrate_finite(f, 0.0, 1.0, 1e-10, 42)
+    assert res.evaluations == PANEL_EVALS and not res.converged
 
 
-def test_panel_memo_changes_no_result():
-    spec = get_integrand("malmsten_form19")
-    panels = {}
+def test_node_tables_change_no_result():
+    # A node table is built once per map and interval; a run on a cached
+    # table is the run on a fresh one.
+    spec = get_integrand("classical")
     for tol in (1e-6, 1e-12, 1e-9):
         for truncate_at in (None, 20.0, 40.0):
-            for max_evals in (63, 10_000):
-                ref = integrate(spec, tol, truncate_at, max_evals)
-                assert integrate(spec, tol, truncate_at, max_evals, panels=panels) == ref
-    # Truncation keeps the integrand; the automatic rule truncates here too.
-    assert list(panels) == [(spec.eval, None, None)]
+            for max_evals in (42, 86, 10_000):
+                quadrature._nodes.cache_clear()
+                fresh = integrate(spec, tol, truncate_at, max_evals)
+                assert quadrature._nodes.cache_info().misses == 1
+                assert integrate(spec, tol, truncate_at, max_evals) == fresh
+                assert quadrature._nodes.cache_info().hits == 1
+
+
+def test_a_map_needs_its_domain():
+    with pytest.raises(ValueError):
+        integrate_finite(math.log, 0.5, 1.0, 1e-8, graded=True)
+    with pytest.raises(ValueError):
+        integrate_finite(math.exp, 0.0, 1.5, 1e-8, tail=True)
+    assert integrate_finite(lambda t: math.exp(-t), 0.0, 1.0, 1e-12, tail=True).converged
 
 
 def test_policy_infeasible_for_algebraic_truncation():
@@ -454,7 +482,7 @@ def test_bad_arguments():
 @pytest.mark.parametrize(
     "spec_id, truncate_at",
     [
-        # The first panel over [0, 3162] sees Malmsten's f as 0: K21 = G10.
+        # Past the top of the forced range.
         ("malmsten_form19", 3162.0),
         # The classical tail bound holds for T >= 1 only.
         ("classical", 0.5),
