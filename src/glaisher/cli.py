@@ -31,11 +31,11 @@ EXIT_IO = 74
 # Defaults, in one place:
 #   tol        1e-10 (comfortably inside every route's supported range)
 #   T_list     the grid used for the published truncation comparison
-#   budgets    evaluation budgets doubling from 64, room for the first panel's
-#              43-point level (three K21 panels, 63, where K21 is saturated)
+#   budgets    one evaluation budget per level of the quadrature: K21 and
+#              Patterson's 43- and 87-point rules
 DEFAULT_TOL = 1e-10
 DEFAULT_T_LIST = [25.0, 50.0, 100.0, 200.0]
-DEFAULT_BUDGETS = [64, 128, 256, 512, 1024]
+DEFAULT_BUDGETS = [21, 43, 87]
 
 # --method accepts each estimator method with underscores or dashes.
 METHOD_CHOICES = sorted(

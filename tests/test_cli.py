@@ -223,6 +223,15 @@ class TestConvergence:
         assert malm_far
         assert all(float(r["abs_error"]) <= 1e-12 for r in malm_far)
 
+    def test_default_budgets_are_the_levels(self, capsys):
+        # Four T for each of two truncation sweeps, then one budget per level
+        # for each route: a budget above 87 would repeat the 87 row.
+        rows = convergence_rows(run_cli(capsys, "convergence")[1])
+        assert len(rows) == 2 * 4 + 4 * 3
+        budgets = [int(r["node_budget"]) for r in rows[8:]]
+        assert budgets == [21, 43, 87] * 4
+        assert all(int(r["evaluations_used"]) <= int(r["node_budget"]) for r in rows[8:])
+
     def test_sweeps_follow_lowest_tol(self, capsys):
         code, out, _ = run_cli(capsys, "convergence", "--tol", "1e-13")
         assert code == 0
@@ -251,15 +260,16 @@ class TestConvergence:
     def test_convergence_counts_its_integrand_values(self, capsys, node_calls):
         # Each truncation point runs on the first panel of its own tail map,
         # and each node sweep reuses a run at every smaller budget down to
-        # its evaluations: 537 values at tol 1e-10, where the bisecting
-        # engine with a panel memo per sweep computed 920.  Nothing outlives
-        # a command, so a second one computes as many.
+        # its evaluations: 579 values at tol 1e-10 with one budget per level,
+        # where the bisecting engine with a panel memo per sweep computed 920
+        # at budgets 64 to 1024.  Nothing outlives a command, so a second
+        # one computes as many.
         counts = []
         for _ in range(2):
             node_calls.clear()
             assert run_cli(capsys, "convergence", "--tol", "1e-10")[0] == 0
             counts.append(len(node_calls))
-        assert counts == [537, 537]
+        assert counts == [579, 579]
 
 
 class TestDeterminism:
