@@ -8,6 +8,8 @@ their output is checked against tools/grid_digests.json group by group.
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,18 @@ def test_grids_match_the_recorded_digests(lib_grid_lines, cli_grid_lines):
         f"groups that differ from tools/grid_digests.json: {', '.join(differ)}"
         " (after an intended change, rerun python tools/grid_digests.py)"
     )
+
+
+@pytest.mark.parametrize("argv", [["--check"], [str(TOOLS.parent)], ["-h"]])
+def test_grid_digests_takes_no_arguments(argv):
+    # Its siblings take a checkout path; given one, or any flag, it must
+    # not overwrite the recorded digests.
+    before = grid_digests.DIGESTS.read_bytes()
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "grid_digests.py"), *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: python tools/grid_digests.py\n")
+    assert proc.stdout == ""
+    assert grid_digests.DIGESTS.read_bytes() == before

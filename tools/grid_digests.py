@@ -4,7 +4,9 @@ Usage:
     python tools/grid_digests.py
 
 runs tools/lib_grid.py and tools/cli_grid.py on this checkout and writes
-tools/grid_digests.json.  A lib_grid group is the called function's name,
+tools/grid_digests.json.  It takes no arguments: given any, it prints its
+usage and exits 2 without writing, so that a flag or a checkout path meant
+for a sibling script cannot overwrite the recorded digests.  A lib_grid group is the called function's name,
 with the method for ln_a (`ln_a:classical`); a cli_grid group is the
 subcommand, with the --method value for eval (`eval:limit-sequence`).
 tests/test_tools.py recomputes the digests from the grids it runs and names
@@ -77,7 +79,11 @@ def digests(lib_lines: list[str], cli_lines: list[str]) -> dict:
     return {"lib_grid": _digest(lib_lines, lib_group), "cli_grid": _digest(cli_lines, cli_group)}
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv:
+        print("usage: python tools/grid_digests.py", file=sys.stderr)
+        print(f"grid_digests.py: error: takes no arguments, got {' '.join(argv)}", file=sys.stderr)
+        return 2
     record = {"platform": platform_record(),
               **digests(run_grid("lib_grid.py"), run_grid("cli_grid.py"))}
     DIGESTS.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
@@ -85,4 +91,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
