@@ -2,9 +2,12 @@
 
 Only a traced run calls perfbench/probes.py, which reaches into estimator,
 specfun, quadrature and the cli directly.  A change that breaks one of those
-calls fails here, not first when the benchmark is run.
+calls fails here, not first when the benchmark is run.  The tracer counts
+integrand values at the callable handed to quadrature.integrate_finite, so
+that count must not read 0: quadrature.integrate must hand it spec.eval.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +25,5 @@ def test_traced_estimate_run_exits_0():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
+    metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
+    assert metrics["integrands.evals_per_op"]["value"] > 0
