@@ -185,7 +185,7 @@ def test_malmsten_log_gamma_bar_holds():
     [
         # A budget of one panel over the whole truncated domain.
         ("classical", 1e-13, None, 31),
-        # Truncated at T = 50 at a loose tolerance: few, wide panels.
+        # Truncated at T = 50 at a loose tolerance.
         ("classical", 1e-3, 50.0, 10_000),
         # A bound near the rounding of offset + scale * integral.
         ("malmsten", 1e-13, 60.0, 10_000),

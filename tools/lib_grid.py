@@ -25,7 +25,7 @@ count as a changed result.  The calls are
     tol range (_seq_bar(n), n = 2..19) and at its two float neighbours, so
     the tie rule (a tol equal to a bar selects that n) is pinned;
   * ln_a('binet'|'malmsten', 1e-12, 200.0) at budgets on each side of the
-    87-point level and of the bisections after it.
+    87-point level and past it, where a larger budget changes nothing.
 
 It is the library twin of tools/cli_grid.py: a refactor that should change
 no number is checked by running the grid on both checkouts and diffing:
@@ -58,8 +58,8 @@ BUDGET_LISTS = [[64, 128, 256, 512, 1024], list(range(21, 211, 21)), [63, 63, 12
                 [21, 22, 41, 42, 43, 300]]
 SEEDED_LISTS = 2
 TIE_NS = range(2, 20)  # the n whose bar lies in [TOL_MIN, TOL_MAX]
-# Each side of the first panel's 87-point level and of the first two
-# bisections after it, on the two routes forced to a long truncated tail.
+# Each side of the 87-point level, and past it, on the two routes forced to
+# a long truncated tail.
 LEVEL_EDGE_BUDGETS = [86, 87, 128, 129, 170, 171]
 
 
