@@ -30,13 +30,13 @@ IntegrandSpec, and it makes exactly one integrate_finite call, on spec.eval:
      either truncated at T, with tail_bound(T) as the truncation error and s
      on [0, T/(T+5)], or compactified, with s on [0, 1): a tail like c/t^2
      becomes the finite limit c/5 at s = 1, a node never evaluated.  Either
-     way half of the nodes lie where t < 5, near the peak of every route's
-     integrand, whatever T is.  A caller may force truncation at any T in
-     [TRUNCATE_AT_MIN, TRUNCATE_AT_MAX].  Otherwise the automatic rule
-     decides: a bound that drops below a tenth of the tolerance at some T of
-     a fixed ladder up to ~850 (an exponential tail) is truncated at the
-     first such T, and any other tail (an algebraic one, or one without a
-     bound) is compactified, reported as T = 5, the map's t(1/2).  The
+     way at least half of the nodes lie where t < 5, near the peak of every
+     route's integrand, whatever T is.  A caller may force truncation at
+     any T in [TRUNCATE_AT_MIN, TRUNCATE_AT_MAX].  Otherwise the automatic
+     rule decides: a bound that drops below a tenth of the tolerance at some
+     T of a fixed ladder up to ~850 (an exponential tail) is truncated at
+     the first such T, and any other tail (an algebraic one, or one without
+     a bound) is compactified, reported as T = 5, the map's t(1/2).  The
      automatic rule relies on bounds that do not increase with T: it reads
      the top of the ladder first.
   3. A log singularity at 0 is graded away by x = b u^5 on u in (0, 1]

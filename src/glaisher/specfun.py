@@ -75,8 +75,8 @@ def binet_theta(x: float, tol: float = 1e-10) -> QuadratureResult:
     if not 0.1 <= x <= 100.0:
         raise ValueError(f"binet_theta requires 0.1 <= x <= 100, got {x}")
 
-    # t = 2u/m puts the integrand's e^{-xt} decay at the tail map's scale,
-    # whatever x: the peak at 0 narrows as x grows.
+    # t = m u puts the integrand's e^{-xt} decay at the tail map's scale
+    # whatever x, though the peak at 0 narrows as x grows.
     m = 2.0 / max(1.0, x)
 
     def f(u):
@@ -101,11 +101,12 @@ def malmsten_log_gamma(z: float, tol: float = 1e-10) -> QuadratureResult:
     """ln Gamma(z+1) by quadrature of the Malmsten integral, finite z >= 0.
 
     The integrand, z(z-1)/2 at t = 0, varies on the scale t ~ 1/z, which
-    for a large z the 87-point level does not resolve: the run stops unconverged from z ~ 63 at tol
-    1e-11, from z ~ 70 at 1e-10 and from z ~ 195 at 1e-2.  Below 1e-11 the
-    estimate's rounding floor, 50 eps times the integral of |f|, exceeds
-    tol first: from z ~ 34 at 1e-12, 7 at 1e-13 and 2 at 1e-14.  Either
-    way the reported error estimate still bounds the error.
+    the 87-point level does not resolve for a large z: the run stops
+    unconverged from z ~ 63 at tol 1e-11, from z ~ 70 at 1e-10 and from
+    z ~ 195 at 1e-2.  Below 1e-11 the estimate's rounding floor, 50 eps
+    times the integral of |f|, exceeds tol first: from z ~ 34 at 1e-12, 7
+    at 1e-13 and 2 at 1e-14.  Either way the reported error estimate still
+    bounds the error.
     """
     if not 0.0 <= z < math.inf:
         raise ValueError(f"malmsten_log_gamma requires finite z >= 0, got {z}")

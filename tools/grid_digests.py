@@ -6,12 +6,13 @@ Usage:
 runs tools/lib_grid.py and tools/cli_grid.py on this checkout and writes
 tools/grid_digests.json.  It takes no arguments: given any, it prints its
 usage and exits 2 without writing, so that a flag or a checkout path meant
-for a sibling script cannot overwrite the recorded digests.  A lib_grid group is the called function's name,
-with the method for ln_a (`ln_a:classical`); a cli_grid group is the
-subcommand, with the --method value for eval (`eval:limit-sequence`).
-tests/test_tools.py recomputes the digests from the grids it runs and names
-every group that differs, so a change that moves any output byte fails a
-test until this script is rerun.  Floats in the output may round
+for a sibling script cannot overwrite the recorded digests.
+
+A lib_grid group is the called function's name, with the method for ln_a
+(`ln_a:classical`); a cli_grid group is the subcommand, with the --method
+value for eval (`eval:limit-sequence`).  tests/test_tools.py recomputes the
+digests from the grids it runs and names every group that differs, so a
+change that moves any output byte fails a test until this script is rerun.  Floats in the output may round
 differently on another platform, so the file records the Python version,
 the machine and the C library it was made on, and the test skips elsewhere.
 """
