@@ -250,12 +250,12 @@ def _check_tol(tol: float) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _nodes(a: float, b: float, graded: bool, tail: bool):
-    """(half, tables): the node table of integrate_finite's map on [a, b].
+    """(half, K21's (ts, js), levels): the node table of integrate_finite's map on [a, b].
 
-    tables holds, for K21 and then for each of Patterson's levels, the new
-    nodes t in f's variable and their Jacobians (None for the identity map),
-    so that the rule's values are f(t) * j; half is the half-width of the
-    interval the rules run on, [0, 1] when graded.
+    ts are nodes in f's variable and js their Jacobians (None for the
+    identity map), so that the rule's values are f(t) * j; each of
+    Patterson's levels is (ts, js, weights) of its new nodes.  half is the
+    half-width of the interval the rules run on, [0, 1] when graded.
     """
     end = b
     if graded:
@@ -275,7 +275,8 @@ def _nodes(a: float, b: float, graded: bool, tail: bool):
             ts.append(t)
             js.append(j)
         tables.append((tuple(ts), tuple(js) if graded or tail else None))
-    return half, tuple(tables)
+    k21, level43, level87 = tables
+    return half, k21, ((*level43, _W43), (*level87, _W87))
 
 
 def integrate_finite(
@@ -305,8 +306,7 @@ def integrate_finite(
         raise ValueError(f"max_evals must be an integer, got {max_evals!r}") from None
     if max_evals < PANEL_EVALS:
         raise ValueError(f"max_evals {max_evals} is below one panel ({PANEL_EVALS})")
-    half, tables = _nodes(a, b, graded, tail)
-    ts, js = tables[0]
+    half, (ts, js), levels = _nodes(a, b, graded, tail)
     y = list(map(f, ts)) if js is None else list(map(operator.mul, map(f, ts), js))
     wy = list(map(operator.mul, _WK, y))
     # The weights are positive, so |w y| = w |y| exactly; a NaN or inf in y
@@ -324,7 +324,7 @@ def integrate_finite(
     value, err = half * k21, _error(half * abs(k21 - g10), resabs, resasc)
     evals, coarser = PANEL_EVALS, k21
     # Each level's raw estimate is |R - R_coarser|; resabs and resasc are K21's.
-    for (ts, js), ws in zip(tables[1:], (_W43, _W87)):
+    for ts, js, ws in levels:
         if err <= tol or len(ws) > max_evals:
             break
         new = list(map(f, ts)) if js is None else list(map(operator.mul, map(f, ts), js))
