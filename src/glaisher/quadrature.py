@@ -16,9 +16,10 @@ singularities at 0 are safe).
 
 integrate_finite(f, a, b, tol) is that engine on [a, b], optionally under a
 change of variables: graded, x = b u^5 on u in (0, 1] (a = 0), and tail,
-t = 5 x/(1 - x) on [a, b] within [0, 1].  The nodes and Jacobians of a map
-are computed once per map and interval, when its node table is built, so
-the engine evaluates f(t) * j at each node and nothing more.
+t = 5 x/(1 - x) on [a, b] within [0, 1].  The nodes of a map, and its
+Jacobians folded into the rules' weights, are computed once per map and
+interval, when its node table is built, so the engine evaluates f at each
+node and nothing more.
 
 integrate(spec, tol, truncate_at) is the one entry that reads an
 IntegrandSpec, and it makes exactly one integrate_finite call, on spec.eval:
@@ -250,33 +251,39 @@ def _check_tol(tol: float) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _nodes(a: float, b: float, graded: bool, tail: bool):
-    """(half, K21's (ts, js), levels): the node table of integrate_finite's map on [a, b].
+    """(half, ts, wk, wg, levels): the node table of integrate_finite's map on [a, b].
 
-    ts are nodes in f's variable and js their Jacobians (None for the
-    identity map), so that the rule's values are f(t) * j; each of
-    Patterson's levels is (ts, js, weights) of its new nodes.  half is the
-    half-width of the interval the rules run on, [0, 1] when graded.
+    ts are K21's nodes in f's variable, and wk and wg the K21 and G10
+    weights times the map's Jacobian at their nodes, so that the rules'
+    sums are of w j f(t); each of Patterson's levels is (ts, weights) of its
+    new nodes and of all its weights.  half is the half-width of the
+    interval the rules run on, [0, 1] when graded.  The identity map's
+    weights are the rules' own, since its Jacobian is 1.
     """
     end = b
     if graded:
         a, b = 0.0, 1.0
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    tables = []
-    for xs in (_XK, _X43, _X87):
-        ts, js = [], []
-        for x in xs:
-            t, j = mid + half * x, 1.0
-            if graded:
-                u4 = t * t * t * t
-                t, j = end * u4 * t, 5.0 * end * u4
-            if tail:
-                r = 1.0 / (1.0 - t)
-                t, j = _TAIL_SCALE * t * r, j * _TAIL_SCALE * r * r
-            ts.append(t)
-            js.append(j)
-        tables.append((tuple(ts), tuple(js) if graded or tail else None))
-    k21, level43, level87 = tables
-    return half, k21, ((*level43, _W43), (*level87, _W87))
+    ts, js = [], []
+    for x in (*_XK, *_X43, *_X87):
+        t, j = mid + half * x, 1.0
+        if graded:
+            u4 = t * t * t * t
+            t, j = end * u4 * t, 5.0 * end * u4
+        if tail:
+            r = 1.0 / (1.0 - t)
+            t, j = _TAIL_SCALE * t * r, j * _TAIL_SCALE * r * r
+        ts.append(t)
+        js.append(j)
+
+    def weighted(ws, nodes=js):
+        return tuple(map(operator.mul, ws, nodes))
+
+    n21, n43 = len(_XK), len(_W43)
+    return (
+        half, tuple(ts[:n21]), weighted(_WK), weighted(_WG, js[_GAUSS]),
+        ((tuple(ts[n21:n43]), weighted(_W43)), (tuple(ts[n43:]), weighted(_W87))),
+    )
 
 
 def integrate_finite(
@@ -306,28 +313,29 @@ def integrate_finite(
         raise ValueError(f"max_evals must be an integer, got {max_evals!r}") from None
     if max_evals < PANEL_EVALS:
         raise ValueError(f"max_evals {max_evals} is below one panel ({PANEL_EVALS})")
-    half, (ts, js), levels = _nodes(a, b, graded, tail)
-    y = list(map(f, ts)) if js is None else list(map(operator.mul, map(f, ts), js))
-    wy = list(map(operator.mul, _WK, y))
-    # The weights are positive, so |w y| = w |y| exactly; a NaN or inf in y
-    # makes this sum non-finite, and only then is y scanned for the culprit.
+    half, ts, wk, wg, levels = _nodes(a, b, graded, tail)
+    y = list(map(f, ts))
+    wy = list(map(operator.mul, wk, y))
+    # The weights are positive, so |w y| = w |y| exactly; a NaN or inf in wy
+    # makes this sum non-finite, and only then is wy scanned for the culprit.
     abs_sum = sum(map(abs, wy))
     if not math.isfinite(abs_sum):
-        _scan(y, a, b)
+        _scan(wy, a, b)
     k21 = math.fsum(wy)
-    g10 = math.fsum(map(operator.mul, _WG, y[_GAUSS]))
+    g10 = math.fsum(map(operator.mul, wg, y[_GAUSS]))
     mean = 0.5 * k21
+    # resasc, the rule's integral of |f j - mean|, is the sum of |w j f - w mean|.
     asc = 0.0
-    for w, v in zip(_WK, y):
-        asc += w * abs(v - mean)
+    for w, v in zip(_WK, wy):
+        asc += abs(v - w * mean)
     resabs, resasc = half * abs_sum, half * asc
     value, err = half * k21, _error(half * abs(k21 - g10), resabs, resasc)
     evals, coarser = PANEL_EVALS, k21
     # Each level's raw estimate is |R - R_coarser|; resabs and resasc are K21's.
-    for ts, js, ws in levels:
+    for ts, ws in levels:
         if err <= tol or len(ws) > max_evals:
             break
-        new = list(map(f, ts)) if js is None else list(map(operator.mul, map(f, ts), js))
+        new = list(map(f, ts))
         if not math.isfinite(sum(map(abs, new))):
             _scan(new, a, b)
         y += new

@@ -287,9 +287,9 @@ def _k21(f, a, b):
     wy = [w * v for w, v in zip(quadrature._WK, y)]
     k21 = math.fsum(wy)
     g10 = math.fsum(w * v for w, v in zip(quadrature._WG, y[1::2]))
-    asc = 0.0
-    for w, v in zip(quadrature._WK, y):
-        asc += w * abs(v - 0.5 * k21)
+    mean, asc = 0.5 * k21, 0.0
+    for w, v in zip(quadrature._WK, wy):
+        asc += abs(v - w * mean)
     resabs, resasc = half * sum(map(abs, wy)), half * asc
     return half * k21, quadrature._error(half * abs(k21 - g10), resabs, resasc), resasc
 
