@@ -15,7 +15,7 @@ integrands never get evaluated at interval endpoints (removable
 singularities at 0 are safe).
 
 integrate_finite(f, a, b, tol) is that engine on [a, b], optionally under a
-change of variables: graded, x = b u^5 on u in (0, 1] (a = 0), and tail,
+change of variables: graded, x = b u^4 on u in (0, 1] (a = 0), and tail,
 t = 5 x/(1 - x) on [a, b] within [0, 1].  The nodes of a map, and its
 Jacobians folded into the rules' weights, are computed once per map and
 interval, when its node table is built, so the engine evaluates f at each
@@ -40,10 +40,10 @@ IntegrandSpec, and it makes exactly one integrate_finite call, on spec.eval:
      a bound) is compactified, reported as T = 5, the map's t(1/2).  The
      automatic rule relies on bounds that do not increase with T: it reads
      the top of the ladder first.
-  3. A log singularity at 0 is graded away by x = b u^5 on u in (0, 1]
+  3. A log singularity at 0 is graded away by x = b u^4 on u in (0, 1]
      (Davis & Rabinowitz, 1984), where (0, b] is the interval of steps 1-2,
      and composed with step 2's map if there is one: f(x) ~ ln x becomes
-     f(b u^5) 5 b u^4 ~ u^4 ln u, which tends to 0 at u = 0, a node never
+     f(b u^4) 4 b u^3 ~ u^3 ln u, which tends to 0 at u = 0, a node never
      evaluated.  The map covers (0, b] exactly, so nothing is dropped.
 """
 
@@ -268,8 +268,8 @@ def _nodes(a: float, b: float, graded: bool, tail: bool):
     for x in (*_XK, *_X43, *_X87):
         t, j = mid + half * x, 1.0
         if graded:
-            u4 = t * t * t * t
-            t, j = end * u4 * t, 5.0 * end * u4
+            u3 = t * t * t
+            t, j = end * u3 * t, 4.0 * end * u3
         if tail:
             r = 1.0 / (1.0 - t)
             t, j = _TAIL_SCALE * t * r, j * _TAIL_SCALE * r * r
@@ -298,7 +298,7 @@ def integrate_finite(
 ) -> QuadratureResult:
     """Integrate f over [a, b] to absolute tolerance tol, at most max_evals calls.
 
-    graded integrates over x = b u^5 in u on (0, 1] instead, and needs a = 0;
+    graded integrates over x = b u^4 in u on (0, 1] instead, and needs a = 0;
     tail integrates f(t) dt over t = 5 x/(1 - x) for x in [a, b], and needs
     0 <= a < b <= 1.  Both together grade first (module docstring).
     """

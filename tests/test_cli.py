@@ -260,7 +260,7 @@ class TestConvergence:
     def test_convergence_counts_its_integrand_values(self, capsys, node_calls):
         # Each truncation point runs on the first panel of its own tail map,
         # and each node sweep reuses a run at every smaller budget down to
-        # its evaluations: 579 values at tol 1e-10 with one budget per level,
+        # its evaluations: 492 values at tol 1e-10 with one budget per level,
         # where the bisecting engine with a panel memo per sweep computed 920
         # at budgets 64 to 1024.  Nothing outlives a command, so a second
         # one computes as many.
@@ -269,7 +269,7 @@ class TestConvergence:
             node_calls.clear()
             assert run_cli(capsys, "convergence", "--tol", "1e-10")[0] == 0
             counts.append(len(node_calls))
-        assert counts == [579, 579]
+        assert counts == [492, 492]
 
 
 class TestDeterminism:

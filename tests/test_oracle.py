@@ -97,7 +97,7 @@ def test_error_budget_holds_binet_compactified(T, tol):
 @pytest.mark.parametrize("T", [5.0, 6.25, 25.0, 100.0, 500.0])
 def test_error_budget_holds_classical_graded(T):
     # The classical route truncates its tail map at s = T/(T+5) and grades
-    # its log singularity away by s = (T/(T+5)) u^5; the engine's bar on the
+    # its log singularity away by s = (T/(T+5)) u^4; the engine's bar on the
     # mapped integrand must hold at every T a caller may force and at every
     # tol.
     exact = _classical_integral_to(T)
@@ -111,12 +111,13 @@ def test_error_budget_holds_classical_graded(T):
 
 # Classical evaluations of the automatic rule at each tol of TOLS, pinned so
 # that a change in cost shows up as an edit here: K21 is raised to
-# Patterson's 43- or 87-point rule.  The tail map with its grading takes 43
-# at tol 5e-9 and 1e-8, where the grading x = T u^5 of the truncated domain
-# took 87.  The second column is what the engine took when it bisected K21
-# panels only, and the third what the map x = b e^{-s} on s in [0, 45], which
-# the grading replaced, took: each change was never dearer.
-CLASSICAL_EVALS = dict(zip(TOLS, [87] * 14 + [43] * 17, strict=True))
+# Patterson's 43- or 87-point rule.  The tail map graded by s = e u^4 takes
+# 43 from tol 5e-12 to 5e-4, and K21's 21 alone at 1e-3, where the grading
+# s = e u^5 took 87 up to 5e-9 and 43 above.  The second column is what the
+# engine took when it bisected K21 panels only, and the third what the map
+# x = b e^{-s} on s in [0, 45], which the grading replaced, took: each change
+# was never dearer.
+CLASSICAL_EVALS = dict(zip(TOLS, [87] * 5 + [43] * 25 + [21], strict=True))
 CLASSICAL_K21_EVALS = list(
     zip(
         TOLS,
