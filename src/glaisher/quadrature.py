@@ -233,8 +233,10 @@ def _error(err: float, resabs: float, resasc: float) -> float:
     resabs, the rounding of the sum itself.
     """
     if resasc and err:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return max(err, _ROUNDING_FLOOR * resabs)
+        r = (200.0 * err / resasc) ** 1.5
+        err = resasc * r if r < 1.0 else resasc
+    floor = _ROUNDING_FLOOR * resabs
+    return floor if floor > err else err
 
 
 def _scan(y, a: float, b: float) -> None:

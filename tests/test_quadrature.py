@@ -280,24 +280,62 @@ def test_budget_exhaustion_flags_not_raises():
     assert res.evaluations > 0
 
 
-def _k21(f, a, b):
-    """(value, error estimate, resasc) of the K21 rule on [a, b], summed as the engine does."""
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    y = [f(mid + half * x) for x in quadrature._XK]
-    wy = [w * v for w, v in zip(quadrature._WK, y)]
+def _error(err, resabs, resasc):
+    """QUADPACK's error estimate written with min and max, as qk21 writes it."""
+    if resasc and err:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return max(err, quadrature._ROUNDING_FLOOR * resabs)
+
+
+def _k21(f, a, b, tol=None, graded=False, tail=False):
+    """(value, error estimate, resasc) of the K21 rule on [a, b], summed as the engine does.
+
+    The nodes and weights are those of the engine's node table for the map.
+    Given a tol, the rule is raised through Patterson's levels while its
+    estimate misses tol, as integrate_finite raises it with no budget cap.
+    """
+    half, ts, wk, wg, levels = quadrature._nodes(a, b, graded, tail)
+    y = [f(t) for t in ts]
+    wy = [w * v for w, v in zip(wk, y)]
     k21 = math.fsum(wy)
-    g10 = math.fsum(w * v for w, v in zip(quadrature._WG, y[1::2]))
+    g10 = math.fsum(w * v for w, v in zip(wg, y[1::2]))
     mean, asc = 0.5 * k21, 0.0
     for w, v in zip(quadrature._WK, wy):
         asc += abs(v - w * mean)
     resabs, resasc = half * sum(map(abs, wy)), half * asc
-    return half * k21, quadrature._error(half * abs(k21 - g10), resabs, resasc), resasc
+    value, err, coarser = half * k21, _error(half * abs(k21 - g10), resabs, resasc), k21
+    for ts, ws in levels if tol is not None else ():
+        if err <= tol:
+            break
+        y += [f(t) for t in ts]
+        r = math.fsum(w * v for w, v in zip(ws, y))
+        value, err, coarser = half * r, _error(half * abs(r - coarser), resabs, resasc), r
+    return value, err, resasc
 
 
 def test_one_panel_run_is_the_k21_panel():
     res = integrate_finite(math.exp, 0.0, 1.0, 1e-10)
     value, err, _ = _k21(math.exp, 0.0, 1.0)
     assert tuple(res) == (value, err, PANEL_EVALS, True, 0.0, 0.0, "none")
+
+
+@pytest.mark.parametrize(
+    "spec_id", ["classical", "binet_form13", "malmsten_form19", "lngamma_direct"]
+)
+@pytest.mark.parametrize("tol", [10.0**-k for k in range(2, 15)])
+def test_route_runs_match_the_reference_bit_for_bit(spec_id, tol):
+    # Each route integrand on the interval and map the automatic rule picks
+    # at every tol the engine accepts: the engine's value and estimate are
+    # the reference's to the last bit.
+    spec = get_integrand(spec_id)
+    run = integrate(spec, tol)
+    b = {"none": spec.domain_upper, "compactify": 1.0}.get(
+        run.truncation_mode, run.truncation_T / (run.truncation_T + 5.0)
+    )
+    maps = {"graded": spec.log_singular_at_zero, "tail": run.truncation_mode != "none"}
+    res = integrate_finite(spec.eval, 0.0, b, tol, **maps)
+    reference = _k21(spec.eval, 0.0, b, tol, **maps)[:2]
+    assert (res.value.hex(), res.error_estimate.hex()) == tuple(x.hex() for x in reference)
 
 
 def test_first_panel_is_raised_through_the_levels_within_the_budget():
