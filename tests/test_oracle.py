@@ -156,11 +156,11 @@ def _assert_bars_hold(results, truths):
 
 
 def test_binet_theta_bar_holds():
-    # theta(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 at 22 x over the
-    # whole domain [0.1, 100].  With its tail compactified the worst error is
-    # 0.51 of the bar (x = 0.139); the hand-derived tail bound it replaced
-    # left 0.95.
-    xs = [10.0 ** (-1 + 3 * i / 21) for i in range(22)]
+    # theta(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 at 39 x over the
+    # whole domain [0.1, 100], 10^0.5 among them.  With its tail compactified
+    # the worst error is 0.11 of the bar (x = 3.79, tol 1e-9); the
+    # hand-derived tail bound it replaced left 0.95.
+    xs = [10.0 ** (-1 + 3 * i / 38) for i in range(39)]
     truths = {}
     with mpmath.workdps(40):
         for x in xs:
