@@ -25,7 +25,10 @@ count as a changed result.  The calls are
     tol range (_seq_bar(n), n = 2..19) and at its two float neighbours, so
     the tie rule (a tol equal to a bar selects that n) is pinned;
   * ln_a('binet'|'malmsten', 1e-12, 200.0) at budgets on each side of the
-    87-point level and past it, where a larger budget changes nothing.
+    87-point level and past it, where a larger budget changes nothing;
+  * glaisher_seq_log_term(n) at every n <= 1000, at the 200 log-spaced n
+    in [1e3, 1e5] of tests/test_oracle.py's bar test, and at 77777, 99991
+    and N_MAX.
 
 It is the library twin of tools/cli_grid.py: a refactor that should change
 no number is checked by running the grid on both checkouts and diffing:
@@ -123,6 +126,10 @@ def calls(glaisher, rng):
     for route in ("binet", "malmsten"):
         for budget in LEVEL_EDGE_BUDGETS:
             yield ln_a(route, 1e-12, 200.0, budget)
+    term_ns = [*range(1, 1001), *(round(1e3 * 100.0 ** (i / 199)) for i in range(200)),
+               77777, 99991, specfun.N_MAX]
+    for n in term_ns:
+        yield f"glaisher_seq_log_term({n!r})", lambda n=n: specfun.glaisher_seq_log_term(n)
 
 
 def main() -> int:
