@@ -218,7 +218,7 @@ def ln_a_limit_sequence(n_max: int = N_MAX, tol: float = 1e-10) -> ConstantEstim
     / 1e-10 / 1e-12 / 1e-13, and a tol equal to a bar selects that n.
     n_max, an integer in [1, N_MAX] (BUDGET_RANGE), is a hard cap on that
     n; ln_a("limit_sequence", tol, max_evals=n_max) calls this.  evaluations
-    is the n used (the term's work is O(sqrt n) steps), and converged means
+    is the n used (a warm term is a few integer operations), and converged means
     the bar is at most tol, which must lie in [TOL_MIN, TOL_MAX] as for
     ln_a; it is False only when n_max is below the n that tol needs.
     """

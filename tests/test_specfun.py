@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 
@@ -147,6 +146,18 @@ class TestMalmstenLogGamma:
                 malmsten_log_gamma(z)
 
 
+def _exact_term(mpmath, n, ln_g):
+    """The limit-sequence term at n in mpmath, given ln G(n+1)."""
+    m = mpmath.mpf(n)
+    return (
+        m / 2 * mpmath.log(2 * mpmath.pi)
+        + (m * m / 2 - mpmath.mpf(1) / 12) * mpmath.log(m)
+        - 3 * m * m / 4
+        + mpmath.mpf(1) / 12
+        - ln_g
+    )
+
+
 class TestGlaisherSequence:
     def test_first_term_closed_form(self):
         expected = 0.5 * math.log(2.0 * math.pi) - 2.0 / 3.0
@@ -169,49 +180,48 @@ class TestGlaisherSequence:
 
     @pytest.mark.parametrize("n", [100_001, 10**9])
     def test_rejects_n_above_n_max_before_any_table(self, n, monkeypatch):
-        monkeypatch.setattr(specfun, "_TABLE", None)
+        empty = ([0, 0], [0, 0])
+        monkeypatch.setattr(specfun, "_SUMS", empty)
         with pytest.raises(ValueError):
             glaisher_seq_log_term(n)
-        assert specfun._TABLE is None
+        assert specfun._SUMS is empty
+        assert empty == ([0, 0], [0, 0])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 1000, 1024, 4096, 77777, 99991, 100000])
     def test_within_one_ulp_of_mpmath(self, n):
+        """The term is the exact value correctly rounded (within half an ulp)."""
         mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
-            m = mpmath.mpf(n)
-            exact = (
-                m / 2 * mpmath.log(2 * mpmath.pi)
-                + (m * m / 2 - mpmath.mpf(1) / 12) * mpmath.log(m)
-                - 3 * m * m / 4
-                + mpmath.mpf(1) / 12
-                - mpmath.log(mpmath.barnesg(m + 1))
-            )
-            term = glaisher_seq_log_term(n)
-            assert abs(term - exact) <= math.ulp(term)
+        with mpmath.workdps(60):
+            exact = _exact_term(mpmath, n, mpmath.log(mpmath.barnesg(n + 1)))
+            assert glaisher_seq_log_term(n) == float(exact)
+
+    def test_correctly_rounded_at_every_n_to_1000(self):
+        """As above at every n <= 1000, with ln G(n+1) = sum_{k<n} ln k! in mpmath."""
+        mpmath = pytest.importorskip("mpmath")
+        misses = []
+        with mpmath.workdps(60):
+            ln_fact = ln_g = mpmath.mpf(0)  # ln (n-1)! and ln G(n+1)
+            for n in range(1, 1001):
+                ln_g += ln_fact
+                if glaisher_seq_log_term(n) != float(_exact_term(mpmath, n, ln_g)):
+                    misses.append(n)
+                ln_fact += mpmath.log(n)
+        assert not misses
 
     def test_independent_of_earlier_calls(self, monkeypatch):
-        # A call at 1e5 grows the table past 77777; a fresh table is built
-        # to 77777 itself.  Both give the same bits.
-        monkeypatch.setattr(specfun, "_TABLE", None)
+        # A call at 1e5 grows the running sums past 77777; fresh sums are
+        # grown to 77777 itself.  Both hold the same entries and give the
+        # same bits.
+        monkeypatch.setattr(specfun, "_SUMS", ([0, 0], [0, 0]))
         glaisher_seq_log_term(100_000)
         after_growth = glaisher_seq_log_term(77777)
-        monkeypatch.setattr(specfun, "_TABLE", None)
+        grown = specfun._SUMS
+        monkeypatch.setattr(specfun, "_SUMS", ([0, 0], [0, 0]))
         fresh = glaisher_seq_log_term(77777)
+        s1, s2 = specfun._SUMS
+        assert len(s1) == 77778
+        assert (s1, s2) == (grown[0][:77778], grown[1][:77778])
         assert after_growth.hex() == fresh.hex()
-
-    def test_ln_barnes_g_is_the_plain_sum(self):
-        """The O(sqrt n) regrouping gives the integer of the per-d sum exactly."""
-        rng = random.Random(15)
-        ns = [*range(1, 3000), *(rng.randint(3000, 100_000) for _ in range(40))]
-        _, keys, psi, psi1, _ = specfun._table(max(ns))
-        for n in ns:
-            plain = 0
-            for i, d in enumerate(keys):
-                if d >= n:
-                    break
-                q = (n - 1) // d
-                plain += (psi[i + 1] - psi[i]) * (q * n - d * q * (q + 1) // 2)
-            assert specfun._ln_barnes_g(n, keys, psi, psi1) == plain, n
 
     def test_ln_2pi_matches_an_mpmath_derivation(self):
         """The frozen 2^_BITS ln 2 pi is the integer nearest it at 320 bits."""
@@ -220,11 +230,12 @@ class TestGlaisherSequence:
             exact = mpmath.ldexp(mpmath.log(2 * mpmath.pi), specfun._BITS)
             assert specfun._LN_2PI == int(mpmath.nint(exact))
 
-    @pytest.mark.parametrize("p", [2, 3, 99991])
-    def test_table_logarithms(self, p):
+    @pytest.mark.parametrize("k", [2, 3, 99991, 100_000])
+    def test_table_logarithms(self, k):
+        """ln k = S1[k] - S1[k-1], summed along the acoth chain, is within 2^-170."""
         mpmath = pytest.importorskip("mpmath")
-        _, keys, psi, *_ = specfun._table(p)
-        scaled = specfun._ln_prime(keys, psi, p)
+        s1, _ = specfun._sums(k)
         with mpmath.workdps(80):
-            err = mpmath.mpf(scaled) / 2**specfun._BITS - mpmath.log(p)
-            assert abs(err) <= mpmath.mpf(2) ** -150
+            scaled = mpmath.mpf(s1[k] - s1[k - 1])
+            err = scaled / 2 ** (specfun._BITS + specfun._GUARD) - mpmath.log(k)
+            assert abs(err) <= mpmath.mpf(2) ** -170
