@@ -15,7 +15,7 @@ count as a changed result.  The calls are
     tol (log-uniform), auto or truncate_at T, and budget;
   * ln_a_limit_sequence over n_max, then over n_max x tol;
   * binet_theta and malmsten_log_gamma over (x, tol);
-  * identity_residual_eq4 over tol, and construct_reference once;
+  * construct_reference once;
   * bench.sweep_truncation (binet, malmsten) and bench.sweep_nodes (every
     route) over tol x a list of T or budgets: nested, never nested,
     repeated and seeded ones;
@@ -99,8 +99,6 @@ def calls(glaisher, rng):
         for x in xs:
             for tol in SPECFUN_TOLS:
                 yield f"{fn.__name__}({x!r}, {tol!r})", lambda f=fn, x=x, t=tol: f(x, t)
-    for tol in TOLS:
-        yield f"identity_residual_eq4({tol!r})", lambda t=tol: estimator.identity_residual_eq4(t)
     yield "construct_reference()", estimator.construct_reference
     t_lists = T_LISTS + [sorted(rng.uniform(5.0, 500.0) for _ in range(4))
                          for _ in range(SEEDED_LISTS)]
