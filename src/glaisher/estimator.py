@@ -41,7 +41,6 @@ __all__ = [
     "ln_a",
     "ln_a_limit_sequence",
     "inner_tol",
-    "identity_residual_eq4",
     "identity_suites",
     "construct_reference",
 ]
@@ -234,22 +233,10 @@ def ln_a_limit_sequence(n_max: int = N_MAX, tol: float = 1e-10) -> ConstantEstim
     return _limit_sequence_at(n, tol)
 
 
-def identity_residual_eq4(tol: float = 1e-10) -> float:
-    """LHS-minus-RHS residual of the shared definite-integral identity.
-
-    LHS: direct quadrature of int_0^{1/2} ln Gamma(x+1) dx.
-    RHS: the closed form -1/2 - (7/24) ln 2 + (1/4) ln pi + (3/2) ln A,
-    with ln A taken from the Malmsten route at the same tolerance.
-    """
-    _check_tol(tol)
-    lhs = integrate(get_integrand("lngamma_direct"), tol).value
-    rhs = EQ4_CONSTANT + 1.5 * ln_a("malmsten", tol).ln_A
-    return lhs - rhs
-
-
 def identity_suites(tol: float = 1e-10) -> list[dict]:
     """Max residual per identity suite, with its threshold.
 
+    Eq. (4) is no suite: it is the direct_lgamma row, which compare checks.
     Every quadrature inside a suite runs at inner_tol(tol), and its suite's
     threshold is set for tol = 1e-10 and scales linearly with it.
     form_equivalence compares printed forms, so its residual is rounding
@@ -279,8 +266,6 @@ def identity_suites(tol: float = 1e-10) -> list[dict]:
         for z in malmsten_grid
     )
 
-    r_eq4 = abs(identity_residual_eq4(inner))
-
     # 200 log-spaced t in [1e-3, 10**1.7]; below SERIES_SWITCH_T both forms
     # of a pair are the same series, so only the points above it can differ.
     grid = (10.0 ** (-3.0 + 4.7 * i / 199.0) for i in range(200))
@@ -300,7 +285,6 @@ def identity_suites(tol: float = 1e-10) -> list[dict]:
     return [
         {"suite": "binet_identity", "max_residual": r_binet, "threshold": 1e-9 * scale},
         {"suite": "malmsten_vs_lgamma", "max_residual": r_malmsten, "threshold": 1e-9 * scale},
-        {"suite": "eq4_identity", "max_residual": r_eq4, "threshold": 1e-9 * scale},
         {"suite": "form_equivalence", "max_residual": r_forms, "threshold": 16 * sys.float_info.epsilon},
     ]
 
@@ -309,11 +293,11 @@ def construct_reference() -> tuple[float, float]:
     """Recompute ln A by the two disjoint oracle-construction paths.
 
     Returns (sequence_path, quadrature_path): the corrected limit sequence
-    at n = 800, and 1/12 - 2x the classical integral at tol 1e-13, whose
-    tail the automatic rule truncates (at T = 6.25) with a rigorous bound.
+    at n = 800, and the classical route's offset + scale * integral
+    (1/12 - 2x) with the integral at tol 1e-13, whose tail the automatic
+    rule truncates (at T = 6.25) with a rigorous bound.
     """
     seq_path = _limit_sequence_at(800, 1e-13).ln_A
-
-    res = integrate(get_integrand("classical"), 1e-13)
-    quad_path = 1.0 / 12.0 - 2.0 * res.value
+    integrand_id, scale, offset = ROUTES["classical"]
+    quad_path = offset + scale * integrate(get_integrand(integrand_id), 1e-13).value
     return seq_path, quad_path

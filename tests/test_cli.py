@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import glaisher
-from glaisher import cli, integrands
+from glaisher import cli, estimator, integrands
 from glaisher.bench import CSV_HEADER
 from glaisher.cli import main
 from glaisher.estimator import LN_A_REFERENCE, N_MAX
@@ -148,6 +148,19 @@ class TestCompare:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["1e-3", "1e-8", "1e-13"])
+    def test_shifted_route_exit_2(self, capsys, monkeypatch, tol):
+        # A Malmsten offset 5 tol too large: every route still converges, so
+        # only the spread verdict can catch it.
+        integrand_id, scale, offset = estimator.ROUTES["malmsten"]
+        shifted = (integrand_id, scale, offset + 5 * float(tol))
+        monkeypatch.setitem(estimator.ROUTES, "malmsten", shifted)
+        code, out, _ = run_cli(capsys, "compare", "--tol", tol, "--format", "json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["spread_ok"] is False
+        assert all(e["converged"] for e in payload["estimates"])
+
     def test_lowest_tol_is_met(self, capsys):
         code, out, _ = run_cli(
             capsys, "compare", "--tol", "1e-13", "--format", "json",
@@ -182,7 +195,7 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["all_passed"] is True
         suites = {s["suite"]: s for s in payload["suites"]}
-        assert len(suites) == 4
+        assert list(suites) == ["binet_identity", "malmsten_vs_lgamma", "form_equivalence"]
         assert suites["binet_identity"]["max_residual"] <= 1e-9
 
     def test_relaxed_tol_passes(self, capsys):
