@@ -48,8 +48,9 @@ def test_criterion_2_four_way_agreement():
 
 
 def test_criterion_3_definite_integral_identity():
-    # The direct_lgamma route is eq. (4) solved for ln A: its LHS minus the
-    # RHS with ln A from the Malmsten route is 1.5 x the routes' difference.
+    # The direct_lgamma route is eq. (4) solved for ln A, so eq. (4)'s LHS
+    # minus its RHS, with ln A from the Malmsten route, is 1.5 x the routes'
+    # difference.
     residual = 1.5 * (ln_a("direct_lgamma", 1e-10).ln_A - ln_a("malmsten", 1e-10).ln_A)
     ok = abs(residual) <= 1e-9
     report(3, ok, f"identity residual {residual:.2e} (limit 1e-9)")
