@@ -28,7 +28,12 @@ count as a changed result.  The calls are
     87-point level and past it, where a larger budget changes nothing;
   * glaisher_seq_log_term(n) at every n <= 1000, at the 200 log-spaced n
     in [1e3, 1e5] of tests/test_oracle.py's bar test, and at 77777, 99991
-    and N_MAX.
+    and N_MAX;
+  * each registered integrand's eval (labelled eval:<id>), binet_integrand
+    form 12, malmsten_integrand form 18 and specfun._theta_kernel at
+    POINT_COUNT log-spaced t in [1e-6, 50] and at each series switch and
+    its two float neighbours, so the series are pinned pointwise and not
+    only inside sums; lngamma_direct only at the t within its domain.
 
 It is the library twin of tools/cli_grid.py: a refactor that should change
 no number is checked by running the grid on both checkouts and diffing:
@@ -64,6 +69,9 @@ TIE_NS = range(2, 20)  # the n whose bar lies in [TOL_MIN, TOL_MAX]
 # Each side of the 87-point level, and past it, on the two routes forced to
 # a long truncated tail.
 LEVEL_EDGE_BUDGETS = [86, 87, 128, 129, 170, 171]
+# The integrands' pointwise grid: log-spaced over [1e-6, 50], across every
+# switch of their evaluators.
+POINT_COUNT = 200
 
 
 def calls(glaisher, rng):
@@ -128,6 +136,21 @@ def calls(glaisher, rng):
                77777, 99991, specfun.N_MAX]
     for n in term_ns:
         yield f"glaisher_seq_log_term({n!r})", lambda n=n: specfun.glaisher_seq_log_term(n)
+    integrands = glaisher.integrands
+    switches = (integrands.SERIES_SWITCH_T, specfun._THETA_KERNEL_SWITCH)
+    points = sorted({1e-6 * 5e7 ** (i / (POINT_COUNT - 1)) for i in range(POINT_COUNT)}
+                    | {x for s in switches
+                       for x in (math.nextafter(s, 0.0), s, math.nextafter(s, 1.0))})
+    for iid in integrands.INTEGRAND_IDS:
+        spec = integrands.get_integrand(iid)
+        for t in points:
+            if t <= spec.domain_upper:
+                yield f"eval:{iid}({t!r})", lambda f=spec.eval, t=t: f(t)
+    for fn, form in ((integrands.binet_integrand, 12), (integrands.malmsten_integrand, 18)):
+        for t in points:
+            yield f"{fn.__name__}({t!r}, {form!r})", lambda f=fn, t=t, k=form: f(t, k)
+    for t in points:
+        yield f"_theta_kernel({t!r})", lambda t=t: specfun._theta_kernel(t)
 
 
 def main() -> int:
