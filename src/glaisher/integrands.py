@@ -28,7 +28,10 @@ Evaluator notes:
 Direct evaluation of the 0/0 forms loses all significant digits below
 t ~ 1e-4 even with expm1/tanh rewrites, so each evaluator switches to its
 series below t = 0.2, where the rewritten direct forms are still good to
-~1e-14 absolute (seam-tested).
+~1e-14 absolute (seam-tested).  A series is one straight-line Horner
+expression over its frozen coefficients, unpacked from a default argument
+(the body's c), highest power first: the operations and their order are a
+loop's from acc = 0.0, whose first step 0.0 * t + c_top is exactly c_top.
 
 The registry holds the four route integrands, with Binet form 13 and
 Malmsten form 19; forms 12 and 18 are reached through the form argument.
@@ -97,13 +100,6 @@ _MALMSTEN_SERIES = (
 )
 
 
-def _horner(coeffs, t):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
 # eval(x) -> f(x); tail_bound(T) -> int_T^inf |f|, which a forced truncation
 # needs; domain_upper is 0.5 for the finite lngamma integrand.
 IntegrandSpec = namedtuple(
@@ -143,9 +139,11 @@ def _binet_kernel(t: float) -> float:
     return (t - em) / (t * em) + 0.5
 
 
-def _binet13(t: float) -> float:
+def _binet13(t: float, c=_BINET_SERIES) -> float:
     if t < SERIES_SWITCH_T:
-        return _horner(_BINET_SERIES, t)
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = c
+        return (((((((((c10 * t + c9) * t + c8) * t + c7) * t + c6) * t + c5) * t + c4)
+                 * t + c3) * t + c2) * t + c1) * t + c0
     th = math.tanh(t / 2.0)
     bracket = (t - 2.0 * th) / th  # t coth(t/2) - 2
     return (-math.expm1(-t / 2.0)) * bracket / (2.0 * t * t * t)
@@ -162,9 +160,11 @@ def binet_integrand(t: float, form: int = 13) -> float:
     return _binet13(t)
 
 
-def _malmsten19(t: float) -> float:
+def _malmsten19(t: float, c=_MALMSTEN_SERIES) -> float:
     if t < SERIES_SWITCH_T:
-        return _horner(_MALMSTEN_SERIES, t)
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = c
+        return (((((((((c10 * t + c9) * t + c8) * t + c7) * t + c6) * t + c5) * t + c4)
+                 * t + c3) * t + c2) * t + c1) * t + c0
     # form 19 with e^{-t} factored through:
     # (8-3t) - 8 e^{-t/2} - t e^{-t}  ==  -8 expm1(-t/2) - t (3 + e^{-t})
     e = math.exp(-t)

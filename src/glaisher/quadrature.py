@@ -39,7 +39,11 @@ IntegrandSpec, and it makes exactly one integrate_finite call, on spec.eval:
      the first such T, and any other tail (an algebraic one, or one without
      a bound) is compactified, reported as T = 5, the map's t(1/2).  The
      automatic rule relies on bounds that do not increase with T: it reads
-     the top of the ladder first.
+     the top of the ladder first, live, so a compactified tail reads its
+     bound once.  A truncated one takes T and the truncation error from a
+     table of the bound on every rung, read once per bound (_rungs), where
+     one bisection finds the first rung at or below tol/10, as a scan of
+     the ladder would.
   3. A log singularity at 0 is graded away by x = b u^4 on u in (0, 1]
      (Davis & Rabinowitz, 1984), where (0, b] is the interval of steps 1-2,
      and composed with step 2's map if there is one: f(x) ~ ln x becomes
@@ -49,7 +53,9 @@ IntegrandSpec, and it makes exactly one integrate_finite call, on spec.eval:
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -355,6 +361,20 @@ while _LADDER[-1] < 800.0:
     _LADDER.append(_LADDER[-1] * 1.25)
 
 
+@functools.lru_cache(maxsize=16)
+def _rungs(bound: Callable[[float], float]):
+    """(values, lows): bound on each rung of _LADDER, read once per bound.
+
+    lows are the negated running minima of values, so they ascend and their
+    first entry >= -x (one bisection) is the first rung whose value is <= x,
+    as a scan of the ladder would find it.  min(m, v) keeps m unless v < m,
+    so a NaN value is skipped.
+    """
+    values = tuple(map(bound, _LADDER))
+    mins = itertools.accumulate(values, min, initial=math.inf)
+    return values, tuple(-m for m in itertools.islice(mins, 1, None))
+
+
 def integrate(
     spec: IntegrandSpec,
     tol: float,
@@ -382,14 +402,17 @@ def integrate(
         mode, T, b = "compactify", _TAIL_SCALE, 1.0
     else:
         if truncate_at is None:
-            T = next(t for t in _LADDER if bound(t) <= tol / TAIL_SAFETY)
+            values, lows = _rungs(bound)
+            k = bisect.bisect_left(lows, -tol / TAIL_SAFETY)
+            T, trunc = _LADDER[k], values[k]
         elif bound is None:
             raise ValueError("a forced truncate_at needs a tail_bound")
         elif TRUNCATE_AT_MIN <= truncate_at <= TRUNCATE_AT_MAX:
             T = float(truncate_at)
+            trunc = bound(T)
         else:
             raise ValueError(f"truncate_at {truncate_at} outside [{TRUNCATE_AT_MIN}, {TRUNCATE_AT_MAX}]")
-        mode, trunc = "truncate", bound(T)
+        mode = "truncate"
         disc_tol = max(tol - trunc, 0.1 * tol, _TOL_MIN)
         b = T / (T + _TAIL_SCALE)
     res = integrate_finite(

@@ -24,7 +24,7 @@ import operator
 
 import numpy  # noqa: F401  (unused; perfbench's import-time probe expects it)
 
-from .integrands import IntegrandSpec, _binet_kernel, _horner
+from .integrands import IntegrandSpec, _binet_kernel
 from .quadrature import QuadratureResult, integrate
 
 __all__ = [
@@ -55,10 +55,16 @@ _THETA_KERNEL_SERIES = (
 _THETA_KERNEL_SWITCH = 0.25
 
 
-def _theta_kernel(t: float) -> float:
-    """(1/(e^t-1) - 1/t + 1/2)/t, stable down to t = 0."""
+def _theta_kernel(t: float, c=_THETA_KERNEL_SERIES) -> float:
+    """(1/(e^t-1) - 1/t + 1/2)/t, stable down to t = 0.
+
+    Below the switch it is the series in x = t^2, one Horner expression as
+    integrands' series are.
+    """
     if t < _THETA_KERNEL_SWITCH:
-        return _horner(_THETA_KERNEL_SERIES, t * t)
+        c0, c1, c2, c3, c4 = c
+        x = t * t
+        return (((c4 * x + c3) * x + c2) * x + c1) * x + c0
     return _binet_kernel(t) / t
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from glaisher import estimator, integrands
+from glaisher import estimator, integrands, specfun
 from glaisher.integrands import (
     INTEGRAND_IDS,
     IntegrandSpec,
@@ -240,3 +240,31 @@ def test_routes_evaluate_the_bodies_inside_their_domains(monkeypatch):
                 for budget in (None, 42, 129):
                     estimator.ln_a(route, 10.0 ** (-13 + k), truncate_at, budget)
     assert all(calls.values())
+
+
+def _loop_horner(coeffs, x):
+    """The reference Horner loop, highest power first, from acc = 0.0."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@pytest.mark.parametrize(
+    "body, coeffs, switch, x_of_t",
+    [
+        (integrands._binet13, integrands._BINET_SERIES, SERIES_SWITCH_T, lambda t: t),
+        (integrands._malmsten19, integrands._MALMSTEN_SERIES, SERIES_SWITCH_T, lambda t: t),
+        (specfun._theta_kernel, specfun._THETA_KERNEL_SERIES, specfun._THETA_KERNEL_SWITCH,
+         lambda t: t * t),
+    ],
+    ids=["binet", "malmsten", "theta_kernel"],
+)
+def test_straight_line_series_is_the_loop_bit_for_bit(body, coeffs, switch, x_of_t):
+    # 10^4 points below the switch: 5000 evenly spaced, 5000 log-spaced from
+    # 1e-12, and the switch's lower float neighbour.
+    points = [switch * (i + 1) / 5001 for i in range(5000)]
+    points += _log_grid(1e-12, switch, 5000)[:-1] + [math.nextafter(switch, 0.0)]
+    assert len(points) == 10_000 and max(points) < switch
+    for t in points:
+        assert body(t).hex() == _loop_horner(coeffs, x_of_t(t)).hex(), t

@@ -447,6 +447,49 @@ def test_algebraic_bound_is_read_once_before_compactifying():
     assert len(reads) == 1
 
 
+def _live_scan(bound, tol):
+    """The automatic rule's truncation point and bound, read rung by rung."""
+    T = next(t for t in quadrature._LADDER if bound(t) <= tol / quadrature.TAIL_SAFETY)
+    return T, bound(T)
+
+
+# A bound that is NaN on the first rungs and rises again between 20 and 40:
+# the rung table must still pick the first rung whose value meets tol/10.
+_IRREGULAR = IntegrandSpec(
+    eval=lambda t: math.exp(-t),
+    tail_bound=lambda T: math.nan if T < 7.0 else math.exp(-T) * (1e3 if 20.0 < T < 40.0 else 1.0),
+)
+
+
+@pytest.mark.parametrize("spec_id", ["classical", "malmsten_form19", "irregular"])
+def test_rung_table_picks_what_a_live_scan_picks(spec_id):
+    spec = _IRREGULAR if spec_id == "irregular" else get_integrand(spec_id)
+    for i in range(401):
+        tol = 10.0 ** (-14.0 + 12.0 * i / 400)
+        res = integrate(spec, tol)
+        assert res.truncation_mode == "truncate", tol
+        assert (res.truncation_T, res.truncation_error) == _live_scan(spec.tail_bound, tol), tol
+
+
+def test_a_warm_automatic_truncation_reads_its_bound_once():
+    reads = []
+
+    def bound(T):
+        reads.append(T)
+        return math.exp(-T)
+
+    spec = IntegrandSpec(eval=lambda t: math.exp(-t), tail_bound=bound)
+    cold = integrate(spec, 1e-8)
+    assert cold.truncation_mode == "truncate"
+    for tol in (1e-8, 1e-6, 1e-12):
+        reads.clear()
+        res = integrate(spec, tol)
+        # the live read of the top rung; the table answers the rest
+        assert reads == [quadrature._LADDER[-1]]
+        assert (res.truncation_T, res.truncation_error) == _live_scan(bound, tol)
+    assert integrate(spec, 1e-8) == cold
+
+
 def test_nan_propagates_as_error():
     with pytest.raises(EvaluationFailedError):
         integrate_finite(lambda x: math.nan, 0.0, 1.0, 1e-8)
