@@ -188,6 +188,7 @@ def _seq_bar(n: int) -> float:
 # at most TOL_MIN (n = 20): every accepted tol is met within the table, so
 # one bisection of it finds the smallest n whose bar is at most tol, and a
 # longer table would hold only bars that no accepted tol selects.
+# _limit_sequence_at reads the bars of these n from it, negated back.
 _N_AT_TOL_MIN = next(n for n in itertools.count(1) if _seq_bar(n) <= TOL_MIN)
 _NEG_SEQ_BARS = tuple(-_seq_bar(n) for n in range(1, _N_AT_TOL_MIN + 1))
 
@@ -200,10 +201,9 @@ def _limit_sequence_at(n: int, tol: float) -> ConstantEstimate:
     """
     term = specfun.glaisher_seq_log_term(n)
     x = 1.0 / (n * n)
-    correction = 0.0
-    for c in _SEQ_HORNER:
-        correction = (correction + c) * x
-    err = _seq_bar(n)
+    c3, c2, c1 = _SEQ_HORNER
+    correction = ((c3 * x + c2) * x + c1) * x
+    err = -_NEG_SEQ_BARS[n - 1] if n <= _N_AT_TOL_MIN else _seq_bar(n)
     # method ln_A discretization_error truncation_error evaluations converged
     return ConstantEstimate("limit_sequence", term + correction, err, 0.0, n, err <= tol)
 

@@ -139,6 +139,9 @@ N_MAX = 100_000
 # ln 2 pi as the integer nearest 2^_BITS times it; tests/test_specfun.py
 # rederives it in mpmath.
 _LN_2PI = 0x1D67F1C864BEB4A6929792002883240479F611F1A
+# ln 2 pi at the running sums' scale, and the scale of 24 times the term.
+_LN_2PI_SCALED = _LN_2PI << _GUARD
+_SCALE_24 = 24 << (_BITS + _GUARD)
 
 # The limit sequence's running sums (S1, S2): S1[m] = sum_{k<=m} ln k and
 # S2[m] = sum_{k<=m} k ln k for m = 0..len - 1, scaled by 2^(_BITS + _GUARD).
@@ -209,6 +212,6 @@ def glaisher_seq_log_term(n: int) -> float:
     s1, s2 = _sums(n)
     ln_n = s1[n] - s1[n - 1]
     ln_g = n * s1[n - 1] - s2[n - 1]
-    total = (12 * n * (_LN_2PI << _GUARD) + (12 * n * n - 2) * ln_n - 24 * ln_g
+    total = (12 * n * _LN_2PI_SCALED + (12 * n * n - 2) * ln_n - 24 * ln_g
              - ((18 * n * n - 2) << (_BITS + _GUARD)))
-    return total / (24 << (_BITS + _GUARD))
+    return total / _SCALE_24

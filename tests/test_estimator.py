@@ -290,6 +290,18 @@ class TestLimitSequence:
         assert all(a < b for a, b in itertools.pairwise(table))
         assert -table[-1] <= TOL_MIN < -table[-2]
 
+    def test_bar_and_correction_at_n_are_bit_for_bit(self):
+        # The bar comes from the table up to n = 20 and from _seq_bar above;
+        # the corrections' Horner sum is a loop's, highest k first.
+        for n in [*range(1, 41), 1000, N_MAX]:
+            x = 1.0 / (n * n)
+            correction = 0.0
+            for c in reversed(estimator._SEQ_CORRECTIONS[:3]):
+                correction = (correction + c) * x
+            est = _limit_sequence_at(n, 1e-10)
+            assert est.discretization_error.hex() == _seq_bar(n).hex(), n
+            assert est.ln_A.hex() == (glaisher_seq_log_term(n) + correction).hex(), n
+
     def test_one_term_per_call(self, monkeypatch):
         calls = []
         term = estimator.specfun.glaisher_seq_log_term
