@@ -25,7 +25,14 @@ import sys
 from collections import namedtuple
 
 from . import specfun
-from .integrands import SERIES_SWITCH_T, binet_integrand, get_integrand, malmsten_integrand
+from .integrands import (
+    SERIES_SWITCH_T,
+    _binet12,
+    _binet13,
+    _malmsten18,
+    _malmsten19,
+    get_integrand,
+)
 from .quadrature import DEFAULT_MAX_EVALS, PANEL_EVALS, integrate
 
 __all__ = [
@@ -233,6 +240,14 @@ def ln_a_limit_sequence(n_max: int = N_MAX, tol: float = 1e-10) -> ConstantEstim
     return _limit_sequence_at(n, tol)
 
 
+# form_equivalence's grid: of 200 log-spaced t in [1e-3, 10**1.7], the 102
+# from SERIES_SWITCH_T on.  Below it both forms of a pair are the same
+# series, so only the points above it can differ.
+_FORM_TS = tuple(
+    t for t in (10.0 ** (-3.0 + 4.7 * i / 199.0) for i in range(200)) if t >= SERIES_SWITCH_T
+)
+
+
 def identity_suites(tol: float = 1e-10) -> list[dict]:
     """Max residual per identity suite, with its threshold.
 
@@ -266,16 +281,14 @@ def identity_suites(tol: float = 1e-10) -> list[dict]:
         for z in malmsten_grid
     )
 
-    # 200 log-spaced t in [1e-3, 10**1.7]; below SERIES_SWITCH_T both forms
-    # of a pair are the same series, so only the points above it can differ.
-    grid = (10.0 ** (-3.0 + 4.7 * i / 199.0) for i in range(200))
-    ts = [t for t in grid if t >= SERIES_SWITCH_T]
+    # The bodies of the public binet_integrand and malmsten_integrand, on
+    # points that their checks would pass.
     r_forms = 0.0
-    for t in ts:
-        b12 = binet_integrand(t, 12)
-        b13 = binet_integrand(t, 13)
-        m18 = malmsten_integrand(t, 18)
-        m19 = malmsten_integrand(t, 19)
+    for t in _FORM_TS:
+        b12 = _binet12(t)
+        b13 = _binet13(t)
+        m18 = _malmsten18(t)
+        m19 = _malmsten19(t)
         r_forms = max(
             r_forms,
             abs(b12 - b13) / max(1.0, abs(b13)),

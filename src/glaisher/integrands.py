@@ -37,7 +37,8 @@ The registry holds the four route integrands, with Binet form 13 and
 Malmsten form 19; forms 12 and 18 are reached through the form argument.
 Its evaluators are bodies without checks, since quadrature evaluates only
 interior points of the domain; the public functions check their inputs
-(the domain, and the form) and then run the same bodies.
+(the domain, and the form) and then run the same bodies, as forms 12 and
+18 run theirs (estimator's form-equivalence suite calls all four bodies).
 """
 
 from __future__ import annotations
@@ -149,15 +150,19 @@ def _binet13(t: float, c=_BINET_SERIES) -> float:
     return (-math.expm1(-t / 2.0)) * bracket / (2.0 * t * t * t)
 
 
+def _binet12(t: float) -> float:
+    if t < SERIES_SWITCH_T:
+        return _binet13(t)  # the forms share their series
+    return _binet_kernel(t) * (-math.expm1(-t / 2.0)) / (t * t)
+
+
 def binet_integrand(t: float, form: int = 13) -> float:
     """Either printed form of the Binet-route integrand; limit 1/24 at 0."""
     if t <= 0.0:
         raise ValueError(f"binet integrand requires t > 0, got {t}")
     if form not in (12, 13):
         raise ValueError(f"form must be 12 or 13, got {form}")
-    if form == 12 and t >= SERIES_SWITCH_T:
-        return _binet_kernel(t) * (-math.expm1(-t / 2.0)) / (t * t)
-    return _binet13(t)
+    return _binet12(t) if form == 12 else _binet13(t)
 
 
 def _malmsten19(t: float, c=_MALMSTEN_SERIES) -> float:
@@ -172,20 +177,24 @@ def _malmsten19(t: float, c=_MALMSTEN_SERIES) -> float:
     return num * e / (8.0 * t * t * (-math.expm1(-t)))
 
 
+def _malmsten18(t: float) -> float:
+    if t < SERIES_SWITCH_T:
+        return _malmsten19(t)  # the forms share their series
+    bracket = (
+        0.125
+        - 1.0 / (2.0 * (-math.expm1(-t)))
+        + 1.0 / (t * (1.0 + math.exp(-t / 2.0)))
+    )
+    return bracket * math.exp(-t) / t
+
+
 def malmsten_integrand(t: float, form: int = 19) -> float:
     """Either printed form of the Malmsten-route integrand; limit -1/24 at 0."""
     if t <= 0.0:
         raise ValueError(f"malmsten integrand requires t > 0, got {t}")
     if form not in (18, 19):
         raise ValueError(f"form must be 18 or 19, got {form}")
-    if form == 18 and t >= SERIES_SWITCH_T:
-        bracket = (
-            0.125
-            - 1.0 / (2.0 * (-math.expm1(-t)))
-            + 1.0 / (t * (1.0 + math.exp(-t / 2.0)))
-        )
-        return bracket * math.exp(-t) / t
-    return _malmsten19(t)
+    return _malmsten18(t) if form == 18 else _malmsten19(t)
 
 
 def _lngamma_direct(x: float) -> float:

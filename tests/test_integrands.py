@@ -192,18 +192,22 @@ class TestTailBounds:
         assert integrate(finite, 1e-10).converged
 
 
-# registered id -> the public function that checks its inputs, then runs the body
+# registered id or unregistered form -> the public function that checks its
+# inputs, then runs the body
 _PUBLIC = {
     "classical": classical_integrand,
     "binet_form13": binet_integrand,
     "malmsten_form19": malmsten_integrand,
     "lngamma_direct": lngamma_direct_integrand,
+    **{form: f for form, (_, f) in _UNREGISTERED_FORMS.items()},
 }
+# unregistered form -> its body, which estimator's form-equivalence suite calls
+_BODIES = {"binet_form12": integrands._binet12, "malmsten_form18": integrands._malmsten18}
 
 
-@pytest.mark.parametrize("iid", INTEGRAND_IDS)
+@pytest.mark.parametrize("iid", [*INTEGRAND_IDS, *_BODIES])
 def test_registered_body_is_the_public_function_bit_for_bit(iid):
-    body = get_integrand(iid).eval
+    body = _BODIES[iid] if iid in _BODIES else get_integrand(iid).eval
     if iid == "lngamma_direct":
         points = [0.5 * i / 1000 for i in range(1001)]
     else:
