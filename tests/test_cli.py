@@ -209,6 +209,21 @@ class TestCheck:
         code, _, _ = run_cli(capsys, "check", "--tol", tol)
         assert code == 0
 
+    def test_failed_suite_exit_2(self, capsys, monkeypatch):
+        # Form 12 moved by 1e-12 leaves form_equivalence's residual near
+        # 1e-12, far above its 16 eps threshold; the other suites do not
+        # read form 12.
+        orig = estimator._binet12
+        monkeypatch.setattr(estimator, "_binet12", lambda t: orig(t) + 1e-12)
+        code, out, _ = run_cli(capsys, "check", "--format", "json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["all_passed"] is False
+        code, out, _ = run_cli(capsys, "check", "--format", "text")
+        assert code == 2
+        failed = [ln.split()[0] for ln in out.splitlines() if ln.endswith("FAIL")]
+        assert failed == ["form_equivalence"]
+
 
 def convergence_rows(out):
     """The rows of convergence CSV text, each a dict keyed by the header."""
