@@ -10,6 +10,12 @@ specfun's Binet theta
 and Malmsten ln Gamma, whose tails have no bound; the limit sequence's
 bound, and the Barnes G remainder bound it rests on, are checked at every n
 up to 1000 and on a grid up to N_MAX.
+
+The automatic rule's results are checked by enumeration: each is fixed by
+its truncation rung and quadrature level, so every accepted (tol, budget)
+returns one of the results of a few forced runs at TOL_MIN.  Still sampled
+are a forced truncate_at (a continuous T in [5, 500]), binet_theta(x),
+malmsten_log_gamma(z) and the limit sequence above n = 1000.
 """
 
 import math
@@ -30,6 +36,7 @@ from glaisher.estimator import (
 )
 from glaisher.integrands import get_integrand
 from glaisher.quadrature import (
+    _LADDER,
     PANEL_EVALS,
     TRUNCATE_AT_MAX,
     TRUNCATE_AT_MIN,
@@ -45,6 +52,8 @@ with mpmath.workdps(40):
     I_BINET = float(
         (mpmath.log(mpmath.glaisher) - mpmath.log(2) / 9 - mpmath.mpf(1) / 24) * 3 / 2
     )
+with mpmath.workdps(50):
+    LN_A_50 = mpmath.log(mpmath.glaisher)
 
 
 def _classical_integral_to(T):
@@ -319,3 +328,83 @@ def test_evaluation_budget_is_a_hard_cap(call):
     est = ln_a(route, tol, truncate_at, max_evals)
     assert est.evaluations <= max_evals
     _assert_budget_holds(est, tol)
+
+
+# The quadrature levels: K21 and Patterson's 43- and 87-point rules.
+LEVELS = (21, 43, 87)
+# Every rung of the automatic rule that a caller may force.
+FORCIBLE_RUNGS = [T for T in _LADDER if T <= TRUNCATE_AT_MAX]
+
+
+def _outcome(est):
+    """ln_a's result less converged, the one field that tol changes."""
+    return est._replace(converged=None)
+
+
+def _enumerated():
+    """route -> [(T, L, ln_a(route, TOL_MIN, T, L))], T None for the automatic rule.
+
+    A route's automatic result at any accepted (tol, budget) is fixed by its
+    rung T and the level it stops on, and the discretization tol at TOL_MIN
+    is the smallest there is.  So a run forced to that rung at TOL_MIN, with
+    the level as its budget, passes the same levels and stops on the same
+    one.  The automatic runs at TOL_MIN add the compactified tail.  201
+    calls in all.
+    """
+    found = {}
+    for route in ROUTES:
+        calls = [(None, L) for L in LEVELS]
+        if route in SEMI_INFINITE:
+            calls += [(T, L) for T in FORCIBLE_RUNGS for L in LEVELS]
+        found[route] = [(T, L, ln_a(route, TOL_MIN, T, L)) for T, L in calls]
+    return found
+
+
+ENUMERATED = _enumerated()
+
+
+def test_enumeration_forces_every_rung_up_to_500():
+    assert len(FORCIBLE_RUNGS) == 21 and FORCIBLE_RUNGS[-1] < TRUNCATE_AT_MAX < _LADDER[21]
+    assert sum(map(len, ENUMERATED.values())) == 201
+
+
+def test_automatic_rule_at_the_lowest_tol_picks_a_forcible_rung():
+    # classical truncates at 6.25, binet compactifies (reported as T = 5),
+    # malmsten truncates at 29.8, and direct_lgamma has no tail (T = 0).
+    for route, runs in ENUMERATED.items():
+        auto_T = {est.truncation_T for T, _, est in runs if T is None}
+        assert auto_T <= set(FORCIBLE_RUNGS if route in SEMI_INFINITE else [0.0]), route
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_error_budget_holds_at_every_enumerated_input(route):
+    # Each bar against mpmath at 50 digits.  Only a ratio <= 1 is asserted:
+    # Binet forced to T >= 277 comes within 0.4% of its bar, whose 1/(2T)
+    # tail bound is nearly the exact tail there (and those runs do not
+    # converge at TOL_MIN).
+    misses = []
+    with mpmath.workdps(50):
+        for T, L, est in ENUMERATED[route]:
+            bar = est.discretization_error + est.truncation_error
+            if est.evaluations > L or not abs(mpmath.mpf(est.ln_A) - LN_A_50) <= bar:
+                misses.append((T, L, est.evaluations, est.ln_A, bar))
+    assert not misses, f"{len(misses)} violations: {misses}"
+
+
+# Two log-spaced tols per decade and a budget on each side of every level:
+# a sample of the automatic rule's inputs, for the claim that the
+# enumeration holds every result the rule can return.
+COVER_TOLS = [min(TOL_MAX, max(TOL_MIN, 10.0 ** (-13 + i / 2))) for i in range(21)]
+COVER_BUDGETS = [None, 21, 42, 43, 86, 87, 100]
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_enumeration_covers_the_automatic_rule(route):
+    outcomes = {_outcome(est) for _, _, est in ENUMERATED[route]}
+    missing = [
+        (tol, max_evals)
+        for tol in COVER_TOLS
+        for max_evals in COVER_BUDGETS
+        if _outcome(ln_a(route, tol, None, max_evals)) not in outcomes
+    ]
+    assert not missing
