@@ -48,6 +48,7 @@ __all__ = [
     "ln_a",
     "ln_a_limit_sequence",
     "inner_tol",
+    "cross_check",
     "identity_suites",
     "construct_reference",
 ]
@@ -240,6 +241,17 @@ def ln_a_limit_sequence(n_max: int = N_MAX, tol: float = 1e-10) -> ConstantEstim
     return _limit_sequence_at(n, tol)
 
 
+def cross_check(tol: float = 1e-10, max_evals: int | None = None) -> tuple:
+    """ln_a of each route in ROUTES order, their spread and its limit 4 tol,
+    and compare's verdict: every route converged and spread <= limit.
+    """
+    estimates = [ln_a(m, tol, max_evals=max_evals) for m in ROUTES]
+    values = [e.ln_A for e in estimates]
+    spread = max(values) - min(values)
+    limit = 4.0 * tol
+    return estimates, spread, limit, spread <= limit and all(e.converged for e in estimates)
+
+
 # form_equivalence's grid: of 200 log-spaced t in [1e-3, 10**1.7], the 102
 # from SERIES_SWITCH_T on.  Below it both forms of a pair are the same
 # series, so only the points above it can differ.
@@ -248,8 +260,8 @@ _FORM_TS = tuple(
 )
 
 
-def identity_suites(tol: float = 1e-10) -> list[dict]:
-    """Max residual per identity suite, with its threshold.
+def identity_suites(tol: float = 1e-10) -> tuple[list[dict], list[bool]]:
+    """Max residual per identity suite, with its threshold, and whether each passed.
 
     Eq. (4) is no suite: it is the direct_lgamma row, which compare checks.
     Every quadrature inside a suite runs at inner_tol(tol), and its suite's
@@ -295,11 +307,12 @@ def identity_suites(tol: float = 1e-10) -> list[dict]:
             abs(m18 - m19) / max(1.0, abs(m19)),
         )
 
-    return [
+    suites = [
         {"suite": "binet_identity", "max_residual": r_binet, "threshold": 1e-9 * scale},
         {"suite": "malmsten_vs_lgamma", "max_residual": r_malmsten, "threshold": 1e-9 * scale},
         {"suite": "form_equivalence", "max_residual": r_forms, "threshold": 16 * sys.float_info.epsilon},
     ]
+    return suites, [s["max_residual"] <= s["threshold"] for s in suites]
 
 
 def construct_reference() -> tuple[float, float]:

@@ -17,6 +17,7 @@ from glaisher.estimator import (
     _limit_sequence_at,
     _seq_bar,
     construct_reference,
+    cross_check,
     identity_suites,
     inner_tol,
     ln_a,
@@ -341,6 +342,17 @@ class TestCrossValidation:
         for v in values:
             assert abs(v - LN_A_REFERENCE) <= 4e-9
 
+    @pytest.mark.parametrize("tol", [TOL_MIN, 1e-9, TOL_MAX])
+    @pytest.mark.parametrize("max_evals", [None, 21, 64])
+    def test_cross_check_runs_ln_a_on_every_route(self, tol, max_evals):
+        estimates, spread, limit, ok = cross_check(tol, max_evals)
+        expected = [ln_a(m, tol, max_evals=max_evals) for m in ROUTES]
+        assert [repr(e) for e in estimates] == [repr(e) for e in expected]
+        values = [e.ln_A for e in expected]
+        assert spread == max(values) - min(values)
+        assert limit == 4.0 * tol
+        assert ok is (spread <= limit and all(e.converged for e in expected))
+
     def test_reference_dual_construction(self):
         seq_path, quad_path = construct_reference()
         assert abs(seq_path - quad_path) <= 1e-11
@@ -428,7 +440,7 @@ class TestIdentitySuites:
             )
             assert t >= SERIES_SWITCH_T or r == 0.0
             residuals.append(r)
-        suites = {s["suite"]: s for s in identity_suites(1e-10)}
+        suites = {s["suite"]: s for s in identity_suites(1e-10)[0]}
         assert suites["form_equivalence"]["max_residual"] == max(residuals)
 
     def test_special_function_evaluations(self):

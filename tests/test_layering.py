@@ -1,4 +1,5 @@
-"""The package's modules import only downward, in one fixed order.
+"""The package's modules import only downward, in one fixed order, and the
+CLI computes no verdict of its own.
 
 The scan covers every import statement in a module, including imports
 inside functions and `from . import x`, because an import deferred into a
@@ -72,3 +73,38 @@ def test_imports_only_lower_modules(module):
     source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     allowed = set(ORDER[: ORDER.index(module)])
     assert imported_modules(source) <= allowed
+
+
+def ordering_comparisons(source: str, outside: str) -> list:
+    """Line numbers of <, <=, > and >= in source, except inside def outside."""
+    tree = ast.parse(source)
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == outside:
+            skip.update(id(n) for n in ast.walk(node))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and id(node) not in skip
+        and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+    ]
+
+
+def test_scan_sees_ordering_comparisons():
+    source = (
+        "def _validate(a):\n"
+        "    return a < 1\n"
+        "def run(a, b):\n"
+        "    ok = a <= 4.0 * b and a == b\n"
+        "    return 'pass' if a >= b else 'FAIL'\n"
+    )
+    assert ordering_comparisons(source, "_validate") == [4, 5]
+
+
+def test_cli_compares_only_its_arguments():
+    # Verdicts (compare's spread limit, check's thresholds) are the
+    # estimator's; the CLI checks its arguments' ranges in _validate and
+    # formats what the estimator returns.
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert ordering_comparisons(source, "_validate") == []
