@@ -121,8 +121,8 @@ def _classical(x: float) -> float:
 
 def classical_integrand(x: float) -> float:
     """x ln x / (e^{2 pi x} - 1); log-singular (but integrable) at 0."""
-    if x <= 0.0:
-        raise ValueError(f"classical integrand requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"classical integrand requires finite x > 0, got {x}")
     return _classical(x)
 
 
@@ -158,8 +158,8 @@ def _binet12(t: float) -> float:
 
 def binet_integrand(t: float, form: int = 13) -> float:
     """Either printed form of the Binet-route integrand; limit 1/24 at 0."""
-    if t <= 0.0:
-        raise ValueError(f"binet integrand requires t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"binet integrand requires finite t > 0, got {t}")
     if form not in (12, 13):
         raise ValueError(f"form must be 12 or 13, got {form}")
     return _binet12(t) if form == 12 else _binet13(t)
@@ -190,8 +190,8 @@ def _malmsten18(t: float) -> float:
 
 def malmsten_integrand(t: float, form: int = 19) -> float:
     """Either printed form of the Malmsten-route integrand; limit -1/24 at 0."""
-    if t <= 0.0:
-        raise ValueError(f"malmsten integrand requires t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"malmsten integrand requires finite t > 0, got {t}")
     if form not in (18, 19):
         raise ValueError(f"form must be 18 or 19, got {form}")
     return _malmsten18(t) if form == 18 else _malmsten19(t)

@@ -41,10 +41,9 @@ class TestClassical:
         assert classical_integrand(1000.0) == 0.0  # underflows cleanly
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            classical_integrand(0.0)
-        with pytest.raises(ValueError):
-            classical_integrand(-1.0)
+        for x in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite x > 0"):
+                classical_integrand(x)
 
 
 class TestBinetForms:
@@ -78,8 +77,9 @@ class TestBinetForms:
             assert binet_integrand(t, 13) > 0.0
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            binet_integrand(0.0)
+        for t in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite t > 0"):
+                binet_integrand(t)
         with pytest.raises(ValueError):
             binet_integrand(1.0, form=11)
 
@@ -116,8 +116,9 @@ class TestMalmstenForms:
         assert math.isfinite(malmsten_integrand(700.0, 18))
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            malmsten_integrand(-1.0)
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite t > 0"):
+                malmsten_integrand(t)
         with pytest.raises(ValueError):
             malmsten_integrand(1.0, form=20)
 
