@@ -34,16 +34,13 @@ IntegrandSpec, and it makes exactly one integrate_finite call, on spec.eval:
      way at least half of the nodes lie where t < 5, near the peak of every
      route's integrand, whatever T is.  A caller may force truncation at
      any T in [TRUNCATE_AT_MIN, TRUNCATE_AT_MAX].  Otherwise the automatic
-     rule decides: a bound that drops below a tenth of the tolerance at some
-     T of a fixed ladder up to ~850 (an exponential tail) is truncated at
-     the first such T, and any other tail (an algebraic one, or one without
-     a bound) is compactified, reported as T = 5, the map's t(1/2).  The
-     automatic rule relies on bounds that do not increase with T: it reads
-     the top of the ladder first, live, so a compactified tail reads its
-     bound once.  A truncated one takes T and the truncation error from a
-     table of the bound on every rung, read once per bound (_rungs), where
-     one bisection finds the first rung at or below tol/10, as a scan of
-     the ladder would.
+     rule decides from one table: the bound on each of the 21 rungs of a
+     fixed ladder over that range, read once per bound (_rungs).  A bound
+     that drops below a tenth of the tolerance on some rung (an exponential
+     tail) is truncated at the first such rung, which one bisection finds
+     as a scan of the ladder would; any other tail (an algebraic one, or
+     one without a bound) is compactified, reported as T = 5, the map's
+     t(1/2).  So every T the rule picks is one a caller may force.
   3. A log singularity at 0 is graded away by x = b u^4 on u in (0, 1]
      (Davis & Rabinowitz, 1984), where (0, b] is the interval of steps 1-2,
      and composed with step 2's map if there is one: f(x) ~ ln x becomes
@@ -354,23 +351,24 @@ def integrate_finite(
     return QuadratureResult(value, err, evals, err <= tol)
 
 
-# Truncation points of the automatic rule: T = 5 * 1.25^k up to the first
-# T >= 800.
-_LADDER = [5.0]
-while _LADDER[-1] < 800.0:
+# Truncation points of the automatic rule: T = 5 * 1.25^k up to
+# TRUNCATE_AT_MAX, 21 rungs, each of them one a caller may force.
+_LADDER = [TRUNCATE_AT_MIN]
+while _LADDER[-1] * 1.25 <= TRUNCATE_AT_MAX:
     _LADDER.append(_LADDER[-1] * 1.25)
 
 
 @functools.lru_cache(maxsize=16)
-def _rungs(bound: Callable[[float], float]):
+def _rungs(bound: Callable[[float], float] | None):
     """(values, lows): bound on each rung of _LADDER, read once per bound.
 
     lows are the negated running minima of values, so they ascend and their
     first entry >= -x (one bisection) is the first rung whose value is <= x,
-    as a scan of the ladder would find it.  min(m, v) keeps m unless v < m,
-    so a NaN value is skipped.
+    as a scan of the ladder would find it; past the end, no rung is.
+    min(m, v) keeps m unless v < m, so a NaN value is skipped.  No bound has
+    the empty table.
     """
-    values = tuple(map(bound, _LADDER))
+    values = () if bound is None else tuple(map(bound, _LADDER))
     mins = itertools.accumulate(values, min, initial=math.inf)
     return values, tuple(-m for m in itertools.islice(mins, 1, None))
 
@@ -383,12 +381,13 @@ def integrate(
 ) -> QuadratureResult:
     """Integrate spec over (0, spec.domain_upper) to absolute tolerance tol.
 
-    The steps are those of the module docstring; a forced truncate_at
-    applies to (0, inf) only and needs a tail_bound.  Truncation spends what
-    the bound leaves of tol on discretization (at least tol/10, never below
-    the engine's smallest tol); a forced truncation whose bound exceeds tol
-    (the slow-convergence pathology of an algebraic tail) is returned with
-    that bound as truncation_error and converged=False.
+    The steps are those of the module docstring.  The automatic rule reads
+    the tail bound only through its rung table; a forced truncate_at applies
+    to (0, inf) only, needs a tail_bound and reads it at T.  Truncation
+    spends what the bound leaves of tol on discretization (at least tol/10,
+    never below the engine's smallest tol); a forced truncation whose bound
+    exceeds tol (the slow-convergence pathology of an algebraic tail) is
+    returned with that bound as truncation_error and converged=False.
     """
     _check_tol(tol)
     b, bound, disc_tol = spec.domain_upper, spec.tail_bound, tol
@@ -397,22 +396,21 @@ def integrate(
     if not tail:
         if truncate_at is not None:
             raise ValueError(f"the domain [0, {b}] is finite; it takes no truncate_at")
-    elif truncate_at is None and (bound is None or not bound(_LADDER[-1]) <= tol / TAIL_SAFETY):
-        # "not <=" so that a NaN bound is compactified, never truncated.
-        mode, T, b = "compactify", _TAIL_SCALE, 1.0
-    else:
-        if truncate_at is None:
-            values, lows = _rungs(bound)
-            k = bisect.bisect_left(lows, -tol / TAIL_SAFETY)
-            T, trunc = _LADDER[k], values[k]
-        elif bound is None:
-            raise ValueError("a forced truncate_at needs a tail_bound")
-        elif TRUNCATE_AT_MIN <= truncate_at <= TRUNCATE_AT_MAX:
-            T = float(truncate_at)
-            trunc = bound(T)
+    elif truncate_at is None:
+        values, lows = _rungs(bound)
+        k = bisect.bisect_left(lows, -tol / TAIL_SAFETY)
+        if k < len(lows):
+            mode, T, trunc = "truncate", _LADDER[k], values[k]
         else:
-            raise ValueError(f"truncate_at {truncate_at} outside [{TRUNCATE_AT_MIN}, {TRUNCATE_AT_MAX}]")
-        mode = "truncate"
+            mode, T, b = "compactify", _TAIL_SCALE, 1.0
+    elif bound is None:
+        raise ValueError("a forced truncate_at needs a tail_bound")
+    elif TRUNCATE_AT_MIN <= truncate_at <= TRUNCATE_AT_MAX:
+        mode, T = "truncate", float(truncate_at)
+        trunc = bound(T)
+    else:
+        raise ValueError(f"truncate_at {truncate_at} outside [{TRUNCATE_AT_MIN}, {TRUNCATE_AT_MAX}]")
+    if mode == "truncate":
         disc_tol = max(tol - trunc, 0.1 * tol, _TOL_MIN)
         b = T / (T + _TAIL_SCALE)
     res = integrate_finite(

@@ -280,6 +280,7 @@ class TestLimitSequence:
             est = ln_a_limit_sequence(tol=tol)
             assert est.evaluations == n
             assert est.discretization_error <= tol
+            assert est.converged
             assert n == 1 or _limit_sequence_at(n - 1, tol).discretization_error > tol
             for n_max in {1, max(n - 1, 1), n, N_MAX}:
                 assert ln_a_limit_sequence(n_max, tol).evaluations == min(n, n_max)

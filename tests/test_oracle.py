@@ -1,21 +1,24 @@
 """Every route's error budget, checked against an mpmath oracle.
 
 mpmath computes ln A independently of this package (from its own Glaisher
-constant at 40 digits); it is a test-only dependency.  A hypothesis test
-checks over (route, tol, truncate_at, budget) that every evaluation budget
-is a hard cap and that every reported bound holds.  The engine's bar is also
-checked on the two mapped integrands, Binet's compactified tail and the
-classical route's truncated tail map with its log singularity graded, and on
-specfun's Binet theta
-and Malmsten ln Gamma, whose tails have no bound; the limit sequence's
-bound, and the Barnes G remainder bound it rests on, are checked at every n
-up to 1000 and on a grid up to N_MAX.
+constant at 40 digits); it is a test-only dependency.
 
-The automatic rule's results are checked by enumeration: each is fixed by
-its truncation rung and quadrature level, so every accepted (tol, budget)
-returns one of the results of a few forced runs at TOL_MIN.  Still sampled
-are a forced truncate_at (a continuous T in [5, 500]), binet_theta(x),
-malmsten_log_gamma(z) and the limit sequence above n = 1000.
+Enumerated: the automatic rule's results.  Each is fixed by its truncation
+rung (one of the 21 a caller may force, or the compactified tail) and its
+quadrature level, so every accepted (tol, budget) returns one of the results
+of 201 forced runs at TOL_MIN, whose bars are checked against mpmath at 50
+digits.  A sample of (tol, budget) checks that claim, that every budget is a
+hard cap and that a converged bar is within tol.  The limit sequence's bar,
+and the Barnes G remainder bound it rests on, are checked at every n up to
+1000, past any n a tol selects.
+
+Still sampled, since their inputs are continuous: a forced truncate_at (any
+T in [5, 500]; a hypothesis test over (route, tol, truncate_at, budget) and
+three T at every level edge), the engine's bar on the two mapped integrands
+(Binet's compactified tail at other scales, and the classical route's
+truncated tail map with its log singularity graded), specfun's binet_theta(x)
+and malmsten_log_gamma(z), whose tails have no bound, and the limit sequence
+above n = 1000.
 """
 
 import math
@@ -32,7 +35,6 @@ from glaisher.estimator import (
     TOL_MIN,
     _limit_sequence_at,
     ln_a,
-    ln_a_limit_sequence,
 )
 from glaisher.integrands import get_integrand
 from glaisher.quadrature import (
@@ -83,12 +85,6 @@ def _assert_budget_holds(est, tol):
     assert abs(est.ln_A - LN_A) <= budget
     if est.converged:
         assert budget <= tol
-
-
-@pytest.mark.parametrize("tol", TOLS)
-@pytest.mark.parametrize("route", list(ROUTES))
-def test_error_budget_holds(route, tol):
-    _assert_budget_holds(ln_a(route, tol), tol)
 
 
 @pytest.mark.parametrize("tol", TOLS)
@@ -224,21 +220,6 @@ def test_limit_sequence_bar_holds():
     assert worst <= 0.6
 
 
-def test_limit_sequence_at_tol_meets_it():
-    # The n that each of 201 log-spaced tols selects: the bar holds against
-    # mpmath and is within tol.  The worst error is 0.50 of the bar, at
-    # n = 19.
-    worst = 0.0
-    for i in range(201):
-        tol = 10.0 ** (-13 + i / 20)
-        est = ln_a_limit_sequence(tol=tol)
-        bar = est.discretization_error + est.truncation_error
-        assert abs(est.ln_A - LN_A) <= bar <= tol
-        assert est.converged
-        worst = max(worst, abs(est.ln_A - LN_A) / bar)
-    assert worst <= 0.6
-
-
 def _barnes_g_remainder(n, order):
     """The remainder of ln A - term(n) after `order` corrections, and the next.
 
@@ -284,14 +265,13 @@ LEVEL_EDGE_BUDGETS = [None, 42, 43, 86, 87, 128, 129]
 LEVEL_EDGE_TOLS = [min(TOL_MAX, max(TOL_MIN, 10.0 ** (-13 + i / 5))) for i in range(51)]
 
 
-@pytest.mark.parametrize("route", list(ROUTES))
+@pytest.mark.parametrize("route", SEMI_INFINITE)
 def test_error_budget_holds_at_the_level_edges(route):
-    # Every route, forced T in {auto, 5, 25, 500} where the domain is
-    # (0, inf), at every budget edge and tol: the budget is a hard cap, the
-    # bar covers the error and a converged bar is within tol.
-    Ts = [None, 5.0, 25.0, 500.0] if route in SEMI_INFINITE else [None]
+    # Forced T in {5, 25, 500}, at every budget edge and tol: the budget is a
+    # hard cap, the bar covers the error and a converged bar is within tol.
+    # The automatic rule's column runs in test_error_budget_holds.
     misses, worst = [], 0.0
-    for T in Ts:
+    for T in (5.0, 25.0, 500.0):
         for max_evals in LEVEL_EDGE_BUDGETS:
             for tol in LEVEL_EDGE_TOLS:
                 est = ln_a(route, tol, T, max_evals)
@@ -364,47 +344,57 @@ ENUMERATED = _enumerated()
 
 
 def test_enumeration_forces_every_rung_up_to_500():
-    assert len(FORCIBLE_RUNGS) == 21 and FORCIBLE_RUNGS[-1] < TRUNCATE_AT_MAX < _LADDER[21]
+    # The automatic rule picks only rungs of _LADDER, so it picks none that
+    # the enumeration could not force.
+    assert FORCIBLE_RUNGS == _LADDER and len(_LADDER) == 21
     assert sum(map(len, ENUMERATED.values())) == 201
-
-
-def test_automatic_rule_at_the_lowest_tol_picks_a_forcible_rung():
-    # classical truncates at 6.25, binet compactifies (reported as T = 5),
-    # malmsten truncates at 29.8, and direct_lgamma has no tail (T = 0).
-    for route, runs in ENUMERATED.items():
-        auto_T = {est.truncation_T for T, _, est in runs if T is None}
-        assert auto_T <= set(FORCIBLE_RUNGS if route in SEMI_INFINITE else [0.0]), route
 
 
 @pytest.mark.parametrize("route", list(ROUTES))
 def test_error_budget_holds_at_every_enumerated_input(route):
-    # Each bar against mpmath at 50 digits.  Only a ratio <= 1 is asserted:
-    # Binet forced to T >= 277 comes within 0.4% of its bar, whose 1/(2T)
-    # tail bound is nearly the exact tail there (and those runs do not
-    # converge at TOL_MIN).
-    misses = []
+    # Each bar against mpmath at 50 digits.  For Binet only a ratio <= 1 is
+    # asserted: forced to T >= 277 it comes within 0.4% of its bar, whose
+    # 1/(2T) tail bound is nearly the exact tail there (and those runs do
+    # not converge at TOL_MIN).  The other routes' worst is 0.44 (Malmsten).
+    misses, worst = [], 0.0
     with mpmath.workdps(50):
         for T, L, est in ENUMERATED[route]:
             bar = est.discretization_error + est.truncation_error
-            if est.evaluations > L or not abs(mpmath.mpf(est.ln_A) - LN_A_50) <= bar:
+            error = abs(mpmath.mpf(est.ln_A) - LN_A_50)
+            if est.evaluations > L or not error <= bar:
                 misses.append((T, L, est.evaluations, est.ln_A, bar))
+            elif error:
+                worst = max(worst, float(error / bar))
     assert not misses, f"{len(misses)} violations: {misses}"
+    assert worst <= (1.0 if route == "binet" else 0.5)
 
 
-# Two log-spaced tols per decade and a budget on each side of every level:
-# a sample of the automatic rule's inputs, for the claim that the
-# enumeration holds every result the rule can return.
-COVER_TOLS = [min(TOL_MAX, max(TOL_MIN, 10.0 ** (-13 + i / 2))) for i in range(21)]
-COVER_BUDGETS = [None, 21, 42, 43, 86, 87, 100]
+# TOLS, the level-edge tols and two log-spaced tols per decade, and a budget
+# on each side of every level: a sample of the automatic rule's inputs, for
+# the claim that the enumeration holds every result the rule can return.
+COVER_TOLS = sorted({
+    *TOLS,
+    *LEVEL_EDGE_TOLS,
+    *(min(TOL_MAX, max(TOL_MIN, 10.0 ** (-13 + i / 2))) for i in range(21)),
+})
+COVER_BUDGETS = [None, 21, 42, 43, 86, 87, 100, 128, 129]
+OUTCOMES = {route: {_outcome(est) for _, _, est in runs} for route, runs in ENUMERATED.items()}
 
 
+@pytest.mark.parametrize("tol", COVER_TOLS)
 @pytest.mark.parametrize("route", list(ROUTES))
-def test_enumeration_covers_the_automatic_rule(route):
-    outcomes = {_outcome(est) for _, _, est in ENUMERATED[route]}
-    missing = [
-        (tol, max_evals)
-        for tol in COVER_TOLS
-        for max_evals in COVER_BUDGETS
-        if _outcome(ln_a(route, tol, None, max_evals)) not in outcomes
-    ]
-    assert not missing
+def test_error_budget_holds(route, tol):
+    # The automatic rule at every budget: each result is an enumerated one,
+    # so its bar covers its error; the budget is a hard cap, and a converged
+    # bar is within tol.
+    misses = []
+    for max_evals in COVER_BUDGETS:
+        est = ln_a(route, tol, None, max_evals)
+        bar = est.discretization_error + est.truncation_error
+        if (
+            _outcome(est) not in OUTCOMES[route]
+            or (max_evals is not None and est.evaluations > max_evals)
+            or (est.converged and bar > tol)
+        ):
+            misses.append(max_evals)
+    assert not misses

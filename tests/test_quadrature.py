@@ -434,23 +434,12 @@ def test_finite_domain_spec():
         integrate(spec, 1e-8, 5.0)
 
 
-def test_algebraic_bound_is_read_once_before_compactifying():
-    reads = []
-
-    def bound(T):
-        reads.append(T)
-        return 1.0 / (2.0 * T)
-
-    spec = IntegrandSpec(eval=lambda t: 1.0 / (1.0 + t) ** 2, tail_bound=bound)
-    res = integrate(spec, 1e-8)
-    assert (res.truncation_mode, res.truncation_T) == ("compactify", 5.0)
-    assert len(reads) == 1
-
-
 def _live_scan(bound, tol):
-    """The automatic rule's truncation point and bound, read rung by rung."""
-    T = next(t for t in quadrature._LADDER if bound(t) <= tol / quadrature.TAIL_SAFETY)
-    return T, bound(T)
+    """The automatic rule's truncation point and bound read rung by rung, or "compactify"."""
+    for T in quadrature._LADDER if bound else ():
+        if bound(T) <= tol / quadrature.TAIL_SAFETY:
+            return T, bound(T)
+    return "compactify"
 
 
 # A bound that is NaN on the first rungs and rises again between 20 and 40:
@@ -461,33 +450,43 @@ _IRREGULAR = IntegrandSpec(
 )
 
 
-@pytest.mark.parametrize("spec_id", ["classical", "malmsten_form19", "irregular"])
+_SPECS = {
+    "irregular": _IRREGULAR,
+    "no_bound": IntegrandSpec(eval=lambda t: 1.0 / (1.0 + t) ** 2),
+    "nan_bound": IntegrandSpec(eval=lambda t: 1.0 / (1.0 + t) ** 2, tail_bound=lambda T: math.nan),
+}
+# Tails that no rung truncates at any tol: an algebraic bound, none, and NaN.
+_COMPACTIFIED = ["binet_form13", "no_bound", "nan_bound"]
+
+
+@pytest.mark.parametrize("spec_id", ["classical", "malmsten_form19", "irregular", *_COMPACTIFIED])
 def test_rung_table_picks_what_a_live_scan_picks(spec_id):
-    spec = _IRREGULAR if spec_id == "irregular" else get_integrand(spec_id)
+    spec = _SPECS.get(spec_id) or get_integrand(spec_id)
+    mode = "compactify" if spec_id in _COMPACTIFIED else "truncate"
     for i in range(401):
         tol = 10.0 ** (-14.0 + 12.0 * i / 400)
         res = integrate(spec, tol)
-        assert res.truncation_mode == "truncate", tol
-        assert (res.truncation_T, res.truncation_error) == _live_scan(spec.tail_bound, tol), tol
+        assert res.truncation_mode == mode, tol
+        picked = (res.truncation_T, res.truncation_error) if mode == "truncate" else mode
+        assert picked == _live_scan(spec.tail_bound, tol), tol
 
 
-def test_a_warm_automatic_truncation_reads_its_bound_once():
+@pytest.mark.parametrize("mode", ["compactify", "truncate"])
+def test_a_bound_is_read_once_on_each_rung(mode):
+    # An algebraic and an exponential bound: a cold automatic call reads the
+    # bound on every rung, into its table, and a warm one reads nothing.
     reads = []
 
     def bound(T):
         reads.append(T)
-        return math.exp(-T)
+        return 1.0 / (2.0 * T) if mode == "compactify" else math.exp(-T)
 
-    spec = IntegrandSpec(eval=lambda t: math.exp(-t), tail_bound=bound)
+    spec = IntegrandSpec(eval=lambda t: 1.0 / (1.0 + t) ** 2, tail_bound=bound)
     cold = integrate(spec, 1e-8)
-    assert cold.truncation_mode == "truncate"
-    for tol in (1e-8, 1e-6, 1e-12):
-        reads.clear()
-        res = integrate(spec, tol)
-        # the live read of the top rung; the table answers the rest
-        assert reads == [quadrature._LADDER[-1]]
-        assert (res.truncation_T, res.truncation_error) == _live_scan(bound, tol)
-    assert integrate(spec, 1e-8) == cold
+    assert cold.truncation_mode == mode and reads == quadrature._LADDER
+    reads.clear()
+    assert [integrate(spec, tol).truncation_mode for tol in (1e-6, 1e-12)] == [mode] * 2
+    assert integrate(spec, 1e-8) == cold and reads == []
 
 
 def test_nan_propagates_as_error():
