@@ -112,6 +112,19 @@ LEVEL_EDGES = [
     for budget in ("42", "43", "86", "87", "129")
 ]
 
+# A command followed by (option, value) pairs, at the edges of that shape: a
+# repeated option (the last one wins), a padded, empty, missing or negative
+# value, and clean pairs without the required --method.
+PAIR_EDGES = [
+    ["eval", "--method", "binet", "--tol", "1e-6", "--tol", "1e-8"],
+    ["compare", "--format", "json", "--format", "csv"],
+    ["eval", "--method", "binet", "--tol", " 1e-6"],
+    ["eval", "--method", "binet", "--tol", ""],
+    ["eval", "--method", "binet", "--tol"],
+    ["eval", "--tol", "1e-6", "--format", "json"],
+    ["eval", "--method", "binet", "--tol", "-1e-6"],
+]
+
 
 def commands():
     for tol in TOLS:
@@ -133,6 +146,7 @@ def commands():
     yield from ERRORS
     yield from BUDGET_EDGES
     yield from LEVEL_EDGES
+    yield from PAIR_EDGES
 
 
 def run(main, argv, tmp):
