@@ -53,30 +53,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and each command's own, built once per process.
+def _build_parser() -> tuple[_Parser, dict[str, _Parser], dict[str, tuple]]:
+    """The top-level parser, each command's own and its option table, built once.
 
     Parsing leaves them unchanged.  main hands a command's arguments straight
     to its parser; the top-level one parses only an argv that does not start
-    with a command, and reports what a command's parser left over.
+    with a command, and reports what a command's parser left over.  A
+    command's option table is what _fast_parse reads: the actions that
+    add_argument returned, by option string; the namespace's defaults, in
+    argparse's order; and the required actions.
     """
     p = _Parser(prog="glaisher", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
+    options = {}
+
+    def add(sp, *flags, **kwargs):
+        options.setdefault(sp, []).append(sp.add_argument(*flags, **kwargs))
 
     def common(sp, formats=("text", "json")):
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        sp.add_argument("--format", choices=formats, default="text")
-        sp.add_argument("--output", default=None, help="write the report here")
+        add(sp, "--tol", type=float, default=DEFAULT_TOL)
+        add(sp, "--format", choices=formats, default="text")
+        add(sp, "--output", default=None, help="write the report here")
 
     sp = sub.add_parser("eval", help="estimate ln A by one method")
     sp.set_defaults(run=_cmd_eval)
-    sp.add_argument("--method", required=True, choices=METHOD_CHOICES)
-    sp.add_argument("--budget", type=int, default=None, help="evaluation cap")
+    add(sp, "--method", required=True, choices=METHOD_CHOICES)
+    add(sp, "--budget", type=int, default=None, help="evaluation cap")
     common(sp, ("text", "json"))
 
     sp = sub.add_parser("compare", help="cross-check every integral route")
     sp.set_defaults(run=_cmd_compare)
-    sp.add_argument("--budget", type=int, default=None, help="per-method cap")
+    add(sp, "--budget", type=int, default=None, help="per-method cap")
     common(sp, ("text", "json", "csv"))
 
     sp = sub.add_parser("check", help="run the identity test suites")
@@ -85,13 +92,49 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     sp = sub.add_parser("convergence", help="emit convergence sweep CSV")
     sp.set_defaults(run=_cmd_convergence)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    sp.add_argument("--T-list", dest="T_list", default=None,
-                    help="comma-separated truncation points")
-    sp.add_argument("--budgets", default=None,
-                    help="comma-separated evaluation budgets")
-    sp.add_argument("--output", default=None, help="write the CSV here")
-    return p, sub.choices
+    add(sp, "--tol", type=float, default=DEFAULT_TOL)
+    add(sp, "--T-list", dest="T_list", default=None,
+        help="comma-separated truncation points")
+    add(sp, "--budgets", default=None,
+        help="comma-separated evaluation budgets")
+    add(sp, "--output", default=None, help="write the CSV here")
+    tables = {}
+    for name, sp in sub.choices.items():
+        actions = options[sp]
+        defaults = {**{a.dest: a.default for a in actions}, "run": sp.get_default("run")}
+        flags = {flag: a for a in actions for flag in a.option_strings}
+        tables[name] = flags, defaults, [a for a in actions if a.required]
+    return p, sub.choices, tables
+
+
+def _fast_parse(argv, tables) -> argparse.Namespace | None:
+    """The namespace that argv's command parser would return, or None.
+
+    Parses only a command followed by (option, value) pairs: each option one of
+    the command's option strings in full, each value non-empty, not starting
+    with "-", of the option's type and among its choices, and every required
+    option given.  Any other argv gets None and goes to argparse, so every
+    usage error and help text is argparse's own.
+    """
+    table = tables.get(argv[0]) if len(argv) % 2 else None
+    if table is None:
+        return None
+    flags, defaults, required = table
+    args = argparse.Namespace(command=argv[0], **defaults)
+    seen = set()
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        action = flags.get(flag)
+        if action is None or not value or value[0] == "-":
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        setattr(args, action.dest, value)
+        seen.add(action)
+    return args if seen.issuperset(required) else None
 
 
 def _parse_list(parser, text, cast, what, default):
@@ -230,18 +273,19 @@ def _cmd_convergence(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = _build_parser()
+    parser, commands, tables = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        command = commands.get(argv[0]) if argv else None
-        if command is None:
-            args = parser.parse_args(argv)
-        else:
+        args = _fast_parse(argv, tables)
+        command = commands.get(argv[0]) if argv and args is None else None
+        if command is not None:
             # What the top-level parser would do, without scanning argv first.
             args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
             if extra:
                 parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        elif args is None:
+            args = parser.parse_args(argv)
         _validate(parser, args)
         return args.run(args)
     except SystemExit as exc:

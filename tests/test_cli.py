@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import glaisher
 from glaisher import cli, estimator, integrands
@@ -334,7 +337,7 @@ class TestDispatch:
         ],
     )
     def test_a_command_skips_the_top_level_parse(self, capsys, monkeypatch, argv, code):
-        parser, _ = cli._build_parser()
+        parser = cli._build_parser()[0]
 
         def parse_args(args=None, namespace=None):
             raise AssertionError(f"top-level parse_args({args})")
@@ -344,7 +347,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("argv, code", [([], 64), (["--help"], 0), (["frobnicate"], 64)])
     def test_no_command_goes_to_the_top_level_parser(self, capsys, monkeypatch, argv, code):
-        parser, _ = cli._build_parser()
+        parser = cli._build_parser()[0]
         seen = []
         real = parser.parse_args
 
@@ -355,6 +358,107 @@ class TestDispatch:
         monkeypatch.setattr(parser, "parse_args", parse_args)
         assert run_cli(capsys, *argv)[0] == code
         assert seen == [argv]
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--method", "binet", "--tol", "1e-6", "--format", "json"],
+            ["compare", "--tol", "1e-6", "--format", "csv", "--budget", "100"],
+            ["check", "--tol", "1e-6", "--format", "json"],
+            ["convergence", "--tol", "1e-6", "--T-list", "25,50", "--budgets", "21,43"],
+        ],
+    )
+    def test_a_well_formed_command_skips_argparse(self, capsys, monkeypatch, argv):
+        _, commands, _ = cli._build_parser()
+
+        def parse_known_args(args=None, namespace=None):
+            raise AssertionError(f"parse_known_args({args})")
+
+        for command in commands.values():
+            monkeypatch.setattr(command, "parse_known_args", parse_known_args)
+        assert run_cli(capsys, *argv)[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["eval", "--meth", "binet"], 0),
+            (["eval", "--method=binet"], 0),
+            (["eval", "-h"], 0),
+            (["eval", "--method", "binet", "--budget", "-5"], 64),
+            (["eval", "--method", "binet", "extra"], 64),
+        ],
+    )
+    def test_any_other_command_goes_to_argparse_once(self, capsys, monkeypatch, argv, code):
+        command = cli._build_parser()[1]["eval"]
+        seen = []
+        real = command.parse_known_args
+
+        def parse_known_args(args=None, namespace=None):
+            seen.append(args)
+            return real(args, namespace)
+
+        monkeypatch.setattr(command, "parse_known_args", parse_known_args)
+        assert run_cli(capsys, *argv)[0] == code
+        assert seen == [argv[1:]]
+
+
+# Each command's option strings, and pieces of argv around them: values that
+# are valid, invalid, negative, empty, padded or NaN, help, "--" and strays.
+OPTIONS = {
+    "eval": ["--method", "--budget", "--tol", "--format", "--output"],
+    "compare": ["--budget", "--tol", "--format", "--output"],
+    "check": ["--tol", "--format", "--output"],
+    "convergence": ["--tol", "--T-list", "--budgets", "--output"],
+}
+VALUES = ["1e-6", "3.2e-07", "binet", "direct-lgamma", "limit_sequence", "json", "csv",
+          "text", "100", "21,43", "25,50", "out.txt", "abc", "xml", "zeta", "2.5", "-5",
+          "-1e-6", "", " ", " 1e-6", "100 ", "nan", "NaN", "-nan", "inf", "1e-20"]
+STRAYS = ["-h", "--help", "--", "extra", "check", "eval", "-", "--tol=1e-6",
+          "--method=binet", "--form", "--meth", "--bud", "--T", "--budget=100"]
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from([*OPTIONS, "frobnicate", "--tol"]))
+    flags = OPTIONS.get(command, OPTIONS["eval"])
+    pair = st.tuples(st.sampled_from(flags), st.sampled_from(VALUES))
+    piece = st.sampled_from([*flags, *VALUES, *STRAYS]).map(lambda word: (word,))
+    pieces = draw(st.lists(st.one_of(pair, pair, piece), max_size=6))
+    return [command, *(word for p in pieces for word in p)]
+
+
+def _same(a, b):
+    return a == b or (isinstance(a, float) and isinstance(b, float) and math.isnan(a)
+                      and math.isnan(b))
+
+
+class TestFastParse:
+    @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+    @given(_argvs())
+    def test_fast_parse_returns_what_argparse_returns(self, argv):
+        _, commands, tables = cli._build_parser()
+        fast = cli._fast_parse(argv, tables)
+        if fast is None:
+            return
+        try:
+            args, extra = commands[argv[0]].parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+        except SystemExit as exc:
+            raise AssertionError(f"argparse rejected {argv} that _fast_parse took") from exc
+        assert extra == []
+        assert list(vars(fast)) == list(vars(args))
+        assert all(_same(vars(fast)[k], vars(args)[k]) for k in vars(args))
+
+    def test_fast_parse_takes_pairs_and_nothing_else(self):
+        tables = cli._build_parser()[2]
+        argv = ["eval", "--method", "binet", "--tol", "nan", "--tol", " 1e-6"]
+        args = cli._fast_parse(argv, tables)
+        assert (args.command, args.method, args.tol, args.format) == ("eval", "binet", 1e-6, "text")
+        assert args.run is cli._cmd_eval
+        for bad in (argv[:-1], argv + ["extra"], ["eval", "--meth", "binet"], ["eval"],
+                    ["eval", "--method", "binet", "--tol", ""], [], ["--tol", "1e-6"]):
+            assert cli._fast_parse(bad, tables) is None
 
 
 class TestUsageErrors:
