@@ -9,6 +9,11 @@ Exit codes follow the sysexits convention where it applies:
 
 Machine-readable output (json, csv) is byte-deterministic: identical
 invocations produce identical bytes.
+
+A command followed by (option, value) pairs, each option spelt out in full,
+is parsed from that command's own option table; any other argv goes to
+argparse, which writes every help text and usage error.  JSON output is
+json.dumps(payload, indent=2), each dict of scalars by json's C encoder.
 """
 
 from __future__ import annotations
@@ -43,6 +48,9 @@ METHOD_CHOICES = sorted(
 )
 
 COMPARE_CSV_HEADER = "method,ln_A,disc_err,trunc_err,evaluations,converged"
+# What eval, compare and check report of an estimate, in order.
+_REPORTED_FIELDS = ("method", "ln_A", "discretization_error", "truncation_error",
+                   "evaluations", "converged")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,10 +64,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> tuple[_Parser, dict[str, _Parser], dict[str, tuple]]:
     """The top-level parser, each command's own and its option table, built once.
 
-    Parsing leaves them unchanged.  main hands a command's arguments straight
-    to its parser; the top-level one parses only an argv that does not start
-    with a command, and reports what a command's parser left over.  A
-    command's option table is what _fast_parse reads: the actions that
+    Parsing leaves them unchanged.  An option table holds the actions that
     add_argument returned, by option string; the namespace's defaults, in
     argparse's order; and the required actions.
     """
@@ -110,16 +115,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser], dict[str, tuple]]:
 def _fast_parse(argv, tables) -> argparse.Namespace | None:
     """The namespace that argv's command parser would return, or None.
 
-    Parses only a command followed by (option, value) pairs: each option one of
-    the command's option strings in full, each value non-empty, not starting
-    with "-", of the option's type and among its choices, and every required
-    option given.  Any other argv gets None and goes to argparse, so every
-    usage error and help text is argparse's own.
+    Each value must be non-empty, not start with "-", convert with its
+    option's type and pass its choices; every required option must be given.
     """
-    table = tables.get(argv[0]) if len(argv) % 2 else None
-    if table is None:
+    if not len(argv) % 2 or argv[0] not in tables:
         return None
-    flags, defaults, required = table
+    flags, defaults, required = tables[argv[0]]
     args = argparse.Namespace(command=argv[0], **defaults)
     seen = set()
     for flag, value in zip(argv[1::2], argv[2::2]):
@@ -185,14 +186,25 @@ def _validate(parser: _Parser, args) -> None:
 
 
 def _estimate_dict(est: ConstantEstimate) -> dict:
-    return {
-        "method": est.method,
-        "ln_A": est.ln_A,
-        "discretization_error": est.discretization_error,
-        "truncation_error": est.truncation_error,
-        "evaluations": est.evaluations,
-        "converged": est.converged,
-    }
+    return {name: getattr(est, name) for name in _REPORTED_FIELDS}
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def _json_text(obj, depth: int = 0) -> str:
+    """json.dumps(obj, indent=2) for string keys; json would indent in pure Python."""
+    if not obj or not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if not isinstance(obj, dict):
+        return "[" + inner + ("," + inner).join(_json_text(v, depth + 1) for v in obj) + outer + "]"
+    if all(v is None or isinstance(v, (str, int, float)) for v in obj.values()):
+        return "{" + inner + _flat_encoder(depth).encode(obj)[1:-1] + outer + "}"
+    items = (f"{json.dumps(k)}: {_json_text(v, depth + 1)}" for k, v in obj.items())
+    return "{" + inner + ("," + inner).join(items) + outer + "}"
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -213,31 +225,25 @@ def _cmd_eval(args) -> int:
     if not est.converged:
         payload["warning"] = "did not converge within the evaluation budget"
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(_json_text(payload) + "\n", args.output)
     else:
-        lines = [f"{k} = {v}" for k, v in payload.items()]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit("".join(f"{k} = {v}\n" for k, v in payload.items()), args.output)
     return EXIT_OK if est.converged else EXIT_NOT_CONVERGED
 
 
 def _cmd_compare(args) -> int:
     estimates, spread, limit, ok = estimator.cross_check(args.tol, args.budget)
     if args.format == "csv":
-        rows = [(e.method, e.ln_A, e.discretization_error, e.truncation_error,
-                 e.evaluations, e.converged) for e in estimates]
+        rows = [_estimate_dict(e).values() for e in estimates]
         _emit(bench.csv_text(COMPARE_CSV_HEADER, rows), args.output)
     elif args.format == "json":
-        payload = {
-            "estimates": [_estimate_dict(e) for e in estimates],
-            "max_spread": spread,
-            "spread_ok": ok,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        payload = {"estimates": [_estimate_dict(e) for e in estimates],
+                   "max_spread": spread, "spread_ok": ok}
+        _emit(_json_text(payload) + "\n", args.output)
     else:
         lines = [
             f"{e.method:>14s}  ln_A={e.ln_A:.15f}  disc={e.discretization_error:.2e}"
-            f"  trunc={e.truncation_error:.2e}  evals={e.evaluations}"
-            f"  converged={e.converged}"
+            f"  trunc={e.truncation_error:.2e}  evals={e.evaluations}  converged={e.converged}"
             for e in estimates
         ]
         lines.append(f"max pairwise spread = {spread:.3e} (limit {limit:.1e})")
@@ -250,12 +256,11 @@ def _cmd_check(args) -> int:
     ok = all(passed)
     if args.format == "json":
         payload = {"suites": suites, "all_passed": ok}
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(_json_text(payload) + "\n", args.output)
     else:
         lines = [
             f"{s['suite']:>20s}  max_residual={s['max_residual']:.3e}"
-            f"  threshold={s['threshold']:.1e}"
-            f"  {'pass' if p else 'FAIL'}"
+            f"  threshold={s['threshold']:.1e}  {'pass' if p else 'FAIL'}"
             for s, p in zip(suites, passed)
         ]
         _emit("\n".join(lines) + "\n", args.output)

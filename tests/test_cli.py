@@ -461,6 +461,49 @@ class TestFastParse:
             assert cli._fast_parse(bad, tables) is None
 
 
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+class TestJsonText:
+    """cli._json_text writes what json.dumps(payload, indent=2) writes."""
+
+    @staticmethod
+    def payloads():
+        est = estimator.ln_a("malmsten", 1e-10)
+        unconverged = cli._estimate_dict(estimator.ln_a("classical", 1e-13, max_evals=21))
+        unconverged["warning"] = "did not converge within the evaluation budget"
+        estimates, spread, _, ok = estimator.cross_check(1e-8, None)
+        suites, passed = estimator.identity_suites(1e-8)
+        nan, inf = float("nan"), float("inf")
+        return [
+            cli._estimate_dict(est),
+            unconverged,
+            {"estimates": [cli._estimate_dict(e) for e in estimates],
+             "max_spread": spread, "spread_ok": ok},
+            {"suites": suites, "all_passed": all(passed)},
+            {"nan": nan, "inf": inf, "-inf": -inf, "list": [nan, -inf, {"x": inf}]},
+            [], {}, {"empty": [], "also": {}}, [[], {}, [[]]], ([1, 2], (3,)),
+            {"method": "Malmstén", "note": "ünïcode ✓ \u2014 \"quoted\"\n"},
+            "Glaisher–Kinkelin", 0, 1.5, None, True,
+        ]
+
+    def test_payloads(self):
+        payloads = self.payloads()
+        assert "warning" in payloads[1] and not payloads[1]["converged"]
+        for payload in payloads:
+            assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_JSON)
+    def test_any_json_value(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
 class TestUsageErrors:
     def test_unknown_method(self, capsys):
         code, _, _ = run_cli(capsys, "eval", "--method", "zeta")
