@@ -1,5 +1,5 @@
 """The package's modules import only downward, in one fixed order, and the
-CLI computes no verdict of its own.
+CLI computes no verdict of its own and reads no private attribute.
 
 The scan covers every import statement in a module, including imports
 inside functions and `from . import x`, because an import deferred into a
@@ -108,3 +108,31 @@ def test_cli_compares_only_its_arguments():
     # formats what the estimator returns.
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert ordering_comparisons(source, "_validate") == []
+
+
+def private_attributes(source: str) -> list:
+    """(line, name) of every attribute in source whose name starts with one underscore."""
+    return [
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+    ]
+
+
+def test_scan_sees_private_attributes():
+    source = (
+        "actions = parser._actions\n"
+        "name = type(parser).__name__\n"
+        "flags = [a.option_strings for a in actions]\n"
+        "store = isinstance(a, argparse._StoreAction)\n"
+    )
+    assert private_attributes(source) == [(1, "_actions"), (4, "_StoreAction")]
+
+
+def test_cli_reads_no_private_attribute():
+    # The CLI's own parse reads argparse's actions through their public
+    # attributes (option_strings, dest, type, choices, default, required).
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert private_attributes(source) == []
