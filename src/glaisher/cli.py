@@ -10,9 +10,9 @@ Exit codes follow the sysexits convention where it applies:
 Machine-readable output (json, csv) is byte-deterministic: identical
 invocations produce identical bytes.
 
-A command followed by (option, value) pairs, each option spelt out in full,
-is parsed from that command's own option table; any other argv goes to
-argparse, which writes every help text and usage error.  JSON output is
+A well-formed command (a command, then pairs of an option spelt out in full
+and a non-empty value that does not start with "-" and converts) is parsed
+from its own option table, any other argv by argparse.  JSON output is
 json.dumps(payload, indent=2), each dict of scalars by json's C encoder.
 """
 
@@ -65,9 +65,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser], dict[str, tuple]]:
     """The top-level parser, each command's own and its option table, built once.
 
     Parsing leaves them unchanged.  An option table holds the actions that
-    add_argument returned, by option string; the namespace's defaults, in
-    argparse's order; and the required actions.
-    """
+    add_argument returned, by option string, the namespace's defaults in
+    argparse's order, and the required actions."""
     p = _Parser(prog="glaisher", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
     options = {}
@@ -112,15 +111,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser], dict[str, tuple]]:
     return p, sub.choices, tables
 
 
-def _fast_parse(argv, tables) -> argparse.Namespace | None:
-    """The namespace that argv's command parser would return, or None.
-
-    Each value must be non-empty, not start with "-", convert with its
-    option's type and pass its choices; every required option must be given.
-    """
-    if not len(argv) % 2 or argv[0] not in tables:
+def _fast_parse(argv, table) -> argparse.Namespace | None:
+    """The namespace that argv's command parser would return if argv is a
+    well-formed command (module docstring), else None; table is the command's."""
+    if not len(argv) % 2:
         return None
-    flags, defaults, required = tables[argv[0]]
+    flags, defaults, required = table
     args = argparse.Namespace(command=argv[0], **defaults)
     seen = set()
     for flag, value in zip(argv[1::2], argv[2::2]):
@@ -227,7 +223,8 @@ def _cmd_eval(args) -> int:
     if args.format == "json":
         _emit(_json_text(payload) + "\n", args.output)
     else:
-        _emit("".join(f"{k} = {v}\n" for k, v in payload.items()), args.output)
+        lines = [f"{k} = {v}" for k, v in payload.items()]
+        _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK if est.converged else EXIT_NOT_CONVERGED
 
 
@@ -237,13 +234,17 @@ def _cmd_compare(args) -> int:
         rows = [_estimate_dict(e).values() for e in estimates]
         _emit(bench.csv_text(COMPARE_CSV_HEADER, rows), args.output)
     elif args.format == "json":
-        payload = {"estimates": [_estimate_dict(e) for e in estimates],
-                   "max_spread": spread, "spread_ok": ok}
+        payload = {
+            "estimates": [_estimate_dict(e) for e in estimates],
+            "max_spread": spread,
+            "spread_ok": ok,
+        }
         _emit(_json_text(payload) + "\n", args.output)
     else:
         lines = [
             f"{e.method:>14s}  ln_A={e.ln_A:.15f}  disc={e.discretization_error:.2e}"
-            f"  trunc={e.truncation_error:.2e}  evals={e.evaluations}  converged={e.converged}"
+            f"  trunc={e.truncation_error:.2e}  evals={e.evaluations}"
+            f"  converged={e.converged}"
             for e in estimates
         ]
         lines.append(f"max pairwise spread = {spread:.3e} (limit {limit:.1e})")
@@ -260,7 +261,8 @@ def _cmd_check(args) -> int:
     else:
         lines = [
             f"{s['suite']:>20s}  max_residual={s['max_residual']:.3e}"
-            f"  threshold={s['threshold']:.1e}  {'pass' if p else 'FAIL'}"
+            f"  threshold={s['threshold']:.1e}"
+            f"  {'pass' if p else 'FAIL'}"
             for s, p in zip(suites, passed)
         ]
         _emit("\n".join(lines) + "\n", args.output)
@@ -282,15 +284,14 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _fast_parse(argv, tables)
-        command = commands.get(argv[0]) if argv and args is None else None
-        if command is not None:
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        elif (args := _fast_parse(argv, tables[argv[0]])) is None:
             # What the top-level parser would do, without scanning argv first.
             args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
             if extra:
                 parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        elif args is None:
-            args = parser.parse_args(argv)
         _validate(parser, args)
         return args.run(args)
     except SystemExit as exc:

@@ -438,7 +438,7 @@ class TestFastParse:
     @given(_argvs())
     def test_fast_parse_returns_what_argparse_returns(self, argv):
         _, commands, tables = cli._build_parser()
-        fast = cli._fast_parse(argv, tables)
+        fast = cli._fast_parse(argv, tables[argv[0]]) if argv[0] in tables else None
         if fast is None:
             return
         try:
@@ -451,14 +451,14 @@ class TestFastParse:
         assert all(_same(vars(fast)[k], vars(args)[k]) for k in vars(args))
 
     def test_fast_parse_takes_pairs_and_nothing_else(self):
-        tables = cli._build_parser()[2]
+        table = cli._build_parser()[2]["eval"]
         argv = ["eval", "--method", "binet", "--tol", "nan", "--tol", " 1e-6"]
-        args = cli._fast_parse(argv, tables)
+        args = cli._fast_parse(argv, table)
         assert (args.command, args.method, args.tol, args.format) == ("eval", "binet", 1e-6, "text")
         assert args.run is cli._cmd_eval
         for bad in (argv[:-1], argv + ["extra"], ["eval", "--meth", "binet"], ["eval"],
-                    ["eval", "--method", "binet", "--tol", ""], [], ["--tol", "1e-6"]):
-            assert cli._fast_parse(bad, tables) is None
+                    ["eval", "--method", "binet", "--tol", ""], ["eval", "--tol", "1e-6"]):
+            assert cli._fast_parse(bad, table) is None
 
 
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
