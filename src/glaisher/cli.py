@@ -12,8 +12,9 @@ invocations produce identical bytes.
 
 A well-formed command (a command, then pairs of an option spelt out in full
 and a non-empty value that does not start with "-" and converts) is parsed
-from its own option table, any other argv by argparse.  JSON output is
-json.dumps(payload, indent=2), each dict of scalars by json's C encoder.
+from its own option table, any other argv by the top-level argparse parser.
+JSON output is json.dumps(payload, indent=2), each dict of scalars by json's
+C encoder.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> tuple[_Parser, dict[str, _Parser], dict[str, tuple]]:
-    """The top-level parser, each command's own and its option table, built once.
+def _build_parser() -> tuple[_Parser, dict[str, tuple]]:
+    """The top-level parser and each command's option table, built once.
 
     Parsing leaves them unchanged.  An option table holds the actions that
     add_argument returned, by option string, the namespace's defaults in
@@ -108,11 +109,11 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser], dict[str, tuple]]:
         defaults = {**{a.dest: a.default for a in actions}, "run": sp.get_default("run")}
         flags = {flag: a for a in actions for flag in a.option_strings}
         tables[name] = flags, defaults, [a for a in actions if a.required]
-    return p, sub.choices, tables
+    return p, tables
 
 
 def _fast_parse(argv, table) -> argparse.Namespace | None:
-    """The namespace that argv's command parser would return if argv is a
+    """The namespace that the top-level parser would return if argv is a
     well-formed command (module docstring), else None; table is the command's."""
     if not len(argv) % 2:
         return None
@@ -280,18 +281,15 @@ def _cmd_convergence(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands, tables = _build_parser()
+    """Run one command; a well-formed one skips argparse, any other argv goes
+    to the top-level parser.  Returns the exit code."""
+    parser, tables = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        command = commands.get(argv[0]) if argv else None
-        if command is None:
+        table = tables.get(argv[0]) if argv else None
+        if table is None or (args := _fast_parse(argv, table)) is None:
             args = parser.parse_args(argv)
-        elif (args := _fast_parse(argv, tables[argv[0]])) is None:
-            # What the top-level parser would do, without scanning argv first.
-            args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if extra:
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
         _validate(parser, args)
         return args.run(args)
     except SystemExit as exc:

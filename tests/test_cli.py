@@ -326,24 +326,8 @@ class TestDeterminism:
 
 
 class TestDispatch:
-    """A command's arguments go straight to its own parser, parsed once."""
-
-    @pytest.mark.parametrize(
-        "argv, code",
-        [
-            (["eval", "--method", "binet", "--tol", "1e-6"], 0),
-            (["eval", "--method", "binet", "extra"], 64),
-            (["eval", "-h"], 0),
-        ],
-    )
-    def test_a_command_skips_the_top_level_parse(self, capsys, monkeypatch, argv, code):
-        parser = cli._build_parser()[0]
-
-        def parse_args(args=None, namespace=None):
-            raise AssertionError(f"top-level parse_args({args})")
-
-        monkeypatch.setattr(parser, "parse_args", parse_args)
-        assert run_cli(capsys, *argv)[0] == code
+    """A well-formed command skips argparse; any other argv goes to the
+    top-level parser, parsed once."""
 
     @pytest.mark.parametrize("argv, code", [([], 64), (["--help"], 0), (["frobnicate"], 64)])
     def test_no_command_goes_to_the_top_level_parser(self, capsys, monkeypatch, argv, code):
@@ -359,7 +343,6 @@ class TestDispatch:
         assert run_cli(capsys, *argv)[0] == code
         assert seen == [argv]
 
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -367,16 +350,20 @@ class TestDispatch:
             ["compare", "--tol", "1e-6", "--format", "csv", "--budget", "100"],
             ["check", "--tol", "1e-6", "--format", "json"],
             ["convergence", "--tol", "1e-6", "--T-list", "25,50", "--budgets", "21,43"],
+            ["eval", "--method", "binet", "--tol", "1e-6"],
         ],
     )
     def test_a_well_formed_command_skips_argparse(self, capsys, monkeypatch, argv):
-        _, commands, _ = cli._build_parser()
+        parser = cli._build_parser()[0]
 
-        def parse_known_args(args=None, namespace=None):
+        def parse_args(args=None, namespace=None):
+            raise AssertionError(f"top-level parse_args({args})")
+
+        def parse_known_args(self, args=None, namespace=None):
             raise AssertionError(f"parse_known_args({args})")
 
-        for command in commands.values():
-            monkeypatch.setattr(command, "parse_known_args", parse_known_args)
+        monkeypatch.setattr(parser, "parse_args", parse_args)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", parse_known_args)
         assert run_cli(capsys, *argv)[0] == 0
 
     @pytest.mark.parametrize(
@@ -390,17 +377,17 @@ class TestDispatch:
         ],
     )
     def test_any_other_command_goes_to_argparse_once(self, capsys, monkeypatch, argv, code):
-        command = cli._build_parser()[1]["eval"]
+        parser = cli._build_parser()[0]
         seen = []
-        real = command.parse_known_args
+        real = parser.parse_args
 
-        def parse_known_args(args=None, namespace=None):
+        def parse_args(args=None, namespace=None):
             seen.append(args)
             return real(args, namespace)
 
-        monkeypatch.setattr(command, "parse_known_args", parse_known_args)
+        monkeypatch.setattr(parser, "parse_args", parse_args)
         assert run_cli(capsys, *argv)[0] == code
-        assert seen == [argv[1:]]
+        assert seen == [argv]
 
 
 # Each command's option strings, and pieces of argv around them: values that
@@ -437,13 +424,12 @@ class TestFastParse:
     @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
     @given(_argvs())
     def test_fast_parse_returns_what_argparse_returns(self, argv):
-        _, commands, tables = cli._build_parser()
+        parser, tables = cli._build_parser()
         fast = cli._fast_parse(argv, tables[argv[0]]) if argv[0] in tables else None
         if fast is None:
             return
         try:
-            args, extra = commands[argv[0]].parse_known_args(
-                argv[1:], argparse.Namespace(command=argv[0]))
+            args, extra = parser.parse_known_args(argv)
         except SystemExit as exc:
             raise AssertionError(f"argparse rejected {argv} that _fast_parse took") from exc
         assert extra == []
@@ -451,7 +437,7 @@ class TestFastParse:
         assert all(_same(vars(fast)[k], vars(args)[k]) for k in vars(args))
 
     def test_fast_parse_takes_pairs_and_nothing_else(self):
-        table = cli._build_parser()[2]["eval"]
+        table = cli._build_parser()[1]["eval"]
         argv = ["eval", "--method", "binet", "--tol", "nan", "--tol", " 1e-6"]
         args = cli._fast_parse(argv, table)
         assert (args.command, args.method, args.tol, args.format) == ("eval", "binet", 1e-6, "text")

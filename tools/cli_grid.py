@@ -81,8 +81,8 @@ ERRORS = [
     ["eval", "--method", "malmsten", "--format", "json", "--output", OUT],
     ["compare", "--format", "csv", "--output", OUT],
     ["convergence", "--T-list", "25,50", "--budgets", "64,128", "--output", OUT],
-    # Shapes where the top-level parser takes part in parsing a command:
-    # leftovers, abbreviations, "=" values, help, "--", options before it.
+    # Shapes that are no well-formed command, so the top-level parser parses
+    # them: leftovers, abbreviations, "=" values, help, "--", options first.
     ["eval", "--method", "binet", "extra"],
     ["compare", "--budget", "100", "check"],
     ["eval", "--meth", "binet", "--form", "json"],
