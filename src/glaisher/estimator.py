@@ -267,7 +267,9 @@ def identity_suites(tol: float = 1e-10) -> tuple[list[dict], list[bool]]:
     Every quadrature inside a suite runs at inner_tol(tol), and its suite's
     threshold is set for tol = 1e-10 and scales linearly with it.
     form_equivalence compares printed forms, so its residual is rounding
-    alone (7.8 eps at worst) and its threshold a fixed 16 eps.
+    alone (7.8 eps at worst) and its threshold a fixed 16 eps.  The residual
+    is absolute: no form reaches 1/24 in magnitude on its grid (0.0396 at
+    most), so a relative one would divide by max(1, |form|) = 1.
     """
     _check_tol(tol)
     scale = tol / 1e-10
@@ -295,17 +297,10 @@ def identity_suites(tol: float = 1e-10) -> tuple[list[dict], list[bool]]:
 
     # The bodies of the public binet_integrand and malmsten_integrand, on
     # points that their checks would pass.
-    r_forms = 0.0
-    for t in _FORM_TS:
-        b12 = _binet12(t)
-        b13 = _binet13(t)
-        m18 = _malmsten18(t)
-        m19 = _malmsten19(t)
-        r_forms = max(
-            r_forms,
-            abs(b12 - b13) / max(1.0, abs(b13)),
-            abs(m18 - m19) / max(1.0, abs(m19)),
-        )
+    r_forms = max(
+        max(map(abs, map(operator.sub, map(first, _FORM_TS), map(second, _FORM_TS))))
+        for first, second in ((_binet12, _binet13), (_malmsten18, _malmsten19))
+    )
 
     suites = [
         {"suite": "binet_identity", "max_residual": r_binet, "threshold": 1e-9 * scale},

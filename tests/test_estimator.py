@@ -14,6 +14,7 @@ from glaisher.estimator import (
     ROUTES,
     TOL_MAX,
     TOL_MIN,
+    _FORM_TS,
     _limit_sequence_at,
     _seq_bar,
     construct_reference,
@@ -25,6 +26,10 @@ from glaisher.estimator import (
 )
 from glaisher.integrands import (
     SERIES_SWITCH_T,
+    _binet12,
+    _binet13,
+    _malmsten18,
+    _malmsten19,
     binet_integrand,
     get_integrand,
     lngamma_direct_integrand,
@@ -443,6 +448,12 @@ class TestIdentitySuites:
             residuals.append(r)
         suites = {s["suite"]: s for s in identity_suites(1e-10)[0]}
         assert suites["form_equivalence"]["max_residual"] == max(residuals)
+
+    @pytest.mark.parametrize("form", [_binet12, _binet13, _malmsten18, _malmsten19])
+    def test_every_form_is_below_one_24th_on_the_grid(self, form):
+        # Why form_equivalence's absolute residual equals the relative one
+        # above: max(1, |form|) is 1 at every point of the grid.
+        assert all(abs(form(t)) < 1 / 24 for t in _FORM_TS)
 
     def test_special_function_evaluations(self):
         evals = []
