@@ -89,6 +89,8 @@ N_MAX = specfun.N_MAX
 # Per method, the smallest and the largest max_evals of ln_a (None: no cap).
 # A route needs one panel; the limit sequence's max_evals caps its n.
 BUDGET_RANGE = {**dict.fromkeys(ROUTES, (PANEL_EVALS, None)), "limit_sequence": (1, N_MAX)}
+# The limit sequence's range of n_max, bound once for ln_a_limit_sequence.
+_N_MAX_FLOOR, _N_MAX_CAP = BUDGET_RANGE["limit_sequence"]
 
 # ln A = term(n) + sum_k c_k / n^(2k) asymptotically, with c_k =
 # B_{2k+2} / (4k(k+1)) (the Barnes G expansion, DLMF 5.17.5).  For real n > 0
@@ -212,8 +214,14 @@ def _limit_sequence_at(n: int, tol: float) -> ConstantEstimate:
     c3, c2, c1 = _SEQ_HORNER
     correction = ((c3 * x + c2) * x + c1) * x
     err = -_NEG_SEQ_BARS[n - 1] if n <= _N_AT_TOL_MIN else _seq_bar(n)
+    # All eight fields, as namedtuple's generated __new__ stores them after
+    # binding its arguments in Python; that binding costs as much again as
+    # tuple.__new__, about a tenth of a warm limit-sequence call.
     # method ln_A discretization_error truncation_error evaluations converged
-    return ConstantEstimate("limit_sequence", term + correction, err, 0.0, n, err <= tol)
+    # truncation_T truncation_mode
+    return tuple.__new__(ConstantEstimate, (
+        "limit_sequence", term + correction, err, 0.0, n, err <= tol, 0.0, "none",
+    ))
 
 
 def ln_a_limit_sequence(n_max: int = N_MAX, tol: float = 1e-10) -> ConstantEstimate:
@@ -233,12 +241,11 @@ def ln_a_limit_sequence(n_max: int = N_MAX, tol: float = 1e-10) -> ConstantEstim
         n_max = operator.index(n_max)
     except TypeError:
         raise ValueError(f"n_max must be an integer, got {n_max!r}") from None
-    floor, cap = BUDGET_RANGE["limit_sequence"]
-    if not floor <= n_max <= cap:
-        raise ValueError(f"n_max {n_max} outside [{floor}, {cap}]")
+    if not _N_MAX_FLOOR <= n_max <= _N_MAX_CAP:
+        raise ValueError(f"n_max {n_max} outside [{_N_MAX_FLOOR}, {_N_MAX_CAP}]")
     _check_tol(tol)
-    n = min(bisect.bisect_left(_NEG_SEQ_BARS, -tol) + 1, n_max)
-    return _limit_sequence_at(n, tol)
+    n = bisect.bisect_left(_NEG_SEQ_BARS, -tol) + 1
+    return _limit_sequence_at(n if n < n_max else n_max, tol)
 
 
 def cross_check(tol: float = 1e-10, max_evals: int | None = None) -> tuple:

@@ -209,7 +209,9 @@ def glaisher_seq_log_term(n: int) -> float:
         raise ValueError(f"glaisher_seq_log_term requires an integer n, got {n!r}") from None
     if not 1 <= n <= N_MAX:
         raise ValueError(f"glaisher_seq_log_term requires n in [1, {N_MAX}], got {n}")
-    s1, s2 = _sums(n)
+    s1, s2 = _SUMS
+    if len(s1) <= n:
+        s1, s2 = _sums(n)
     ln_n = s1[n] - s1[n - 1]
     ln_g = n * s1[n - 1] - s2[n - 1]
     total = (12 * n * _LN_2PI_SCALED + (12 * n * n - 2) * ln_n - 24 * ln_g

@@ -14,6 +14,7 @@ from glaisher.estimator import (
     ROUTES,
     TOL_MAX,
     TOL_MIN,
+    ConstantEstimate,
     _FORM_TS,
     _limit_sequence_at,
     _seq_bar,
@@ -308,6 +309,14 @@ class TestLimitSequence:
             est = _limit_sequence_at(n, 1e-10)
             assert est.discretization_error.hex() == _seq_bar(n).hex(), n
             assert est.ln_A.hex() == (glaisher_seq_log_term(n) + correction).hex(), n
+            # The record is built without namedtuple's __new__; it must be
+            # the one that constructor would build, defaults included.
+            assert type(est) is ConstantEstimate
+            assert len(est) == 8
+            assert est == ConstantEstimate(
+                est.method, est.ln_A, est.discretization_error, est.truncation_error,
+                est.evaluations, est.converged,
+            )
 
     def test_one_term_per_call(self, monkeypatch):
         calls = []
@@ -325,9 +334,9 @@ class TestLimitSequence:
                 assert calls == [est.evaluations]
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n_max 0 outside \[1, 100000\]$"):
             ln_a_limit_sequence(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n_max 100001 outside \[1, 100000\]$"):
             ln_a_limit_sequence(N_MAX + 1)
         for n in (1000.5, 1000.0):
             with pytest.raises(ValueError):
