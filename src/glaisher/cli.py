@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import bench, estimator
@@ -206,7 +207,18 @@ def _json_text(obj, depth: int = 0) -> str:
 
 def _emit(text: str, output: str | None) -> None:
     if output is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"glaisher: cannot write stdout: {exc}", file=sys.stderr)
+            # What stdout still buffers would fail again at the interpreter's
+            # final flush; send it to os.devnull (the Python docs' recipe for
+            # a broken pipe, in the signal module's notes on SIGPIPE).
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise SystemExit(EXIT_IO) from None
         return
     try:
         with open(output, "w", encoding="utf-8") as fh:

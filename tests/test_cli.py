@@ -288,6 +288,31 @@ class TestConvergence:
         )
         assert code == 74
 
+    def _run_with_stdout(self, stdout):
+        return subprocess.run(
+            [sys.executable, "-m", "glaisher.cli", "eval", "--method", "binet"],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_exit_74(self):
+        with open("/dev/full", "w") as full:
+            proc = self._run_with_stdout(full)
+        assert proc.returncode == 74
+        assert proc.stderr == (
+            "glaisher: cannot write stdout: [Errno 28] No space left on device\n"
+        )
+
+    def test_closed_pipe_stdout_exit_74(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self._run_with_stdout(write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 74
+        assert proc.stderr == "glaisher: cannot write stdout: [Errno 32] Broken pipe\n"
+
     def test_convergence_counts_its_integrand_values(self, capsys, node_calls):
         # Each truncation point runs on the first panel of its own tail map,
         # and each node sweep reuses a run at every smaller budget down to
