@@ -46,6 +46,9 @@ ERRORS = [
     [],
     ["--help"],
     ["eval", "--help"],
+    ["compare", "--help"],
+    ["check", "--help"],
+    ["convergence", "--help"],
     ["frobnicate"],
     ["eval"],
     ["eval", "--method", "zeta"],
