@@ -10,9 +10,11 @@ Exit codes follow the sysexits convention where it applies:
 Machine-readable output (json, csv) is byte-deterministic: identical
 invocations produce identical bytes.
 
-A well-formed command (a command, then pairs of an option spelt out in full
-and a non-empty value that does not start with "-" and converts) is parsed
-from its own option table, any other argv by the top-level argparse parser.
+_COMMANDS states the CLI: each command's help line, run function and
+options.  A well-formed command (a command, then pairs of an option spelt out
+in full and a non-empty value that does not start with "-" and converts) is
+parsed from that table; argparse's parser is built from it only for any other
+argv (help, abbreviations, "--opt=value", leftovers) and for usage errors.
 JSON output is json.dumps(payload, indent=2), each dict of scalars by json's
 C encoder.
 """
@@ -61,82 +63,50 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    def print_help(self, file=None):
+        """Help goes to stdout through _emit, so a failed write exits 74."""
+        _emit(self.format_help(), None)
+
 
 @functools.cache
-def _build_parser() -> tuple[_Parser, dict[str, tuple]]:
-    """The top-level parser and each command's option table, built once.
-
-    Parsing leaves them unchanged.  An option table holds the actions that
-    add_argument returned, by option string, the namespace's defaults in
-    argparse's order, and the required actions."""
-    p = _Parser(prog="glaisher", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="command", required=True)
-    options = {}
-
-    def add(sp, *flags, **kwargs):
-        options.setdefault(sp, []).append(sp.add_argument(*flags, **kwargs))
-
-    def common(sp, formats=("text", "json")):
-        add(sp, "--tol", type=float, default=DEFAULT_TOL)
-        add(sp, "--format", choices=formats, default="text")
-        add(sp, "--output", default=None, help="write the report here")
-
-    sp = sub.add_parser("eval", help="estimate ln A by one method")
-    sp.set_defaults(run=_cmd_eval)
-    add(sp, "--method", required=True, choices=METHOD_CHOICES)
-    add(sp, "--budget", type=int, default=None, help="evaluation cap")
-    common(sp, ("text", "json"))
-
-    sp = sub.add_parser("compare", help="cross-check every integral route")
-    sp.set_defaults(run=_cmd_compare)
-    add(sp, "--budget", type=int, default=None, help="per-method cap")
-    common(sp, ("text", "json", "csv"))
-
-    sp = sub.add_parser("check", help="run the identity test suites")
-    sp.set_defaults(run=_cmd_check)
-    common(sp, ("text", "json"))
-
-    sp = sub.add_parser("convergence", help="emit convergence sweep CSV")
-    sp.set_defaults(run=_cmd_convergence)
-    add(sp, "--tol", type=float, default=DEFAULT_TOL)
-    add(sp, "--T-list", dest="T_list", default=None,
-        help="comma-separated truncation points")
-    add(sp, "--budgets", default=None,
-        help="comma-separated evaluation budgets")
-    add(sp, "--output", default=None, help="write the CSV here")
-    tables = {}
-    for name, sp in sub.choices.items():
-        actions = options[sp]
-        defaults = {**{a.dest: a.default for a in actions}, "run": sp.get_default("run")}
-        flags = {flag: a for a in actions for flag in a.option_strings}
-        tables[name] = flags, defaults, [a for a in actions if a.required]
-    return p, tables
+def _build_parser() -> _Parser:
+    """The argparse parser of _COMMANDS, built once; parsing leaves it unchanged."""
+    parser = _Parser(prog="glaisher", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (line, run, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=line)
+        sp.set_defaults(run=run)
+        for flag, (dest, type_, choices, default, required, help_) in options.items():
+            sp.add_argument(flag, dest=dest, type=type_, choices=choices,
+                            default=default, required=required, help=help_)
+    return parser
 
 
-def _fast_parse(argv, table) -> argparse.Namespace | None:
-    """The namespace that the top-level parser would return if argv is a
-    well-formed command (module docstring), else None; table is the command's."""
-    if not len(argv) % 2:
+def _fast_parse(argv) -> argparse.Namespace | None:
+    """The namespace that _build_parser() would return if argv is a
+    well-formed command (module docstring), else None."""
+    if not len(argv) % 2 or (command := _COMMANDS.get(argv[0])) is None:
         return None
-    flags, defaults, required = table
-    args = argparse.Namespace(command=argv[0], **defaults)
-    seen = set()
+    _, run, options = command
+    args = argparse.Namespace()
+    vars(args).update(command=argv[0], **{o[0]: o[3] for o in options.values()}, run=run)
     for flag, value in zip(argv[1::2], argv[2::2]):
-        action = flags.get(flag)
-        if action is None or not value or value[0] == "-":
+        option = options.get(flag)
+        if option is None or not value or value[0] == "-":
             return None
+        dest, type_, choices = option[:3]
         try:
-            value = value if action.type is None else action.type(value)
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            value = value if type_ is None else type_(value)
+        except ValueError:
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        setattr(args, action.dest, value)
-        seen.add(action)
-    return args if seen.issuperset(required) else None
+        setattr(args, dest, value)
+    # A flag in argv is in an option's place: no value starts with "-".
+    return args if all(flag in argv for flag, o in options.items() if o[4]) else None
 
 
-def _parse_list(parser, text, cast, what, default):
+def _parse_list(text, cast, what, default):
     """The comma-separated values of text, or default if the option was not given.
 
     An empty item ("25,,50", ",25", "64,") is rejected, not skipped.
@@ -145,22 +115,22 @@ def _parse_list(parser, text, cast, what, default):
         return default
     parts = text.split(",")
     if not any(parts):
-        parser.error(f"empty {what} list")
+        _build_parser().error(f"empty {what} list")
     if not all(parts):
-        parser.error(f"empty item in {what} list {text!r}")
+        _build_parser().error(f"empty item in {what} list {text!r}")
     try:
         return [cast(part) for part in parts]
     except ValueError:
-        parser.error(f"cannot parse {what} list {text!r}")
+        _build_parser().error(f"cannot parse {what} list {text!r}")
 
 
-def _validate(parser: _Parser, args) -> None:
+def _validate(args) -> None:
     """Reject arguments outside the estimator's and the sweeps' ranges; parse lists.
 
     eval's --method is normalised to the estimator's spelling here.
     """
     if not TOL_MIN <= args.tol <= TOL_MAX:
-        parser.error(f"--tol must lie in [{TOL_MIN}, {TOL_MAX}], got {args.tol}")
+        _build_parser().error(f"--tol must lie in [{TOL_MIN}, {TOL_MAX}], got {args.tol}")
     if args.command == "eval":
         args.method = args.method.replace("-", "_")
     budget = getattr(args, "budget", None)
@@ -169,18 +139,18 @@ def _validate(parser: _Parser, args) -> None:
         for method in [args.method] if args.command == "eval" else estimator.ROUTES:
             floor, cap = estimator.BUDGET_RANGE[method]
             if budget < floor:
-                parser.error(f"--budget must be at least {floor}, got {budget}")
+                _build_parser().error(f"--budget must be at least {floor}, got {budget}")
             if cap is not None and budget > cap:
                 name = method.replace("_", "-")
-                parser.error(f"--budget of {name} must be at most {cap}, got {budget}")
+                _build_parser().error(f"--budget of {name} must be at most {cap}, got {budget}")
     if args.command == "convergence":
-        args.T_list = _parse_list(parser, args.T_list, float, "T", DEFAULT_T_LIST)
-        args.budgets = _parse_list(parser, args.budgets, int, "budget", DEFAULT_BUDGETS)
+        args.T_list = _parse_list(args.T_list, float, "T", DEFAULT_T_LIST)
+        args.budgets = _parse_list(args.budgets, int, "budget", DEFAULT_BUDGETS)
         try:
             bench.check_T_list(args.T_list)
             bench.check_budgets(args.budgets)
         except ValueError as exc:
-            parser.error(str(exc))
+            _build_parser().error(str(exc))
 
 
 def _estimate_dict(est: ConstantEstimate) -> dict:
@@ -292,17 +262,43 @@ def _cmd_convergence(args) -> int:
     return EXIT_OK
 
 
+# The CLI, per command: its help line, its run function and its options,
+# flag -> (dest, type, choices, default, required, help), in argparse's order.
+_TOL = ("tol", float, None, DEFAULT_TOL, False, None)
+
+
+def _report_options(formats) -> dict:
+    """--tol, --format and --output, as eval, compare and check take them."""
+    return {"--tol": _TOL, "--format": ("format", None, formats, "text", False, None),
+            "--output": ("output", None, None, None, False, "write the report here")}
+
+
+_COMMANDS = {
+    "eval": ("estimate ln A by one method", _cmd_eval, {
+        "--method": ("method", None, METHOD_CHOICES, None, True, None),
+        "--budget": ("budget", int, None, None, False, "evaluation cap"),
+        **_report_options(("text", "json"))}),
+    "compare": ("cross-check every integral route", _cmd_compare, {
+        "--budget": ("budget", int, None, None, False, "per-method cap"),
+        **_report_options(("text", "json", "csv"))}),
+    "check": ("run the identity test suites", _cmd_check, _report_options(("text", "json"))),
+    "convergence": ("emit convergence sweep CSV", _cmd_convergence, {
+        "--tol": _TOL,
+        "--T-list": ("T_list", None, None, None, False, "comma-separated truncation points"),
+        "--budgets": ("budgets", None, None, None, False, "comma-separated evaluation budgets"),
+        "--output": ("output", None, None, None, False, "write the CSV here")}),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; a well-formed one skips argparse, any other argv goes
-    to the top-level parser.  Returns the exit code."""
-    parser, tables = _build_parser()
+    to the parser built from _COMMANDS.  Returns the exit code."""
     if argv is None:
         argv = sys.argv[1:]
     try:
-        table = tables.get(argv[0]) if argv else None
-        if table is None or (args := _fast_parse(argv, table)) is None:
-            args = parser.parse_args(argv)
-        _validate(parser, args)
+        if (args := _fast_parse(argv)) is None:
+            args = _build_parser().parse_args(argv)
+        _validate(args)
         return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -288,10 +288,10 @@ class TestConvergence:
         )
         assert code == 74
 
-    def _run_with_stdout(self, stdout):
+    def _run_with_stdout(self, stdout, argv=("eval", "--method", "binet"), env=CHILD_ENV):
         return subprocess.run(
-            [sys.executable, "-m", "glaisher.cli", "eval", "--method", "binet"],
-            stdout=stdout, stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
+            [sys.executable, "-m", "glaisher.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
         )
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -312,6 +312,31 @@ class TestConvergence:
             os.close(write_end)
         assert proc.returncode == 74
         assert proc.stderr == "glaisher: cannot write stdout: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "-h"]], ids=" ".join)
+    @pytest.mark.parametrize("sink", ["full", "closed_pipe"])
+    def test_help_on_unwritable_stdout_exit_74(self, argv, buffered, sink):
+        # Help goes through the reports' writer: one line on stderr, no traceback.
+        env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        if sink == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("needs /dev/full")
+            with open("/dev/full", "w") as full:
+                proc = self._run_with_stdout(full, argv, env)
+            reason = "[Errno 28] No space left on device"
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = self._run_with_stdout(write_end, argv, env)
+            finally:
+                os.close(write_end)
+            reason = "[Errno 32] Broken pipe"
+        assert proc.returncode == 74
+        assert proc.stderr == f"glaisher: cannot write stdout: {reason}\n"
 
     def test_convergence_counts_its_integrand_values(self, capsys, node_calls):
         # Each truncation point runs on the first panel of its own tail map,
@@ -356,7 +381,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("argv, code", [([], 64), (["--help"], 0), (["frobnicate"], 64)])
     def test_no_command_goes_to_the_top_level_parser(self, capsys, monkeypatch, argv, code):
-        parser = cli._build_parser()[0]
+        parser = cli._build_parser()
         seen = []
         real = parser.parse_args
 
@@ -379,7 +404,7 @@ class TestDispatch:
         ],
     )
     def test_a_well_formed_command_skips_argparse(self, capsys, monkeypatch, argv):
-        parser = cli._build_parser()[0]
+        parser = cli._build_parser()
 
         def parse_args(args=None, namespace=None):
             raise AssertionError(f"top-level parse_args({args})")
@@ -402,7 +427,7 @@ class TestDispatch:
         ],
     )
     def test_any_other_command_goes_to_argparse_once(self, capsys, monkeypatch, argv, code):
-        parser = cli._build_parser()[0]
+        parser = cli._build_parser()
         seen = []
         real = parser.parse_args
 
@@ -413,6 +438,19 @@ class TestDispatch:
         monkeypatch.setattr(parser, "parse_args", parse_args)
         assert run_cli(capsys, *argv)[0] == code
         assert seen == [argv]
+
+    def test_argparse_is_built_only_when_a_command_needs_it(self, capsys):
+        cli._build_parser.cache_clear()
+        for argv in (["eval", "--method", "binet", "--tol", "1e-6", "--format", "json"],
+                     ["compare", "--tol", "1e-6", "--format", "csv"],
+                     ["check", "--tol", "1e-6"],
+                     ["convergence", "--tol", "1e-6", "--T-list", "25", "--budgets", "21"]):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert cli._build_parser.cache_info().currsize == 0
+        code, _, err = run_cli(capsys, "eval", "--method", "binet", "--tol", "1e-20")
+        assert code == 64
+        assert err.startswith("usage: glaisher [-h] {eval,compare,check,convergence} ...\n")
+        assert cli._build_parser.cache_info().currsize == 1
 
 
 # Each command's option strings, and pieces of argv around them: values that
@@ -449,8 +487,8 @@ class TestFastParse:
     @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
     @given(_argvs())
     def test_fast_parse_returns_what_argparse_returns(self, argv):
-        parser, tables = cli._build_parser()
-        fast = cli._fast_parse(argv, tables[argv[0]]) if argv[0] in tables else None
+        parser = cli._build_parser()
+        fast = cli._fast_parse(argv)
         if fast is None:
             return
         try:
@@ -462,14 +500,13 @@ class TestFastParse:
         assert all(_same(vars(fast)[k], vars(args)[k]) for k in vars(args))
 
     def test_fast_parse_takes_pairs_and_nothing_else(self):
-        table = cli._build_parser()[1]["eval"]
         argv = ["eval", "--method", "binet", "--tol", "nan", "--tol", " 1e-6"]
-        args = cli._fast_parse(argv, table)
+        args = cli._fast_parse(argv)
         assert (args.command, args.method, args.tol, args.format) == ("eval", "binet", 1e-6, "text")
         assert args.run is cli._cmd_eval
         for bad in (argv[:-1], argv + ["extra"], ["eval", "--meth", "binet"], ["eval"],
                     ["eval", "--method", "binet", "--tol", ""], ["eval", "--tol", "1e-6"]):
-            assert cli._fast_parse(bad, table) is None
+            assert cli._fast_parse(bad) is None
 
 
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))

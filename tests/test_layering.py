@@ -132,7 +132,15 @@ def test_scan_sees_private_attributes():
 
 
 def test_cli_reads_no_private_attribute():
-    # The CLI's own parse reads argparse's actions through their public
-    # attributes (option_strings, dest, type, choices, default, required).
+    # The CLI uses argparse through its public methods only.
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert private_attributes(source) == []
+
+
+def test_cli_reads_no_argparse_action():
+    # cli._COMMANDS states the CLI and argparse is built from it, so no
+    # option is read back out of argparse's actions.
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    read = {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+    assert not read & {"option_strings", "dest", "type", "choices", "default", "required",
+                       "nargs", "get_default"}
