@@ -33,7 +33,7 @@ def cli_grid_lines():
 
 
 def test_cli_grid_runs_every_command(cli_grid_lines):
-    assert len(cli_grid_lines) == 1023
+    assert len(cli_grid_lines) == 1032
     assert all("argv" in json.loads(line) for line in cli_grid_lines)
 
 

@@ -84,6 +84,19 @@ ERRORS = [
     ["eval", "--method", "malmsten", "--format", "json", "--output", OUT],
     ["compare", "--format", "csv", "--output", OUT],
     ["convergence", "--T-list", "25,50", "--budgets", "64,128", "--output", OUT],
+    ["eval", "--method", "binet", "--format", "text", "--output", OUT],
+    ["compare", "--format", "json", "--output", OUT],
+    ["compare", "--format", "text", "--output", OUT],
+    ["check", "--format", "json", "--output", OUT],
+    ["check", "--format", "text", "--output", OUT],
+    ["compare", "--output", "/no/such/dir/compare.txt"],
+    ["check", "--output", "/no/such/dir/check.txt"],
+    # Runs that do not converge, to an unwritable file: the I/O error (74)
+    # beats the verdict (2).
+    ["eval", "--method", "classical", "--tol", "1e-13", "--budget", "21",
+     "--output", "/no/such/dir/eval.txt"],
+    ["compare", "--tol", "1e-13", "--budget", "21", "--format", "csv",
+     "--output", "/no/such/dir/compare.csv"],
     # Shapes that are no well-formed command, so the top-level parser parses
     # them: leftovers, abbreviations, "=" values, help, "--", options first.
     ["eval", "--method", "binet", "extra"],
