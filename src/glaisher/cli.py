@@ -11,18 +11,21 @@ Machine-readable output (json, csv) is byte-deterministic: identical
 invocations produce identical bytes.
 
 _COMMANDS states the CLI: each command's help line, run function and
-options.  A well-formed command (a command, then pairs of an option spelt out
-in full and a non-empty value that does not start with "-" and converts) is
-parsed from that table; argparse's parser is built from it only for any other
-argv (help, abbreviations, "--opt=value", leftovers) and for usage errors.
-JSON output is json.dumps(payload, indent=2), each dict of scalars by json's
-C encoder.
+options with every default.  A well-formed command (a command, then pairs of
+an option spelt out in full and a non-empty value that does not start with
+"-" and converts) is parsed from that table; argparse's parser is built from
+it only for any other argv (help, abbreviations, "--opt=value", leftovers)
+and for usage errors.  A run function returns (verdict, report text) and
+writes nothing: main writes the report once, to stdout or --output, and
+exits 0 if the verdict holds, else 2.  JSON output is
+json.dumps(payload, indent=2), each dict of scalars by json's C encoder.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -36,15 +39,6 @@ EXIT_NOT_CONVERGED = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 EXIT_IO = 74
-
-# Defaults, in one place:
-#   tol        1e-10 (comfortably inside every route's supported range)
-#   T_list     the grid used for the published truncation comparison
-#   budgets    one evaluation budget per level of the quadrature: K21 and
-#              Patterson's 43- and 87-point rules
-DEFAULT_TOL = 1e-10
-DEFAULT_T_LIST = [25.0, 50.0, 100.0, 200.0]
-DEFAULT_BUDGETS = [21, 43, 87]
 
 # --method accepts each estimator method with underscores or dashes.
 METHOD_CHOICES = sorted(
@@ -106,13 +100,11 @@ def _fast_parse(argv) -> argparse.Namespace | None:
     return args if all(flag in argv for flag, o in options.items() if o[4]) else None
 
 
-def _parse_list(text, cast, what, default):
-    """The comma-separated values of text, or default if the option was not given.
+def _parse_list(text, cast, what):
+    """The comma-separated values of text.
 
     An empty item ("25,,50", ",25", "64,") is rejected, not skipped.
     """
-    if text is None:
-        return default
     parts = text.split(",")
     if not any(parts):
         _build_parser().error(f"empty {what} list")
@@ -144,8 +136,8 @@ def _validate(args) -> None:
                 name = method.replace("_", "-")
                 _build_parser().error(f"--budget of {name} must be at most {cap}, got {budget}")
     if args.command == "convergence":
-        args.T_list = _parse_list(args.T_list, float, "T", DEFAULT_T_LIST)
-        args.budgets = _parse_list(args.budgets, int, "budget", DEFAULT_BUDGETS)
+        args.T_list = _parse_list(args.T_list, float, "T")
+        args.budgets = _parse_list(args.budgets, int, "budget")
         try:
             bench.check_T_list(args.T_list)
             bench.check_budgets(args.budgets)
@@ -198,73 +190,66 @@ def _emit(text: str, output: str | None) -> None:
         raise SystemExit(EXIT_IO)
 
 
-def _cmd_eval(args) -> int:
+def _report(fmt: str, payload, lines) -> str:
+    """payload as JSON for --format json, else the text lines, each ended by a newline."""
+    return _json_text(payload) + "\n" if fmt == "json" else "\n".join(lines) + "\n"
+
+
+def _cmd_eval(args) -> tuple[bool, str]:
     est = estimator.ln_a(args.method, args.tol, max_evals=args.budget)
     payload = _estimate_dict(est)
     if not est.converged:
         payload["warning"] = "did not converge within the evaluation budget"
-    if args.format == "json":
-        _emit(_json_text(payload) + "\n", args.output)
-    else:
-        lines = [f"{k} = {v}" for k, v in payload.items()]
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if est.converged else EXIT_NOT_CONVERGED
+    return est.converged, _report(args.format, payload,
+                                  (f"{k} = {v}" for k, v in payload.items()))
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> tuple[bool, str]:
     estimates, spread, limit, ok = estimator.cross_check(args.tol, args.budget)
     if args.format == "csv":
         rows = [_estimate_dict(e).values() for e in estimates]
-        _emit(bench.csv_text(COMPARE_CSV_HEADER, rows), args.output)
-    elif args.format == "json":
-        payload = {
-            "estimates": [_estimate_dict(e) for e in estimates],
-            "max_spread": spread,
-            "spread_ok": ok,
-        }
-        _emit(_json_text(payload) + "\n", args.output)
-    else:
-        lines = [
-            f"{e.method:>14s}  ln_A={e.ln_A:.15f}  disc={e.discretization_error:.2e}"
-            f"  trunc={e.truncation_error:.2e}  evals={e.evaluations}"
-            f"  converged={e.converged}"
-            for e in estimates
-        ]
-        lines.append(f"max pairwise spread = {spread:.3e} (limit {limit:.1e})")
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if ok else EXIT_NOT_CONVERGED
+        return ok, bench.csv_text(COMPARE_CSV_HEADER, rows)
+    payload = {"estimates": [_estimate_dict(e) for e in estimates],
+               "max_spread": spread, "spread_ok": ok}
+    lines = (
+        f"{e.method:>14s}  ln_A={e.ln_A:.15f}  disc={e.discretization_error:.2e}"
+        f"  trunc={e.truncation_error:.2e}  evals={e.evaluations}"
+        f"  converged={e.converged}"
+        for e in estimates
+    )
+    footer = f"max pairwise spread = {spread:.3e} (limit {limit:.1e})"
+    return ok, _report(args.format, payload, itertools.chain(lines, [footer]))
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[bool, str]:
     suites, passed = estimator.identity_suites(args.tol)
     ok = all(passed)
-    if args.format == "json":
-        payload = {"suites": suites, "all_passed": ok}
-        _emit(_json_text(payload) + "\n", args.output)
-    else:
-        lines = [
-            f"{s['suite']:>20s}  max_residual={s['max_residual']:.3e}"
-            f"  threshold={s['threshold']:.1e}"
-            f"  {'pass' if p else 'FAIL'}"
-            for s, p in zip(suites, passed)
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if ok else EXIT_NOT_CONVERGED
+    lines = (
+        f"{s['suite']:>20s}  max_residual={s['max_residual']:.3e}"
+        f"  threshold={s['threshold']:.1e}"
+        f"  {'pass' if p else 'FAIL'}"
+        for s, p in zip(suites, passed)
+    )
+    return ok, _report(args.format, {"suites": suites, "all_passed": ok}, lines)
 
 
-def _cmd_convergence(args) -> int:
+def _cmd_convergence(args) -> tuple[bool, str]:
     inner = estimator.inner_tol(args.tol)
     records = bench.sweep_truncation("binet", args.T_list, inner)
     records += bench.sweep_truncation("malmsten", args.T_list, inner)
     for method in estimator.ROUTES:
         records += bench.sweep_nodes(method, args.budgets, inner)
-    _emit(bench.records_to_string(records), args.output)
-    return EXIT_OK
+    return True, bench.records_to_string(records)
 
 
 # The CLI, per command: its help line, its run function and its options,
-# flag -> (dest, type, choices, default, required, help), in argparse's order.
-_TOL = ("tol", float, None, DEFAULT_TOL, False, None)
+# flag -> (dest, type, choices, default, required, help), in argparse's order;
+# every default is here:
+#   --tol      1e-10 (comfortably inside every route's supported range)
+#   --T-list   the grid used for the published truncation comparison
+#   --budgets  one evaluation budget per level of the quadrature: K21 and
+#              Patterson's 43- and 87-point rules
+_TOL = ("tol", float, None, 1e-10, False, None)
 
 
 def _report_options(formats) -> dict:
@@ -284,22 +269,26 @@ _COMMANDS = {
     "check": ("run the identity test suites", _cmd_check, _report_options(("text", "json"))),
     "convergence": ("emit convergence sweep CSV", _cmd_convergence, {
         "--tol": _TOL,
-        "--T-list": ("T_list", None, None, None, False, "comma-separated truncation points"),
-        "--budgets": ("budgets", None, None, None, False, "comma-separated evaluation budgets"),
+        "--T-list": ("T_list", None, None, "25,50,100,200", False,
+                     "comma-separated truncation points"),
+        "--budgets": ("budgets", None, None, "21,43,87", False,
+                      "comma-separated evaluation budgets"),
         "--output": ("output", None, None, None, False, "write the CSV here")}),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; a well-formed one skips argparse, any other argv goes
-    to the parser built from _COMMANDS.  Returns the exit code."""
+    """Run one command and write its report; a well-formed one skips argparse,
+    any other argv goes to the parser built from _COMMANDS.  Returns the exit code."""
     if argv is None:
         argv = sys.argv[1:]
     try:
         if (args := _fast_parse(argv)) is None:
             args = _build_parser().parse_args(argv)
         _validate(args)
-        return args.run(args)
+        ok, text = args.run(args)
+        _emit(text, args.output)
+        return EXIT_OK if ok else EXIT_NOT_CONVERGED
     except SystemExit as exc:
         return int(exc.code or 0)
     except (EvaluationFailedError, ValueError) as exc:

@@ -453,6 +453,27 @@ class TestDispatch:
         assert cli._build_parser.cache_info().currsize == 1
 
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--method", "binet", "--tol", "1e-6", "--format", "json"],
+        ["eval", "--method", "direct-lgamma", "--tol", "1e-6"],
+        ["eval", "--method", "classical", "--tol", "1e-13", "--budget", "21"],
+        *(["compare", "--tol", "1e-6", "--format", fmt] for fmt in ("json", "csv", "text")),
+        ["compare", "--tol", "1e-13", "--budget", "21", "--format", "csv"],
+        *(["check", "--tol", "1e-6", "--format", fmt] for fmt in ("json", "text")),
+        ["convergence", "--tol", "1e-6", "--T-list", "25", "--budgets", "21"],
+    ])
+    def test_a_command_returns_its_report_and_main_writes_it(self, capsys, tmp_path, argv):
+        args = cli._fast_parse(argv)
+        cli._validate(args)
+        ok, text = cli._COMMANDS[argv[0]][1](args)
+        assert (type(ok), type(text)) == (bool, str)
+        assert capsys.readouterr() == ("", "")
+        assert run_cli(capsys, *argv) == (0 if ok else 2, text, "")
+        out = tmp_path / "report"
+        assert run_cli(capsys, *argv, "--output", str(out)) == (0 if ok else 2, "", "")
+        assert out.read_text(encoding="utf-8") == text
+
+
 # Each command's option strings, and pieces of argv around them: values that
 # are valid, invalid, negative, empty, padded or NaN, help, "--" and strays.
 OPTIONS = {

@@ -1,5 +1,6 @@
 """The package's modules import only downward, in one fixed order, and the
-CLI computes no verdict of its own and reads no private attribute.
+CLI computes no verdict of its own, reads no private attribute and writes
+its output at one place.
 
 The scan covers every import statement in a module, including imports
 inside functions and `from . import x`, because an import deferred into a
@@ -144,3 +145,40 @@ def test_cli_reads_no_argparse_action():
     read = {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
     assert not read & {"option_strings", "dest", "type", "choices", "default", "required",
                        "nargs", "get_default"}
+
+
+def callers(source: str, name: str) -> list:
+    """Qualified names of the functions in source that call name, once per call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == name):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_scan_sees_callers():
+    source = (
+        "class P:\n"
+        "    def print_help(self):\n"
+        "        _emit(self.format_help(), None)\n"
+        "def run(args):\n"
+        "    return _emit(g(_emit), 1) or emit(2) or x._emit(3)\n"
+        "_emit(4)\n"
+    )
+    assert callers(source, "_emit") == ["P.print_help", "run", ""]
+
+
+def test_cli_writes_at_one_place():
+    # Commands return their report; main writes it, and help is written the
+    # same way, so every write shares one I/O error path.
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert sorted(callers(source, "_emit")) == ["_Parser.print_help", "main"]
