@@ -452,7 +452,6 @@ class TestDispatch:
         assert err.startswith("usage: glaisher [-h] {eval,compare,check,convergence} ...\n")
         assert cli._build_parser.cache_info().currsize == 1
 
-
     @pytest.mark.parametrize("argv", [
         ["eval", "--method", "binet", "--tol", "1e-6", "--format", "json"],
         ["eval", "--method", "direct-lgamma", "--tol", "1e-6"],
