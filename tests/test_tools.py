@@ -23,7 +23,7 @@ _spec.loader.exec_module(grid_digests)
 @pytest.fixture(scope="module")
 def lib_grid_lines():
     lines = grid_digests.run_grid("lib_grid.py")
-    assert len(lines) == 9636
+    assert len(lines) == 9876
     return lines
 
 

@@ -33,7 +33,11 @@ count as a changed result.  The calls are
     form 12, malmsten_integrand form 18 and specfun._theta_kernel at
     POINT_COUNT log-spaced t in [1e-6, 50] and at each series switch and
     its two float neighbours, so the series are pinned pointwise and not
-    only inside sums; lngamma_direct only at the t within its domain.
+    only inside sums; lngamma_direct only at the t within its domain;
+  * quadrature.integrate on the classical, binet_form13 and
+    malmsten_form19 integrands over tol x {auto, T = 5, 50, 500} x budget
+    {default, 43}, so integrate's own record, truncated tails included, is
+    pinned and not only the ln_a record built from it.
 
 It is the library twin of tools/cli_grid.py: a refactor that should change
 no number is checked by running the grid on both checkouts and diffing:
@@ -72,6 +76,11 @@ LEVEL_EDGE_BUDGETS = [86, 87, 128, 129, 170, 171]
 # The integrands' pointwise grid: log-spaced over [1e-6, 50], across every
 # switch of their evaluators.
 POINT_COUNT = 200
+# quadrature.integrate's own record: the semi-infinite integrands, with the
+# automatic rule and three forced T, at the default budget and at 43.
+INTEGRATE_IDS = ["classical", "binet_form13", "malmsten_form19"]
+INTEGRATE_TS = [None, 5.0, 50.0, 500.0]
+INTEGRATE_BUDGETS = [None, 43]
 
 
 def calls(glaisher, rng):
@@ -151,6 +160,15 @@ def calls(glaisher, rng):
             yield f"{fn.__name__}({t!r}, {form!r})", lambda f=fn, t=t, k=form: f(t, k)
     for t in points:
         yield f"_theta_kernel({t!r})", lambda t=t: specfun._theta_kernel(t)
+    for iid in INTEGRATE_IDS:
+        spec = integrands.get_integrand(iid)
+        for tol in TOLS:
+            for truncate_at in INTEGRATE_TS:
+                for budget in INTEGRATE_BUDGETS:
+                    kw = {} if budget is None else {"max_evals": budget}
+                    yield (f"integrate({iid!r}, {tol!r}, {truncate_at!r}, {kw!r})",
+                           lambda s=spec, t=tol, T=truncate_at, kw=kw:
+                           glaisher.quadrature.integrate(s, t, T, **kw))
 
 
 def main() -> int:
