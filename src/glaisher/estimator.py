@@ -129,10 +129,7 @@ def _check_tol(tol: float) -> None:
 
 
 def inner_tol(tol: float) -> float:
-    """The tolerance of the quadratures inside checks and sweeps at tol.
-
-    tol / 10, but never below TOL_MIN.
-    """
+    """tol / 10, never below TOL_MIN: the quadratures' tol inside checks and sweeps."""
     return max(tol / 10.0, TOL_MIN)
 
 
@@ -144,16 +141,16 @@ def ln_a(
 ) -> ConstantEstimate:
     """ln A by one method of METHODS, with its error budget.
 
-    max_evals is a hard cap, an integer in BUDGET_RANGE[method]: the
-    integrand evaluations of a route, at least one panel (PANEL_EVALS), or
-    the limit sequence's n (see ln_a_limit_sequence).  None means each
-    method's default, DEFAULT_MAX_EVALS for a route and N_MAX for the
-    sequence.  truncate_at forces a semi-infinite route's truncation point
-    T, in [5, 500]; None leaves the tail to the automatic rule, and the
-    finite-interval route rejects any T, as does the limit sequence.  A
-    route ends on the first level of its quadrature that meets tol, so any
-    budget of 87 or more gives the same result.  A route's discretization
-    error includes the rounding of offset + scale * integral.
+    max_evals is a hard cap, an integer in BUDGET_RANGE[method]: the integrand
+    evaluations of a route, at least one panel (PANEL_EVALS), or the limit
+    sequence's n (see ln_a_limit_sequence); None is DEFAULT_MAX_EVALS for a
+    route and N_MAX for the sequence.  truncate_at forces a semi-infinite
+    route's truncation point T, in [5, 500]; None leaves the tail to the
+    automatic rule, and the finite-interval route rejects any T, as does the
+    limit sequence.  A route ends on the first level of its quadrature that
+    meets tol, so any budget of 87 or more gives the same result.  A route's
+    discretization error is |scale| error_estimate plus the rounding of
+    offset + scale * integral; its truncation error, |scale| truncation_error.
     """
     if method == "limit_sequence":
         if truncate_at is not None:
@@ -167,8 +164,7 @@ def ln_a(
     budget = DEFAULT_MAX_EVALS if max_evals is None else max_evals
     res = integrate(get_integrand(integrand_id), tol / s, truncate_at, budget)
     scaled = scale * res.value
-    rounding = sys.float_info.epsilon * (abs(offset) + abs(scaled))
-    disc = s * (res.error_estimate - res.truncation_error) + rounding
+    disc = s * res.error_estimate + sys.float_info.epsilon * (abs(offset) + abs(scaled))
     trunc = s * res.truncation_error
     # method ln_A discretization_error truncation_error evaluations converged
     # truncation_T truncation_mode

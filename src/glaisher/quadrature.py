@@ -22,7 +22,8 @@ interval, when its node table is built, so the engine evaluates f at each
 node and nothing more.
 
 integrate(spec, tol, truncate_at) is the one entry that reads an
-IntegrandSpec, and it makes exactly one integrate_finite call, on spec.eval:
+IntegrandSpec.  It makes exactly one integrate_finite call, on spec.eval,
+and returns that call's error_estimate as it is, with the tail bound apart:
 
   1. A finite domain [0, domain_upper] is integrated as it is.
   2. A tail on (0, inf) goes through the map of QUADPACK's QAGI (Piessens
@@ -212,6 +213,9 @@ class EvaluationFailedError(Exception):
     """The integrand returned a non-finite value (NaN or inf) at some node."""
 
 
+# error_estimate: the engine's discretization estimate of the last level
+# taken, in every record.  truncation_error: the tail bound at truncation_T.
+# converged: that level met its tol and, from integrate, the two sum to <= tol.
 QuadratureResult = namedtuple(
     "QuadratureResult",
     "value error_estimate evaluations converged"
@@ -381,13 +385,13 @@ def integrate(
 ) -> QuadratureResult:
     """Integrate spec over (0, spec.domain_upper) to absolute tolerance tol.
 
-    The steps are those of the module docstring.  The automatic rule reads
-    the tail bound only through its rung table; a forced truncate_at applies
-    to (0, inf) only, needs a tail_bound and reads it at T.  Truncation
-    spends what the bound leaves of tol on discretization (at least tol/10,
-    never below the engine's smallest tol); a forced truncation whose bound
-    exceeds tol (the slow-convergence pathology of an algebraic tail) is
-    returned with that bound as truncation_error and converged=False.
+    The steps are those of the module docstring.  A forced truncate_at
+    applies to (0, inf) only, needs a tail_bound and reads it at T.
+    Truncation spends what the bound leaves of tol on discretization (at
+    least tol/10, never below the engine's smallest tol).  error_estimate is
+    integrate_finite's own and truncation_error the bound, so a forced
+    truncation whose bound exceeds tol (the slow-convergence pathology of an
+    algebraic tail) is returned with converged=False.
     """
     _check_tol(tol)
     b, bound, disc_tol = spec.domain_upper, spec.tail_bound, tol
@@ -416,9 +420,9 @@ def integrate(
     res = integrate_finite(
         spec.eval, 0.0, b, disc_tol, max_evals, graded=spec.log_singular_at_zero, tail=tail
     )
-    err = res.error_estimate + trunc
+    err = res.error_estimate
     # value error_estimate evaluations converged truncation_error
     # truncation_T truncation_mode
     return QuadratureResult(
-        res.value, err, res.evaluations, res.converged and err <= tol, trunc, T, mode
+        res.value, err, res.evaluations, res.converged and err + trunc <= tol, trunc, T, mode
     )

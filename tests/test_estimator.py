@@ -1,9 +1,11 @@
 import itertools
 import math
+import random
+import sys
 
 import pytest
 
-from glaisher import estimator
+from glaisher import estimator, quadrature
 from glaisher.estimator import (
     BUDGET_RANGE,
     EQ4_CONSTANT,
@@ -382,6 +384,41 @@ class TestCrossValidation:
             pushed = ln_a(method, 1e-9, base.truncation_T * 1.5)
             slack = base.discretization_error + pushed.discretization_error
             assert abs(pushed.ln_A - base.ln_A) <= base.truncation_error + slack
+
+    def test_discretization_error_is_the_engines_estimate(self, monkeypatch):
+        # A seeded scan of the three semi-infinite routes, half automatic and
+        # half with T forced log-uniform in [5, 500]: integrate returns the
+        # engine's error_estimate as it is, and discretization_error is
+        # |scale| times it plus the rounding of offset + scale * value, bit
+        # for bit, however large the truncation error beside it.
+        engine, route_integrate, runs = quadrature.integrate_finite, estimator.integrate, []
+
+        def recorded(*args, **kwargs):
+            runs.append(engine(*args, **kwargs))
+            return runs[-1]
+
+        def integrate_recorded(*args):
+            runs.append(route_integrate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(quadrature, "integrate_finite", recorded)
+        monkeypatch.setattr(estimator, "integrate", integrate_recorded)
+        rng, truncated = random.Random(38), 0
+        for i in range(300):
+            method = rng.choice(["classical", "binet", "malmsten"])
+            tol = 10.0 ** rng.uniform(-13.0, -3.0)
+            truncate_at = None if i % 2 else 5.0 * 100.0 ** rng.random()
+            max_evals = rng.choice([None, 21, 43, 87])
+            del runs[:]
+            est = ln_a(method, tol, truncate_at, max_evals)
+            engine_run, route_run = runs
+            assert route_run.error_estimate == engine_run.error_estimate
+            assert route_run.value == engine_run.value
+            _, scale, offset = ROUTES[method]
+            rounding = sys.float_info.epsilon * (abs(offset) + abs(scale * engine_run.value))
+            assert est.discretization_error == abs(scale) * engine_run.error_estimate + rounding
+            truncated += est.truncation_mode == "truncate"
+        assert truncated >= 150
 
 
 def eq4_residual(tol):

@@ -210,6 +210,16 @@ def test_error_budget_holds_where_a_panel_estimate_was_too_small(
     _assert_budget_holds(ln_a(route, tol, truncate_at, max_evals), tol)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+@pytest.mark.parametrize("max_evals", [43, 87])
+@pytest.mark.parametrize("truncate_at", [20.997616733203287, 8.3266])
+def test_error_budget_holds_in_the_classical_narrows(truncate_at, max_evals):
+    # Near these T the K21 error of the graded classical route changes
+    # sign, the 43-point estimate falls to its rounding floor, and the bar
+    # (2.09e-15 and 1.89e-15) is 36.5x and 31.2x short of the error.
+    _assert_budget_holds(ln_a("classical", 1e-6, truncate_at, max_evals), 1e-6)
+
+
 def test_limit_sequence_bar_holds():
     # Every n up to 1000 (the bar is tightest near n = 19, where the error
     # is 0.50 of it), 200 log-spaced n in [1e3, 1e5], and three n at the top.
