@@ -37,7 +37,11 @@ count as a changed result.  The calls are
   * quadrature.integrate on the classical, binet_form13 and
     malmsten_form19 integrands over tol x {auto, T = 5, 50, 500} x budget
     {default, 43}, so integrate's own record, truncated tails included, is
-    pinned and not only the ln_a record built from it.
+    pinned and not only the ln_a record built from it;
+  * quadrature.integrate_finite on five fixed integrands under the identity,
+    graded and tail maps (INTEGRATE_FINITE_CASES), over tol x the budgets on
+    each side of the 43- and 87-point levels, so the engine and its rule
+    tables are pinned directly and not only through the routes' integrands.
 
 It is the library twin of tools/cli_grid.py: a refactor that should change
 no number is checked by running the grid on both checkouts and diffing:
@@ -81,6 +85,18 @@ POINT_COUNT = 200
 INTEGRATE_IDS = ["classical", "binet_form13", "malmsten_form19"]
 INTEGRATE_TS = [None, 5.0, 50.0, 500.0]
 INTEGRATE_BUDGETS = [None, 43]
+# quadrature.integrate_finite's own record: (name, f, a, b, graded, tail).
+# exp on [-1, 2] runs the identity map with a != 0; sqrt's singular derivative
+# takes it to the 87-point level, unconverged at small tol; log is graded;
+# exp(-t) is a compactified tail and 1/(1+t)**2 a truncated one.
+INTEGRATE_FINITE_CASES = [
+    ("exp", math.exp, -1.0, 2.0, False, False),
+    ("sqrt", math.sqrt, 0.0, 1.0, False, False),
+    ("log", math.log, 0.0, 1.0, True, False),
+    ("exp(-t)", lambda t: math.exp(-t), 0.0, 1.0, False, True),
+    ("1/(1+t)**2", lambda t: 1.0 / (1.0 + t) ** 2, 0.0, 0.9, False, True),
+]
+INTEGRATE_FINITE_BUDGETS = [21, 42, 43, 86, 87]
 
 
 def calls(glaisher, rng):
@@ -169,6 +185,13 @@ def calls(glaisher, rng):
                     yield (f"integrate({iid!r}, {tol!r}, {truncate_at!r}, {kw!r})",
                            lambda s=spec, t=tol, T=truncate_at, kw=kw:
                            glaisher.quadrature.integrate(s, t, T, **kw))
+    for name, f, a, b, graded, tail in INTEGRATE_FINITE_CASES:
+        for tol in TOLS:
+            for budget in INTEGRATE_FINITE_BUDGETS:
+                yield (f"integrate_finite({name!r}, {a!r}, {b!r}, {tol!r}, {budget!r},"
+                       f" graded={graded!r}, tail={tail!r})",
+                       lambda f=f, a=a, b=b, t=tol, n=budget, g=graded, m=tail:
+                       glaisher.quadrature.integrate_finite(f, a, b, t, n, graded=g, tail=m))
 
 
 def main() -> int:
