@@ -24,6 +24,7 @@ json.dumps(payload, indent=2), each dict of scalars by json's C encoder.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import itertools
 import json
@@ -170,16 +171,24 @@ def _json_text(obj, depth: int = 0) -> str:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         try:
+            if sys.stdout is None:  # Python's stdout when fd 1 was closed at start
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:
             print(f"glaisher: cannot write stdout: {exc}", file=sys.stderr)
             # What stdout still buffers would fail again at the interpreter's
-            # final flush; send it to os.devnull (the Python docs' recipe for
-            # a broken pipe, in the signal module's notes on SIGPIPE).
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            # final flush; send its descriptor, if it has one, to os.devnull
+            # (the Python docs' recipe for a broken pipe, in the signal
+            # module's notes on SIGPIPE).
+            try:
+                fd = sys.stdout.fileno()
+            except (AttributeError, ValueError):  # None, or a stream with no fd
+                pass
+            else:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
             raise SystemExit(EXIT_IO) from None
         return
     try:

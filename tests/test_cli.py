@@ -1,4 +1,6 @@
 import argparse
+import errno
+import io
 import json
 import math
 import os
@@ -312,6 +314,31 @@ class TestConvergence:
             os.close(write_end)
         assert proc.returncode == 74
         assert proc.stderr == "glaisher: cannot write stdout: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("argv", [["eval", "--method", "binet"], ["--help"]], ids=" ".join)
+    def test_closed_stdout_exit_74(self, argv):
+        # With fd 1 closed at start, Python's sys.stdout is None.
+        proc = subprocess.run(
+            [sys.executable, "-m", "glaisher.cli", *argv],
+            stderr=subprocess.PIPE, text=True, env=CHILD_ENV, preexec_fn=lambda: os.close(1),
+        )
+        assert proc.returncode == 74
+        assert proc.stderr == "glaisher: cannot write stdout: [Errno 9] Bad file descriptor\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["eval", "--method", "malmsten", "--format", "json"], ["--help"]], ids=" ".join
+    )
+    def test_unwritable_stdout_without_descriptor_exit_74(self, argv, capsys, monkeypatch):
+        # An in-process stream with no file descriptor has none to redirect.
+        class FullStream(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", FullStream())
+        assert main(argv) == 74
+        assert capsys.readouterr().err == (
+            "glaisher: cannot write stdout: [Errno 28] No space left on device\n"
+        )
 
     @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
     @pytest.mark.parametrize("argv", [["--help"], ["eval", "-h"]], ids=" ".join)
