@@ -86,124 +86,103 @@ _TOL_MIN, _TOL_MAX = 1e-14, 1e-2
 # need T >= 1) to 500, past every T that the convergence sweeps use.
 TRUNCATE_AT_MIN, TRUNCATE_AT_MAX = 5.0, 500.0
 
+
+def _mirror(half: tuple, centre: bool = False, sign: float = 1.0) -> tuple:
+    """A rule's full table on [-1, 1], in ascending order of node, from its half.
+
+    half is the table at the non-negative nodes, outermost first and the
+    centre node 0 last if the rule has one, as QUADPACK stores it.  The full
+    table is sign (-1 for nodes) times each entry but the centre's, then the
+    half reversed, so the centre is placed once.
+    """
+    return (*(sign * x for x in (half[:-1] if centre else half)), *reversed(half))
+
+
 # The 21-point Gauss-Kronrod rule on [-1, 1] extending the 10-point
 # Gauss-Legendre rule, as in QUADPACK's qk21 (Piessens et al., 1983),
 # frozen as floats.  The Kronrod nodes are the 10 Gauss nodes and the 11
 # roots of the Stieltjes polynomial E11, orthogonal to P10(x) x^k for
-# k <= 10; the weights solve the 21 moment equations (Laurie, 1997).
+# k <= 10; the weights solve the 21 moment equations (Laurie, 1997).  Each
+# rule is symmetric about 0, so each table is written as its non-negative
+# half, as QUADPACK stores it, and mirrored at import by _mirror.
 # tests/test_quadrature.py rederives every constant in mpmath.
-_XK = (
-    -0.9956571630258081, -0.9739065285171717, -0.9301574913557082,
-    -0.8650633666889845, -0.7808177265864169, -0.6794095682990244,
-    -0.5627571346686047, -0.4333953941292472, -0.2943928627014602,
-    -0.14887433898163122, 0.0, 0.14887433898163122, 0.2943928627014602,
-    0.4333953941292472, 0.5627571346686047, 0.6794095682990244,
-    0.7808177265864169, 0.8650633666889845, 0.9301574913557082,
-    0.9739065285171717, 0.9956571630258081,
-)
-_WK = (
+_XK = _mirror((
+    0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+    0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+    0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+    0.14887433898163122, 0.0,
+), centre=True, sign=-1.0)
+_WK = _mirror((
     0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
     0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
     0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
-    0.14773910490133849, 0.1494455540029169, 0.14773910490133849,
-    0.14277593857706009, 0.13470921731147334, 0.12349197626206584,
-    0.10938715880229764, 0.0931254545836976, 0.07503967481091996,
-    0.054755896574351995, 0.032558162307964725, 0.011694638867371874,
-)
+    0.14773910490133849, 0.1494455540029169,
+), centre=True)
 # The G10 weights, and where the G10 nodes sit among _XK: every other node.
-_WG = (
+_WG = _mirror((
     0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
-    0.26926671930999635, 0.29552422471475287, 0.29552422471475287,
-    0.26926671930999635, 0.21908636251598204, 0.1494513491505806,
-    0.06667134430868814,
-)
+    0.26926671930999635, 0.29552422471475287,
+))
 _GAUSS = slice(1, None, 2)
 
 # Integrand evaluations of one panel: G10 reuses ten of the Kronrod values.
 PANEL_EVALS = len(_XK)
 
 # Patterson's (1968) nested extensions of K21, as in QUADPACK's qng, frozen
-# as floats.  The 43-point rule adds the 22 roots of the even F22 orthogonal
-# to P10 E11 x^k for k < 22, and the 87-point rule the 44 roots of the even
-# G44 orthogonal to P10 E11 F22 x^k for k < 44; the weights solve the moment
-# equations, and the rules are exact to degree 64 and 130.  _W43 weights the
-# values at _XK then _X43, and _W87 those at _XK, _X43 then _X87.
-# tests/test_quadrature.py rederives every constant in mpmath.
-_X43 = (
-    -0.999333360901932, -0.9874334029080889, -0.9548079348142663,
-    -0.9001486957483283, -0.8251983149831141, -0.732148388989305,
-    -0.6228479705377252, -0.4994795740710565, -0.36490166134658075,
-    -0.2222549197766013, -0.07465061746138332, 0.07465061746138332,
-    0.2222549197766013, 0.36490166134658075, 0.4994795740710565,
-    0.6228479705377252, 0.732148388989305, 0.8251983149831141,
-    0.9001486957483283, 0.9548079348142663, 0.9874334029080889,
-    0.999333360901932,
-)
-_W43 = (
+# as floats and written as halves like K21's.  The 43-point rule adds the 22
+# roots of the even F22 orthogonal to P10 E11 x^k for k < 22, and the
+# 87-point rule the 44 roots of the even G44 orthogonal to P10 E11 F22 x^k
+# for k < 44; the weights solve the moment equations, and the rules are
+# exact to degree 64 and 130.  _W43 weights the values at _XK then _X43, and
+# _W87 those at _XK, _X43 then _X87; each of those segments is mirrored on
+# its own.  tests/test_quadrature.py rederives every constant in mpmath.
+_X43 = _mirror((
+    0.999333360901932, 0.9874334029080889, 0.9548079348142663,
+    0.9001486957483283, 0.8251983149831141, 0.732148388989305,
+    0.6228479705377252, 0.4994795740710565, 0.36490166134658075,
+    0.2222549197766013, 0.07465061746138332,
+), sign=-1.0)
+_W43 = _mirror((
     0.005768556059769796, 0.016296734289666565, 0.027371890593248842,
     0.0375228761208695, 0.04656082691042883, 0.05469490205825544,
     0.06174499520144257, 0.06735541460947808, 0.07138726726869339,
-    0.07387019963239395, 0.07472214751740301, 0.07387019963239395,
-    0.07138726726869339, 0.06735541460947808, 0.06174499520144257,
-    0.05469490205825544, 0.04656082691042883, 0.0375228761208695,
-    0.027371890593248842, 0.016296734289666565, 0.005768556059769796,
+    0.07387019963239395, 0.07472214751740301,
+), centre=True) + _mirror((
     0.001844477640212414, 0.010798689585891651, 0.021895363867795427,
     0.032597463975345686, 0.04216313793519181, 0.050741939600184575,
     0.05837939554261925, 0.06474640495144589, 0.06956619791235648,
-    0.07282444147183322, 0.07450775101417512, 0.07450775101417512,
-    0.07282444147183322, 0.06956619791235648, 0.06474640495144589,
-    0.05837939554261925, 0.050741939600184575, 0.04216313793519181,
-    0.032597463975345686, 0.021895363867795427, 0.010798689585891651,
-    0.001844477640212414,
-)
-_X87 = (
-    -0.9999029772627293, -0.9979898959866788, -0.9921754978606873,
-    -0.9813581635727128, -0.9650576238583847, -0.9431676131336706,
-    -0.9158064146855072, -0.8832216577713164, -0.8457107484624157,
-    -0.8035576580352309, -0.7570057306854956, -0.7062732097873218,
-    -0.6515894665011779, -0.5932233740579611, -0.531493605970832,
-    -0.46676362304202285, -0.3994248478592188, -0.3298748771061883,
-    -0.25850355920216156, -0.18569539656834666, -0.11184221317990747,
-    -0.03735212339461987, 0.03735212339461987, 0.11184221317990747,
-    0.18569539656834666, 0.25850355920216156, 0.3298748771061883,
-    0.3994248478592188, 0.46676362304202285, 0.531493605970832,
-    0.5932233740579611, 0.6515894665011779, 0.7062732097873218,
-    0.7570057306854956, 0.8035576580352309, 0.8457107484624157,
-    0.8832216577713164, 0.9158064146855072, 0.9431676131336706,
-    0.9650576238583847, 0.9813581635727128, 0.9921754978606873,
-    0.9979898959866788, 0.9999029772627293,
-)
-_W87 = (
+    0.07282444147183322, 0.07450775101417512,
+))
+_X87 = _mirror((
+    0.9999029772627293, 0.9979898959866788, 0.9921754978606873,
+    0.9813581635727128, 0.9650576238583847, 0.9431676131336706,
+    0.9158064146855072, 0.8832216577713164, 0.8457107484624157,
+    0.8035576580352309, 0.7570057306854956, 0.7062732097873218,
+    0.6515894665011779, 0.5932233740579611, 0.531493605970832,
+    0.46676362304202285, 0.3994248478592188, 0.3298748771061883,
+    0.25850355920216156, 0.18569539656834666, 0.11184221317990747,
+    0.03735212339461987,
+), sign=-1.0)
+_W87 = _mirror((
     0.0028848724302115306, 0.008148377384149173, 0.013685946022712702,
     0.018761438201562824, 0.02328041350288831, 0.027347451050052287,
     0.03087249761171336, 0.03367770731163793, 0.03569363363941877,
-    0.036935099820427905, 0.037361073762679026, 0.036935099820427905,
-    0.03569363363941877, 0.03367770731163793, 0.03087249761171336,
-    0.027347451050052287, 0.02328041350288831, 0.018761438201562824,
-    0.013685946022712702, 0.008148377384149173, 0.0028848724302115306,
+    0.036935099820427905, 0.037361073762679026,
+), centre=True) + _mirror((
     0.0009152833452022414, 0.005399280219300471, 0.01094767960111893,
     0.016298731696787336, 0.021081568889203834, 0.025370969769253827,
     0.029189697756475754, 0.03237320246720279, 0.034783098950365146,
-    0.03641222073135179, 0.037253875503047706, 0.037253875503047706,
-    0.03641222073135179, 0.034783098950365146, 0.03237320246720279,
-    0.029189697756475754, 0.025370969769253827, 0.021081568889203834,
-    0.016298731696787336, 0.01094767960111893, 0.005399280219300471,
-    0.0009152833452022414, 0.00027414556376207234, 0.0018071241550579428,
-    0.0040968692827591646, 0.006758290051847379, 0.009549957672201646,
-    0.012329447652244854, 0.015010447346388952, 0.01754896798624319,
-    0.019938037786440887, 0.022194935961012286, 0.024339147126000805,
-    0.026374505414839208, 0.0282869107887712, 0.030052581128092695,
-    0.03164675137143993, 0.033050413419978504, 0.034255099704226064,
-    0.03526241266015668, 0.0360769896228887, 0.03669860449845609,
-    0.037120549269832576, 0.03733422875193504, 0.03733422875193504,
-    0.037120549269832576, 0.03669860449845609, 0.0360769896228887,
-    0.03526241266015668, 0.034255099704226064, 0.033050413419978504,
-    0.03164675137143993, 0.030052581128092695, 0.0282869107887712,
-    0.026374505414839208, 0.024339147126000805, 0.022194935961012286,
-    0.019938037786440887, 0.01754896798624319, 0.015010447346388952,
-    0.012329447652244854, 0.009549957672201646, 0.006758290051847379,
-    0.0040968692827591646, 0.0018071241550579428, 0.00027414556376207234,
-)
+    0.03641222073135179, 0.037253875503047706,
+)) + _mirror((
+    0.00027414556376207234, 0.0018071241550579428, 0.0040968692827591646,
+    0.006758290051847379, 0.009549957672201646, 0.012329447652244854,
+    0.015010447346388952, 0.01754896798624319, 0.019938037786440887,
+    0.022194935961012286, 0.024339147126000805, 0.026374505414839208,
+    0.0282869107887712, 0.030052581128092695, 0.03164675137143993,
+    0.033050413419978504, 0.034255099704226064, 0.03526241266015668,
+    0.0360769896228887, 0.03669860449845609, 0.037120549269832576,
+    0.03733422875193504,
+))
 
 # QUADPACK's floor on a panel's error estimate: 50 eps times int |f|.
 _ROUNDING_FLOOR = 50.0 * sys.float_info.epsilon
