@@ -41,7 +41,9 @@ count as a changed result.  The calls are
   * quadrature.integrate_finite on five fixed integrands under the identity,
     graded and tail maps (INTEGRATE_FINITE_CASES), over tol x the budgets on
     each side of the 43- and 87-point levels, so the engine and its rule
-    tables are pinned directly and not only through the routes' integrands.
+    tables are pinned directly and not only through the routes' integrands;
+  * malmsten_log_gamma at MALMSTEN_NEAR_ONE x SPECFUN_TOLS, where its
+    integrand's bracket cancels, drawing nothing from the generator.
 
 It is the library twin of tools/cli_grid.py: a refactor that should change
 no number is checked by running the grid on both checkouts and diffing:
@@ -97,6 +99,9 @@ INTEGRATE_FINITE_CASES = [
     ("1/(1+t)**2", lambda t: 1.0 / (1.0 + t) ** 2, 0.0, 0.9, False, True),
 ]
 INTEGRATE_FINITE_BUDGETS = [21, 42, 43, 86, 87]
+# z near 1, where Malmsten's bracket z - (1 - e^{-zt})/(1 - e^{-t}) is near
+# 0 at every t; at z = 1 itself it is exactly 0.
+MALMSTEN_NEAR_ONE = [0.96, 0.99, 0.999, 1 - 1e-6, 1 + 1e-6, 1.001, 1.01, 1.06]
 
 
 def calls(glaisher, rng):
@@ -192,6 +197,10 @@ def calls(glaisher, rng):
                        f" graded={graded!r}, tail={tail!r})",
                        lambda f=f, a=a, b=b, t=tol, n=budget, g=graded, m=tail:
                        glaisher.quadrature.integrate_finite(f, a, b, t, n, graded=g, tail=m))
+    for z in MALMSTEN_NEAR_ONE:
+        for tol in SPECFUN_TOLS:
+            yield (f"malmsten_log_gamma({z!r}, {tol!r})",
+                   lambda z=z, t=tol: specfun.malmsten_log_gamma(z, t))
 
 
 def main() -> int:
