@@ -18,7 +18,8 @@ it only for any other argv (help, abbreviations, "--opt=value", leftovers)
 and for usage errors.  A run function returns (verdict, report text) and
 writes nothing: main writes the report once, to stdout or --output, and
 exits 0 if the verdict holds, else 2.  JSON output is
-json.dumps(payload, indent=2), each dict of scalars by json's C encoder.
+json.dumps(payload, indent=2); a flat dict of scalars (eval's report) is
+written by json's C encoder, any other payload by json.dumps itself.
 """
 
 from __future__ import annotations
@@ -150,22 +151,17 @@ def _estimate_dict(est: ConstantEstimate) -> dict:
     return {name: getattr(est, name) for name in _REPORTED_FIELDS}
 
 
-@functools.cache
-def _flat_encoder(depth: int) -> json.JSONEncoder:
-    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
+# json.dumps(indent=2) would write a flat dict in pure Python; with these
+# separators json's C encoder writes the same lines.
+_FLAT_ENCODER = json.JSONEncoder(separators=(",\n  ", ": "))
 
 
-def _json_text(obj, depth: int = 0) -> str:
-    """json.dumps(obj, indent=2) for string keys; json would indent in pure Python."""
-    if not obj or not isinstance(obj, (dict, list, tuple)):
-        return json.dumps(obj)
-    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    if not isinstance(obj, dict):
-        return "[" + inner + ("," + inner).join(_json_text(v, depth + 1) for v in obj) + outer + "]"
-    if all(v is None or isinstance(v, (str, int, float)) for v in obj.values()):
-        return "{" + inner + _flat_encoder(depth).encode(obj)[1:-1] + outer + "}"
-    items = (f"{json.dumps(k)}: {_json_text(v, depth + 1)}" for k, v in obj.items())
-    return "{" + inner + ("," + inner).join(items) + outer + "}"
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2) for string keys, a non-empty dict of scalars in C."""
+    if obj and isinstance(obj, dict) and all(
+            v is None or isinstance(v, (str, int, float)) for v in obj.values()):
+        return "{\n  " + _FLAT_ENCODER.encode(obj)[1:-1] + "\n}"
+    return json.dumps(obj, indent=2)
 
 
 def _emit(text: str, output: str | None) -> None:
