@@ -89,38 +89,37 @@ def binet_theta(x: float, tol: float = 1e-10) -> QuadratureResult:
     return integrate(IntegrandSpec(eval=f), tol)
 
 
-# Taylor coefficients in t of [z - (1-e^{-zt})/(1-e^{-t})]/t, each a
-# polynomial in z, frozen from a one-off symbolic expansion.
-def _malmsten_bracket_series(z: float, t: float) -> float:
-    c0 = z * (z - 1.0) / 2.0
-    c1 = -(z**3) / 6.0 + z * z / 4.0 - z / 12.0
-    c2 = z**4 / 24.0 - z**3 / 12.0 + z * z / 24.0
-    c3 = -(z**5) / 120.0 + z**4 / 48.0 - z**3 / 72.0 + z / 720.0
-    c4 = z**6 / 720.0 - z**5 / 240.0 + z**4 / 288.0 - z * z / 1440.0
-    return (((c4 * t + c3) * t + c2) * t + c1) * t + c0
-
-
 def malmsten_log_gamma(z: float, tol: float = 1e-10) -> QuadratureResult:
     """ln Gamma(z+1) by quadrature of the Malmsten integral, finite z >= 0.
 
-    The integrand, z(z-1)/2 at t = 0, varies on the scale t ~ 1/z, which
-    the 87-point level does not resolve for a large z: the run stops
-    unconverged from z ~ 63 at tol 1e-11, from z ~ 70 at 1e-10 and from
-    z ~ 195 at 1e-2.  Below 1e-11 the estimate's rounding floor, 50 eps
-    times the integral of |f|, exceeds tol first: from z ~ 34 at 1e-12, 7
-    at 1e-13 and 2 at 1e-14.  Either way the reported error estimate still
-    bounds the error.
+    On each side of z = 1/2 the bracket z - (1-e^{-zt})/(1-e^{-t}) has a
+    closed form exact at that side's end of [0, 1], where the bracket is 0
+    at every t, and cancelling only at the other: z - expm1(-zt)/expm1(-t)
+    below, d - (e^{-t} - e^{-zt})/(1-e^{-t}) with d = z - 1 from 1/2 up.  No
+    expm1 argument is positive: t reaches ~10^5 on the compactified tail.
+
+    The integrand varies on the scale t ~ 1/z, which the 87-point level
+    does not resolve for a large z: the run stops unconverged from z ~ 63
+    at tol 1e-11, from z ~ 70 at 1e-10 and from z ~ 195 at 1e-2, bar a
+    narrow band further up (z ~ 93, or 284 to 297 at 1e-2).  Below
+    1e-11 the estimate's rounding floor, 50 eps times the integral of |f|,
+    exceeds tol first: from z ~ 34 at 1e-12, 7 at 1e-13 and 2 at 1e-14.
+    Either way the reported error estimate still bounds the error.
     """
     if not 0.0 <= z < math.inf:
         raise ValueError(f"malmsten_log_gamma requires finite z >= 0, got {z}")
-    # The bracket cancels to O(t) at 0; series below a z-scaled threshold.
-    switch = 0.005 / max(1.0, z)
+    if z < 0.5:
+        def f(t):
+            return (z - math.expm1(-z * t) / math.expm1(-t)) * math.exp(-t) / t
+    else:
+        # e^{-t} - e^{-zt} = c e^{-mt} expm1(-|d| t): c = -1 and m = 1 for
+        # d >= 0, c = 1 and m = z for d < 0.
+        d, m, a = z - 1.0, min(1.0, z), -abs(z - 1.0)
+        c = -1.0 if d >= 0.0 else 1.0
 
-    def f(t):
-        if t < switch:
-            return _malmsten_bracket_series(z, t) * math.exp(-t)
-        bracket = z - math.expm1(-z * t) / math.expm1(-t)
-        return bracket * math.exp(-t) / t
+        def f(t):
+            diff = c * math.exp(-m * t) * math.expm1(a * t)
+            return (d + diff / math.expm1(-t)) * math.exp(-t) / t
 
     return integrate(IntegrandSpec(eval=f), tol)
 
