@@ -185,9 +185,9 @@ def test_binet_theta_bar_holds():
 
 def test_malmsten_log_gamma_bar_holds():
     # ln Gamma(z + 1) at z = 0, 13 z log-spaced over [1e-3, 1e3] and eight z
-    # near 1, where the integrand's bracket is near 0 at every t; the worst
-    # error is 0.18 of the bar (z = 1.01).  A closed form that cancelled
-    # near z = 1 missed its bar 96-fold at z = 1.001, tol 1e-10.
+    # near 1, where the integrand's bracket is near 0 at every t and a form
+    # that cancels there misses its bar (96-fold at z = 1.001, tol 1e-10);
+    # the worst error is 0.18 of the bar (z = 1.01).
     zs = ([0.0] + [10.0 ** (-3 + i / 2) for i in range(13)]
           + [0.96, 0.99, 0.999, 1 - 1e-6, 1 + 1e-6, 1.001, 1.01, 1.06])
     with mpmath.workdps(40):
